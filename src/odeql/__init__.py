@@ -62,9 +62,9 @@ from .pipeline import (
 from .solver import (
     BlockSolution,
     adjoint_solve,
+    block_solve,
     forward_substitute,
     generic_solve,
-    propagate_steps,
     residual,
 )
 from .taylor import (

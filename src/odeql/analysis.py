@@ -21,11 +21,10 @@ The bounds covered:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve_triangular
 
 from .encoder import EncodedSystem, TaylorParams
 from .errors import (
@@ -40,7 +39,7 @@ from .numerics import (
     reference_solution,
     spectral_norm,
 )
-from .solver import BlockSolution
+from .solver import BlockSolution, block_solve
 
 # Relative slack accepted on every bound check; absorbs floating-point
 # evaluation of the bound constants (e, I_0(2), log-space factorials).
@@ -172,30 +171,6 @@ def decay_profile(inst: Instance, T: float, m: int, refine: int = 8,
 # scalar inverse columns
 # ---------------------------------------------------------------------------
 
-def _scalar_inverse(lam: complex, params: TaylorParams) -> np.ndarray:
-    """All columns of C_{m,k,p}(lam)^{-1} by forward substitution on I.
-
-    Returns X with X[:, l] the solution of C x = e_l; rows are flat block
-    indices. Vectorized over columns, O(d^2) work.
-    """
-    m, k, p = params.m, params.k, params.p
-    d = params.d
-    X = np.zeros((d + 1, d + 1), dtype=complex)
-    X[0, 0] = 1.0
-    body = m * (k + 1)
-    for l in range(1, d + 1):
-        if l <= body and l % (k + 1) == 0:
-            i = l // (k + 1) - 1
-            X[l] = X[i * (k + 1):i * (k + 1) + k + 1].sum(axis=0)
-        elif l > body:
-            X[l] = X[l - 1]
-        else:
-            j = l % (k + 1)
-            X[l] = (lam / j) * X[l - 1]
-        X[l, l] += 1.0
-    return X
-
-
 def scalar_inverse_columns(lam: complex, params: TaylorParams) -> BoundReport:
     """Check both inverse-column bounds of the scalar (N = 1) system.
 
@@ -210,7 +185,10 @@ def scalar_inverse_columns(lam: complex, params: TaylorParams) -> BoundReport:
         raise HypothesisError(f"Re(lambda) = {lam.real:.6g} > 0; bound not claimed")
     params.require_bound_hypotheses()
 
-    X = _scalar_inverse(lam, params)
+    # Column l of C(lam)^{-1} solves C(lam) x = e_l: the N = 1 system at h = 1
+    # with A = [[lam]], all d+1 columns at once.
+    identity = np.eye(params.d + 1, dtype=complex)[:, None, :]
+    X = block_solve(np.array([[lam]]), replace(params, h=1.0), identity)[:, 0, :]
     col_norms = np.linalg.norm(X, axis=0)
     norm_bound = column_norm_bound(params.m, params.p)
     entry_max = float(np.abs(X).max())
@@ -308,15 +286,16 @@ def inverse_norm(system: EncodedSystem, tol: float = 1e-6,
                  max_iter: int = 10_000, seed: int = POWER_SEED) -> float:
     """||C^{-1}|| = 1/sigma_min(C) by power iteration on the inverse Gram map.
 
-    Each iteration applies C^{-1} by sparse forward substitution and
-    C^{-dagger} by back substitution; the matrix is never inverted.
+    Each iteration applies C^{-1} and C^{-dagger} by the structured block
+    solves; the matrix is never inverted.
     """
-    C = system.matrix
-    CH = C.conj().T.tocsr()
+    A, params = system.A, system.params
+    shape = (params.d + 1, system.N)
     return _sigma_max(
-        lambda x: spsolve_triangular(C, x, lower=True),
-        lambda y: spsolve_triangular(CH, y, lower=False),
-        C.shape[0], tol, max_iter, seed,
+        lambda x: block_solve(A, params, x.reshape(shape).copy()).ravel(),
+        lambda y: block_solve(A, params, y.reshape(shape).copy(),
+                              adjoint=True).ravel(),
+        system.dim, tol, max_iter, seed,
     )
 
 

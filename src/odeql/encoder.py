@@ -121,13 +121,18 @@ class TaylorParams:
 
 @dataclass(frozen=True)
 class EncodedSystem:
-    """Assembled system: matrix, right-hand side, layout and block size."""
+    """Assembled system: matrix, right-hand side, layout, block size and the
+    CSR generator A that the structured solves apply."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     params: TaylorParams
     N: int
-    nnz_A: int
+    A: sp.csr_matrix
+
+    @property
+    def nnz_A(self) -> int:
+        return self.A.nnz
 
     @property
     def dim(self) -> int:
@@ -255,8 +260,7 @@ def encode(A, x_in, b, params: TaylorParams) -> EncodedSystem:
     rhs = build_rhs(x_in, b, params)
     if rhs.size != matrix.shape[0]:
         raise DimensionError("state dimension does not match the matrix block size")
-    return EncodedSystem(matrix=matrix, rhs=rhs, params=params, N=A.shape[0],
-                         nnz_A=A.nnz)
+    return EncodedSystem(matrix=matrix, rhs=rhs, params=params, N=A.shape[0], A=A)
 
 
 def simulate_state_prep(x_in_norm: float, b_norm: float, x_in_state, b_state,

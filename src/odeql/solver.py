@@ -9,9 +9,12 @@ it walks the blocks in flat order and replays the defining recurrences
     x_{i+1,0} = sum_{j=0}^{k} x_{i,j}
     x_{m,j} = x_{m,j-1}                     1 <= j <= p
 
-at a cost of m*k sparse matrix-vector products plus vector additions. The
-assembled matrix is solved only for cross-validation (:func:`generic_solve`)
-and for norm estimation through :func:`adjoint_solve`.
+at a cost of m*k sparse matrix-vector products plus vector additions.
+:func:`block_solve` is the one kernel for these recurrences: it solves C or
+C^dagger for any stack of right-hand sides, and backs forward substitution,
+the adjoint solve, the inverse-norm estimate and the scalar inverse columns.
+The assembled matrix is solved only by :func:`generic_solve`, the
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -22,9 +25,15 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve_triangular
 
-from .encoder import EncodedSystem, TaylorParams, _as_csr, _require_step_bound
-from .errors import DimensionError, IntegrityError
-from .numerics import as_state
+from .encoder import (
+    EncodedSystem,
+    TaylorParams,
+    _as_csr,
+    _require_step_bound,
+    build_rhs,
+)
+from .errors import DegenerateInputError, DimensionError, IntegrityError
+from .numerics import _adjoint, as_state
 
 
 @dataclass(frozen=True)
@@ -56,6 +65,44 @@ class BlockSolution:
         return self.block(self.params.m, 0)
 
 
+def block_solve(A, params: TaylorParams, rhs: np.ndarray,
+                adjoint: bool = False) -> np.ndarray:
+    """Solve C x = rhs (or C^dagger x = rhs) in place, block by block.
+
+    ``rhs`` has shape (d+1, N) or (d+1, N, B): row l is block l of B
+    right-hand sides. It is overwritten with the solution and returned. Only
+    ``A @`` and ``A^dagger @`` are applied, m*k times each way, so A may be
+    CSR or dense. No argument is checked; callers validate.
+
+    Forward substitution runs the recurrences in the module docstring with a
+    general right-hand side; back substitution on C^dagger gathers, into
+    each block, the blocks of later rows that reference it: the next Taylor
+    block through (h/(j+1)) A^dagger, the step's collector, the next copy.
+    """
+    x = rhs
+    m, k, h = params.m, params.k, params.h
+    top = m * (k + 1)
+    if not adjoint:
+        for i in range(m):
+            base = i * (k + 1)
+            for j in range(1, k + 1):
+                x[base + j] += (h / j) * (A @ x[base + j - 1])
+            x[base + k + 1] += x[base:base + k + 1].sum(axis=0)
+        for l in range(top + 1, params.d + 1):
+            x[l] += x[l - 1]
+        return x
+
+    AH = _adjoint(A)
+    for l in range(params.d - 1, top - 1, -1):
+        x[l] += x[l + 1]
+    for i in range(m - 1, -1, -1):
+        base = i * (k + 1)
+        x[base:base + k + 1] += x[base + k + 1]
+        for j in range(k - 1, -1, -1):
+            x[base + j] += (h / (j + 1)) * (AH @ x[base + j + 1])
+    return x
+
+
 def forward_substitute(A, params: TaylorParams, x_in, b) -> BlockSolution:
     """Solve the encoded system block-by-block without assembling it.
 
@@ -65,54 +112,13 @@ def forward_substitute(A, params: TaylorParams, x_in, b) -> BlockSolution:
     """
     A = _as_csr(A)
     _require_step_bound(A, params.h)
-    x_in = as_state(x_in, "x_in")
-    b = as_state(b, "b")
     N = A.shape[0]
-    if x_in.size != N or b.size != N:
+    rhs = build_rhs(x_in, b, params)
+    if rhs.size != (params.d + 1) * N:
         raise DimensionError("x_in and b must match the dimension of A")
-
-    m, k, p, h = params.m, params.k, params.p, params.h
-    data = np.zeros((params.d + 1, N), dtype=complex)
-    hb = h * b
-
-    data[0] = x_in
-    for i in range(m):
-        base = i * (k + 1)
-        data[base + 1] = h * (A @ data[base]) + hb
-        for j in range(2, k + 1):
-            data[base + j] = (h / j) * (A @ data[base + j - 1])
-        data[base + k + 1] = data[base:base + k + 1].sum(axis=0)
-    top = m * (k + 1)
-    for j in range(1, p + 1):
-        data[top + j] = data[top]
-
+    data = block_solve(A, params, rhs.reshape(params.d + 1, N))
     data.flags.writeable = False
     return BlockSolution(params=params, N=N, data=data)
-
-
-def propagate_steps(A, params: TaylorParams, x_in, b) -> np.ndarray:
-    """Streaming variant recording only the step states x_{i,0}, i = 0..m.
-
-    Keeps O(N) working memory instead of all d+1 blocks; useful for long
-    sweeps where only the history is wanted.
-    """
-    A = _as_csr(A)
-    _require_step_bound(A, params.h)
-    x_in = as_state(x_in, "x_in")
-    b = as_state(b, "b")
-    m, k, h = params.m, params.k, params.h
-    hb = h * b
-
-    history = np.zeros((m + 1, x_in.size), dtype=complex)
-    history[0] = x_in
-    for i in range(m):
-        current = h * (A @ history[i]) + hb
-        acc = history[i] + current
-        for j in range(2, k + 1):
-            current = (h / j) * (A @ current)
-            acc += current
-        history[i + 1] = acc
-    return history
 
 
 def _check_triangular(C: sp.csr_matrix) -> None:
@@ -137,18 +143,21 @@ def generic_solve(system: EncodedSystem) -> np.ndarray:
 
 
 def adjoint_solve(system: EncodedSystem, y) -> np.ndarray:
-    """Solve C^dagger z = y by back substitution on the conjugate transpose."""
+    """Solve C^dagger z = y by structured back substitution."""
     y = as_state(y, "y")
     if y.size != system.dim:
         raise DimensionError(f"y has length {y.size}, expected {system.dim}")
-    CH = system.matrix.conj().T.tocsr()
-    return spsolve_triangular(CH, y, lower=False)
+    z = y.reshape(system.params.d + 1, system.N).copy()
+    return block_solve(system.A, system.params, z, adjoint=True).ravel()
 
 
 def residual(system: EncodedSystem, x) -> float:
-    """Relative residual |C x - rhs| / |rhs|."""
+    """Relative residual |C x - rhs| / |rhs|; undefined when rhs vanishes."""
     x = as_state(x, "x")
     if x.size != system.dim:
         raise DimensionError(f"x has length {x.size}, expected {system.dim}")
-    return float(np.linalg.norm(system.matrix @ x - system.rhs)
-                 / np.linalg.norm(system.rhs))
+    rhs_norm = np.linalg.norm(system.rhs)
+    if rhs_norm == 0.0:
+        raise DegenerateInputError("right-hand side vanishes (x_in = b = 0); "
+                                   "relative residual undefined")
+    return float(np.linalg.norm(system.matrix @ x - system.rhs) / rhs_norm)

@@ -24,13 +24,12 @@ from odeql.analysis import (
     solution_error_report,
     state_distance_checks,
     success_probability_report,
-    _scalar_inverse,
 )
 from odeql.encoder import TaylorParams, encode
 from odeql.errors import DegenerateInputError, HypothesisError, ParameterError
 from odeql.instances import GenSpec, generate
 from odeql.numerics import make_instance
-from odeql.solver import forward_substitute
+from odeql.solver import block_solve, forward_substitute
 
 
 class TestConstants:
@@ -42,12 +41,18 @@ class TestConstants:
         assert COLUMN_ENTRY_BOUND == pytest.approx(math.sqrt(1.04 * math.e))
 
 
+def scalar_inverse(lam, params):
+    """C(lam)^{-1} from the block kernel: N = 1, B = d+1 columns, h = 1."""
+    identity = np.eye(params.d + 1, dtype=complex)[:, None, :]
+    return block_solve(np.array([[complex(lam)]]), params, identity)[:, 0, :]
+
+
 class TestScalarInverseColumns:
     def test_lambda_zero_column_zero_norm(self):
         # Hand forward substitution at lambda = 0: ones at the five carrying
         # blocks, norm sqrt(5), against bound sqrt(1.04 e I0(2) * 4) ~ 5.08.
         params = TaylorParams(m=2, k=5, p=2, h=1.0)
-        X = _scalar_inverse(0.0, params)
+        X = scalar_inverse(0.0, params)
         col0 = X[:, 0]
         expected = np.zeros(params.d + 1)
         for flat in (0, 6, 12, 13, 14):  # x_{0,0}, x_{1,0}, x_{2,0..2}
@@ -58,7 +63,7 @@ class TestScalarInverseColumns:
 
     def test_last_column_single_entry(self):
         params = TaylorParams(m=2, k=5, p=2, h=1.0)
-        X = _scalar_inverse(-0.7 + 0.2j, params)
+        X = scalar_inverse(-0.7 + 0.2j, params)
         col = X[:, params.d]
         assert np.linalg.norm(col) == 1.0
         assert col[params.d] == 1.0
@@ -68,7 +73,7 @@ class TestScalarInverseColumns:
         from odeql.encoder import build_matrix
         params = TaylorParams(m=2, k=5, p=3, h=1.0)
         lam = -0.6 + 0.35j
-        X = _scalar_inverse(lam, params)
+        X = scalar_inverse(lam, params)
         C = build_matrix(sp.csr_matrix(np.array([[lam]])), params).toarray()
         np.testing.assert_allclose(C @ X, np.eye(params.d + 1), atol=1e-12)
 

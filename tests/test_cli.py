@@ -86,6 +86,24 @@ def test_solve_reports_residual(instance_dir, tmp_path):
                                   inst.x_in)
 
 
+def test_solve_zero_rhs_exits_2(tmp_path, capsys):
+    # x_in = b = 0 leaves the relative residual 0/0: one-line error, no report
+    inst = generate(GenSpec(N=2, kappa_V=1.0, seed=3, unit_norm=True))
+    from odeql.fileio import save_matrix
+    save_matrix(tmp_path / "A.mtx", inst.A)
+    save_vector(tmp_path / "x.txt", np.zeros(2, dtype=complex))
+    save_vector(tmp_path / "b.txt", np.zeros(2, dtype=complex))
+    report_path = tmp_path / "report.json"
+    code = main(["solve", "--matrix", str(tmp_path / "A.mtx"),
+                 "--x-in", str(tmp_path / "x.txt"), "--b", str(tmp_path / "b.txt"),
+                 "--m", "2", "--k", "5", "--p", "2", "--h", "0.5",
+                 "--out-dir", str(tmp_path / "sol"), "--report", str(report_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not report_path.exists()
+
+
 def test_step_bound_violation_exits_2(instance_dir, tmp_path):
     code = main(["encode", "--instance", str(instance_dir),
                  "--m", "1", "--k", "5", "--p", "1", "--h", "50.0",

@@ -13,9 +13,9 @@ from odeql.errors import IntegrityError
 from odeql.instances import GenSpec, generate
 from odeql.solver import (
     adjoint_solve,
+    block_solve,
     forward_substitute,
     generic_solve,
-    propagate_steps,
     residual,
 )
 from odeql.taylor import poly_action, truncated_exp
@@ -186,7 +186,7 @@ class TestGenericSolve:
         broken = system.matrix.tolil()
         broken[0, 3] = 1.0  # entry above the diagonal
         bad = type(system)(matrix=broken.tocsr(), rhs=system.rhs,
-                           params=system.params, N=system.N, nnz_A=system.nnz_A)
+                           params=system.params, N=system.N, A=system.A)
         with pytest.raises(IntegrityError):
             generic_solve(bad)
 
@@ -253,17 +253,6 @@ class TestResidual:
                 <= norm_bound * delta / np.linalg.norm(system.rhs) + 1e-15)
 
 
-class TestPropagateSteps:
-    def test_matches_full_solution(self):
-        # summation order differs (incremental vs pairwise), so compare to ulps
-        for seed, k in ((11, 6), (12, 12)):
-            inst, params = random_problem(seed, k=k)
-            sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
-            history = propagate_steps(inst.A, params, inst.x_in, inst.b)
-            np.testing.assert_allclose(history, sol.step_states(),
-                                       rtol=1e-14, atol=1e-15)
-
-
 @given(m=st.integers(1, 4), k=st.integers(1, 8), p=st.integers(1, 4),
        N=st.integers(1, 4), seed=st.integers(0, 2**16))
 @settings(max_examples=60, deadline=None)
@@ -286,6 +275,21 @@ def test_any_layout_cross_validates(m, k, p, N, seed):
     scale = np.linalg.norm(generic)
     assert np.linalg.norm(direct - generic) <= 1e-12 * scale
     assert residual(system, direct) <= 1e-12
+
+    y = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
+    z = adjoint_solve(system, y)
+    CH = system.matrix.conj().T
+    assert np.linalg.norm(CH @ z - y) <= 1e-12 * np.linalg.norm(y)
+
+    # three right-hand sides in one kernel call equal three one-column solves
+    shape = (params.d + 1, N)
+    rhs = rng.normal(size=shape + (3,)) + 1j * rng.normal(size=shape + (3,))
+    for adjoint in (False, True):
+        stacked = block_solve(A, params, rhs.copy(), adjoint)
+        for c in range(3):
+            single = block_solve(A, params, rhs[:, :, c].copy(), adjoint)
+            np.testing.assert_allclose(stacked[:, :, c], single,
+                                       rtol=0, atol=1e-14 * np.abs(single).max())
 
 
 def test_desk_scale_ceiling():
