@@ -47,6 +47,7 @@ from .numerics import (
     exp_action,
     make_instance,
     reference_solution,
+    reference_trajectory,
     spectral_norm,
 )
 from .pipeline import (
@@ -55,7 +56,6 @@ from .pipeline import (
     RunConfig,
     amplification_estimate,
     choose_parameters,
-    estimate_decay,
     run,
     sweep_grid,
 )

@@ -36,7 +36,7 @@ from .numerics import (
     POWER_SEED,
     Instance,
     _sigma_max,
-    reference_solution,
+    reference_trajectory,
     spectral_norm,
 )
 from .solver import BlockSolution, block_solve
@@ -129,42 +129,22 @@ def merge_reports(reports) -> BoundReport:
 class DecayProfile:
     """Norm history of the true solution on the step grid.
 
-    q is ||x(T)||; g_grid = max_i ||x(ih)|| / q over the step grid (the
-    quantity the measurement bound actually consumes); g_refined is the same
-    maximum on an 8x refined grid, reported for information only.
+    q is ||x(T)||; g_grid = max_i ||x(ih)|| / q over the step grid, the
+    quantity the measurement bound consumes.
     """
 
     step_norms: np.ndarray
     q: float
     g_grid: float
-    g_refined: float
 
 
-def decay_profile(inst: Instance, T: float, m: int, refine: int = 8,
-                  tol: float = 1e-13) -> DecayProfile:
-    """Evaluate ||x(ih)|| on the step grid (plus a refined grid) via the oracle."""
-    if m < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
-    h = T / m
-    step_norms = np.array(
-        [np.linalg.norm(reference_solution(inst, i * h, tol)) for i in range(m + 1)]
-    )
+def decay_profile(inst: Instance, T: float, m: int) -> DecayProfile:
+    """Evaluate ||x(ih)|| on the step grid from one oracle trajectory."""
+    step_norms = np.linalg.norm(reference_trajectory(inst, T, m), axis=1)
     q = float(step_norms[-1])
     if q < 1e-300:
         raise DegenerateInputError("||x(T)|| vanishes; decay ratio undefined")
-    g_grid = float(step_norms.max() / q)
-
-    g_refined = g_grid
-    if refine > 1:
-        sub = np.arange(1, refine) / refine
-        extra = [
-            np.linalg.norm(reference_solution(inst, (i + s) * h, tol))
-            for i in range(m)
-            for s in sub
-        ]
-        if extra:
-            g_refined = float(max(g_grid, max(extra) / q))
-    return DecayProfile(step_norms=step_norms, q=q, g_grid=g_grid, g_refined=g_refined)
+    return DecayProfile(step_norms=step_norms, q=q, g_grid=float(step_norms.max() / q))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +342,7 @@ def solution_error_report(inst: Instance, params: TaylorParams,
                           sol: BlockSolution) -> BoundReport:
     """Check ||x(jh) - x_{j,0}|| <= 2.8 kappa_V j (|x_in| + mh|b|)/(k+1)! for all j.
 
-    The oracle trajectory is evaluated at every step; (k+1)! enters in
+    One oracle trajectory supplies every step; (k+1)! enters in
     log space. j = 0 shares the initial condition exactly and is checked
     for literal equality.
     """
@@ -375,10 +355,8 @@ def solution_error_report(inst: Instance, params: TaylorParams,
         raise DegenerateInputError("x_in and b both vanish; the bound degenerates")
     log_scale = math.log(2.8 * inst.kappa_V * weight) - math.lgamma(params.k + 2)
 
-    history = sol.step_states()
-    errors = np.empty(m + 1)
-    for j in range(m + 1):
-        errors[j] = np.linalg.norm(reference_solution(inst, j * h) - history[j])
+    states = reference_trajectory(inst, params.T, m)
+    errors = np.linalg.norm(states - sol.step_states(), axis=1)
     if errors[0] != 0.0:
         raise ParameterError("block (0,0) does not equal x_in; solver integrity broken")
 
@@ -412,7 +390,7 @@ def success_probability_report(inst: Instance, params: TaylorParams,
     """
     m, p, h = params.m, params.p, params.h
     if decay is None:
-        decay = decay_profile(inst, params.T, m, refine=0)
+        decay = decay_profile(inst, params.T, m)
     weight = float(np.linalg.norm(inst.x_in) + m * h * np.linalg.norm(inst.b))
     log_needed = math.log(70.0 * inst.kappa_V * m * weight) - math.log(decay.q)
     if math.lgamma(params.k + 2) < log_needed:

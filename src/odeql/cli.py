@@ -18,13 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, pipeline, suites
+from .analysis import decay_profile
 from .encoder import TaylorParams, encode
-from .errors import BoundViolationError, OdeqlError
+from .errors import BoundViolationError, DegenerateInputError, OdeqlError
 from .instances import GenSpec, generate
 from .numerics import make_instance, spectral_norm
 from .solver import forward_substitute, residual
 
 DEFAULT_SEED = int(os.environ.get("ODEQL_SEED", "0"))
+
+# kappa_V from which a matrix read from files counts as numerically defective.
+DEFECTIVE_KAPPA_V = np.finfo(float).eps ** -0.5
 
 
 def _write_report(path, payload: dict, argv) -> None:
@@ -84,9 +88,16 @@ def _load_problem(args):
 
 
 def _instance_from_matrix(A, x_in, b):
-    """Derive an Instance from raw files via a dense eigendecomposition."""
+    """Derive an Instance from raw files via a dense eigendecomposition.
+
+    A defective A is rejected: rounding splits its Jordan pairs by ~sqrt(eps),
+    so eig returns kappa_V >= 1/sqrt(eps) and every kappa_V bound is vacuous.
+    """
     dense = A.toarray() if hasattr(A, "toarray") else np.asarray(A)
     eigvals, V = np.linalg.eig(dense)
+    kappa_V = float(np.linalg.cond(V))
+    if not kappa_V < DEFECTIVE_KAPPA_V:
+        raise DegenerateInputError(f"A is numerically defective (kappa_V = {kappa_V:.2g})")
     return make_instance(V, eigvals, b, x_in, A=A, label="from-files")
 
 
@@ -108,7 +119,7 @@ def _resolve_params(args, A, x_in, b, inst) -> TaylorParams:
         inst = _instance_from_matrix(A, x_in, b)
     normA = spectral_norm(A, tol=1e-6)
     m = pipeline.step_count(args.T, normA)
-    decay = pipeline.estimate_decay(inst, args.T, m, refine=0)
+    decay = decay_profile(inst, args.T, m)
     chosen = pipeline.choose_parameters(
         args.T, normA, args.epsilon, decay.g_grid, inst.kappa_V,
         float(np.linalg.norm(x_in)), float(np.linalg.norm(b)), decay.q)

@@ -259,3 +259,18 @@ def reference_solution(inst: Instance, t: float, tol: float = DEFAULT_EXP_TOL) -
     if not 0.0 < tol <= 1e-6:
         raise ParameterError(f"tol must lie in (0, 1e-6], got {tol}")
     return evolve(inst.A, inst.b, inst.x_in, t, tol)
+
+
+def reference_trajectory(inst: Instance, T: float, m: int) -> np.ndarray:
+    """Oracle states x(ih), i = 0..m, h = T/m, as rows; row 0 is x_in itself.
+
+    Each row steps the oracle one interval on from the row before, so the
+    whole grid costs one O(T||A||) integration.
+    """
+    if m < 1:
+        raise ParameterError(f"m must be >= 1, got {m}")
+    states = np.empty((m + 1, inst.N), dtype=complex)
+    states[0] = inst.x_in
+    for i in range(m):
+        states[i + 1] = evolve(inst.A, inst.b, states[i], T / m)
+    return states

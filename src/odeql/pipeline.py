@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import DecayProfile, decay_profile
+from .analysis import decay_profile
 from .encoder import BlockIndex, TaylorParams
 from .errors import (
     BoundViolationError,
@@ -194,11 +194,6 @@ def choose_parameters(T: float, normA: float, epsilon: float, g: float,
     )
 
 
-def estimate_decay(inst: Instance, T: float, m: int, refine: int = 8) -> DecayProfile:
-    """Norm history of the oracle solution on the step grid (see DecayProfile)."""
-    return decay_profile(inst, T, m, refine=refine)
-
-
 def _perturb_on_sphere(unit_vec: np.ndarray, delta: float, rng) -> np.ndarray:
     """A unit vector at distance exactly delta from unit_vec, seeded direction.
 
@@ -315,7 +310,7 @@ def run(inst: Instance, cfg: RunConfig) -> PipelineReport:
     """Full end-to-end emulated run; see the module docstring for the stages."""
     normA = spectral_norm(inst.A, tol=1e-6)
     m = step_count(cfg.T, normA)
-    decay = estimate_decay(inst, cfg.T, m)
+    decay = decay_profile(inst, cfg.T, m)
     x_in_norm = float(np.linalg.norm(inst.x_in))
     b_norm = float(np.linalg.norm(inst.b))
     chosen = choose_parameters(cfg.T, normA, cfg.epsilon, decay.g_grid,

@@ -62,7 +62,7 @@ def standard_family(seed: int = 0, N_values=FAMILY_N, kappa_values=FAMILY_KAPPA,
                 inst = generate(spec)
                 normA = spectral_norm(inst.A, tol=1e-6)
                 T = 0.999 * m / normA
-                decay = analysis.decay_profile(inst, T, m, refine=0)
+                decay = analysis.decay_profile(inst, T, m)
                 chosen = pipeline.choose_parameters(
                     T, normA, epsilon, decay.g_grid, inst.kappa_V,
                     float(np.linalg.norm(inst.x_in)),

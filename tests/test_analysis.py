@@ -235,7 +235,7 @@ class TestSuccessProbability:
         m = p = 3
         params = TaylorParams(m=m, k=5, p=p, h=1.0)
         sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
-        decay = decay_profile(inst, params.T, m, refine=0)
+        decay = decay_profile(inst, params.T, m)
         assert decay.g_grid == 1.0
         report = success_probability_report(inst, params, sol, decay)
         assert report.details["block_ratio"] == pytest.approx(
@@ -250,7 +250,7 @@ class TestSuccessProbability:
         inst = make_instance(np.eye(1), [-1.0], np.zeros(1), np.ones(1))
         params = TaylorParams(m=5, k=9, p=5, h=1.0)
         sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
-        decay = decay_profile(inst, params.T, params.m, refine=0)
+        decay = decay_profile(inst, params.T, params.m)
         assert decay.g_grid > 1.0
         report = success_probability_report(inst, params, sol, decay)
         assert report.passed, report.to_json_dict()
@@ -267,22 +267,16 @@ class TestSuccessProbability:
 class TestDecayProfile:
     def test_scalar_exponential_grid(self):
         inst = make_instance(np.eye(1), [-1.0], np.zeros(1), np.ones(1))
-        decay = decay_profile(inst, T=2.0, m=2, refine=0)
+        decay = decay_profile(inst, T=2.0, m=2)
         assert decay.g_grid == pytest.approx(math.exp(2.0), rel=1e-12)
         np.testing.assert_allclose(decay.step_norms,
                                    [1.0, math.exp(-1), math.exp(-2)], rtol=1e-12)
-
-    def test_refined_grid_at_least_grid(self):
-        inst = generate(GenSpec(N=3, kappa_V=2.0, b_mode="random", seed=2,
-                                unit_norm=True))
-        decay = decay_profile(inst, T=2.0, m=2, refine=8)
-        assert decay.g_refined >= decay.g_grid >= 1.0
 
     def test_degenerate_final_state(self):
         # x(T) ~ 0: start in the dead direction of a strongly decaying mode.
         inst = make_instance(np.eye(1), [-1.0], np.zeros(1), np.full(1, 1e-200))
         with pytest.raises(DegenerateInputError):
-            decay_profile(inst, T=500.0, m=2, refine=0)
+            decay_profile(inst, T=500.0, m=2)
 
 
 class TestStateDistance:

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from odeql.cli import main
 from odeql.encoder import TaylorParams, build_matrix
@@ -102,6 +103,22 @@ def test_solve_zero_rhs_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not report_path.exists()
+
+
+def test_solve_defective_matrix_exits_2(tmp_path, capsys):
+    # A Jordan block: eig returns kappa_V ~ 9e15, which would make every
+    # kappa_V-based bound vacuous; parameter selection must refuse it.
+    from odeql.fileio import save_matrix
+    save_matrix(tmp_path / "A.mtx", sp.csr_matrix(np.array([[-1.0, 1.0], [0.0, -1.0]])))
+    save_vector(tmp_path / "x.txt", np.array([1.0, 0.5 + 0j]))
+    save_vector(tmp_path / "b.txt", np.array([0.0, 1.0 + 0j]))
+    code = main(["solve", "--matrix", str(tmp_path / "A.mtx"),
+                 "--x-in", str(tmp_path / "x.txt"), "--b", str(tmp_path / "b.txt"),
+                 "--T", "2", "--epsilon", "1e-3", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: A is numerically defective") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_step_bound_violation_exits_2(instance_dir, tmp_path):

@@ -1,8 +1,9 @@
 """Tests for norms, the exponential kernel and the ODE reference oracle.
 
 Independent oracles used here: an SVD-constructed matrix with known largest
-singular value, scipy.linalg.expm, and a step-halving RK4 integrator driven
-to 1e-12 (never the code paths under test).
+singular value, scipy.linalg.expm, a step-halving RK4 integrator driven
+to 1e-12, and the eigenbasis closed form of x(t) (never the code paths
+under test).
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from odeql.numerics import (
     exp_action,
     make_instance,
     reference_solution,
+    reference_trajectory,
     spectral_norm,
 )
 
@@ -217,6 +219,45 @@ class TestReferenceSolution:
         inst = self._instance()
         with pytest.raises(ParameterError):
             reference_solution(inst, 1.0, tol=1e-3)
+
+
+def closed_form(inst, t):
+    """V (e^{Lambda t} V^-1 x_in + t phi_1(Lambda t) V^-1 b), phi_1(0) = 1."""
+    z = inst.eigenvalues * t
+    safe = np.where(z == 0, 1.0, z)
+    phi1 = np.where(z == 0, 1.0, np.expm1(z) / safe)
+    return inst.V @ (np.exp(z) * (inst.V_inv @ inst.x_in)
+                     + t * phi1 * (inst.V_inv @ inst.b))
+
+
+class TestReferenceTrajectory:
+    def _check_against_closed_form(self, inst, T, m):
+        states = reference_trajectory(inst, T, m)
+        assert states.shape == (m + 1, inst.N)
+        assert states[0].tobytes() == inst.x_in.tobytes()
+        expected = np.array([closed_form(inst, i * T / m) for i in range(m + 1)])
+        scale = np.linalg.norm(expected, axis=1).max()
+        assert np.abs(states - expected).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("kappa", [1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("b_mode", ["zero", "random"])
+    def test_generated_instances(self, kappa, b_mode):
+        inst = generate(GenSpec(N=6, kappa_V=kappa, b_mode=b_mode, seed=11,
+                                unit_norm=True))
+        self._check_against_closed_form(inst, T=4.0, m=7)
+
+    def test_singular_A(self):
+        # a zero eigenvalue: A is singular and b drives that mode linearly
+        rng = np.random.default_rng(4)
+        V = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
+        b = rng.normal(size=3) + 1j * rng.normal(size=3)
+        inst = make_instance(V, [0.0, -0.5, -0.2 + 0.7j], b, np.ones(3))
+        self._check_against_closed_form(inst, T=3.0, m=5)
+
+    def test_m_validated(self):
+        inst = make_instance(np.eye(1), [-1.0], np.zeros(1), np.ones(1))
+        with pytest.raises(ParameterError):
+            reference_trajectory(inst, 1.0, 0)
 
 
 class TestInstanceValidation:

@@ -7,6 +7,7 @@ import pytest
 
 from odeql.analysis import (
     conditional_distance_bound,
+    decay_profile,
     normalized_distance_bound,
     perturbed_amplitude_floor,
     solution_error_report,
@@ -23,7 +24,6 @@ from odeql.pipeline import (
     RunConfig,
     amplification_estimate,
     choose_parameters,
-    estimate_decay,
     measure,
     run,
     step_count,
@@ -93,19 +93,19 @@ class TestEstimateDecay:
     def test_norm_preserving_flow(self):
         inst = generate(GenSpec(N=4, kappa_V=1.0, eig_profile="pure-imaginary",
                                 b_mode="zero", seed=0))
-        decay = estimate_decay(inst, T=2.0, m=4)
+        decay = decay_profile(inst, T=2.0, m=4)
         assert decay.g_grid == pytest.approx(1.0, abs=1e-12)
 
     def test_scalar_decay(self):
         inst = make_instance(np.eye(1), [-1.0], np.zeros(1), np.ones(1))
-        decay = estimate_decay(inst, T=2.0, m=2)
+        decay = decay_profile(inst, T=2.0, m=2)
         assert decay.g_grid == pytest.approx(math.exp(2.0), rel=1e-12)
 
     def test_pure_growth_has_unit_g(self):
         # A = 0, b != 0, x_in = 0: norms grow linearly, the max sits at T.
         inst = make_instance(np.eye(2), [0.0, 0.0], np.array([1.0, 1.0 + 0j]),
                              np.zeros(2))
-        decay = estimate_decay(inst, T=3.0, m=3)
+        decay = decay_profile(inst, T=3.0, m=3)
         assert decay.g_grid == pytest.approx(1.0)
         np.testing.assert_allclose(decay.step_norms,
                                    [0.0, math.sqrt(2), 2 * math.sqrt(2),
