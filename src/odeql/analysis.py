@@ -197,20 +197,20 @@ def scalar_inverse_columns(lam: complex, params: TaylorParams) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 def _component_split(system: EncodedSystem):
-    """Split C = C1 + C2 + C3: identity, collectors, subdiagonal blocks."""
-    params, N = system.params, system.N
-    m, k = params.m, params.k
-    d = params.d
-    dim = (d + 1) * N
-    C1 = sp.identity(dim, dtype=complex, format="csr")
+    """Split C = C1 + C2 + C3: identity, collectors, subdiagonal blocks.
 
-    pattern = sp.lil_matrix((d + 1, d + 1), dtype=complex)
-    for i in range(m):
-        for j in range(k + 1):
-            pattern[(i + 1) * (k + 1), i * (k + 1) + j] = -1.0
-    C2 = sp.kron(pattern.tocsr(), sp.identity(N, dtype=complex, format="csr"),
-                 format="csr")
-    C3 = (system.matrix - C1 - C2).tocsr()
+    C2 is the strictly lower part of the collector block rows (i+1)(k+1) of
+    the assembled C; C3 is what remains below the diagonal.
+    """
+    C, N, params = system.matrix, system.N, system.params
+    rows = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
+    block = rows // N
+    collector = ((block % (params.k + 1) == 0) & (block <= params.m * (params.k + 1))
+                 & (C.indices < rows))
+    C2 = sp.csr_matrix((C.data[collector], (rows[collector], C.indices[collector])),
+                       shape=C.shape)
+    C1 = sp.identity(C.shape[0], dtype=complex, format="csr")
+    C3 = (C - C1 - C2).tocsr()
     return C1, C2, C3
 
 
@@ -280,8 +280,6 @@ def inverse_norm(system: EncodedSystem, tol: float = 1e-6,
 
 
 def _require_eigenvalue_hypotheses(eigenvalues, h: float) -> None:
-    if eigenvalues is None:
-        return
     eigenvalues = np.asarray(eigenvalues, dtype=complex)
     if np.any(eigenvalues.real > 0):
         raise HypothesisError("Re(lambda) > 0 for some eigenvalue; bound not claimed")
@@ -290,11 +288,11 @@ def _require_eigenvalue_hypotheses(eigenvalues, h: float) -> None:
 
 
 def inverse_norm_bound(system: EncodedSystem, kappa_V: float,
-                       eigenvalues=None) -> BoundReport:
+                       eigenvalues) -> BoundReport:
     """Check ||C^{-1}|| <= 3 kappa_V sqrt(k) (m+p).
 
-    If eigenvalues are supplied, the hypotheses Re(lambda) <= 0 and
-    |lambda h| <= 1 are verified; otherwise the caller certifies them.
+    The hypotheses Re(lambda) <= 0 and |lambda h| <= 1 are verified on the
+    given eigenvalues of A.
     """
     params = system.params
     params.require_bound_hypotheses()
@@ -313,7 +311,7 @@ def inverse_norm_bound(system: EncodedSystem, kappa_V: float,
 
 
 def condition_number_bound(system: EncodedSystem, kappa_V: float,
-                           eigenvalues=None) -> BoundReport:
+                           eigenvalues) -> BoundReport:
     """Check kappa_C = ||C|| ||C^{-1}|| <= 6 kappa_V k (m+p)."""
     fwd = matrix_norm_bounds(system, components=False)
     inv = inverse_norm_bound(system, kappa_V, eigenvalues)

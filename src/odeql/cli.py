@@ -335,7 +335,7 @@ def main(argv=None) -> int:
     except BoundViolationError as exc:
         print(f"bound violation: {exc}", file=sys.stderr)
         return 1
-    except (OdeqlError, ValueError) as exc:
+    except (OdeqlError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

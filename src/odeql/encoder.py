@@ -17,8 +17,11 @@ system of d+1 = m(k+1)+p+1 block rows of size N each:
 The right-hand side holds x_in in block 0 and h*b in block ``i(k+1)+1`` of
 every step. Forward substitution then reproduces the stepping exactly.
 
-Matrices are assembled row-major directly in compressed sparse row layout
-(row lengths are known in closed form), so the structural nonzero count
+No block of a step depends on the step index i, so the matrix is assembled
+directly in compressed sparse row layout from one step template: the k Taylor
+block rows and the collector of step 0 are built once, and step i repeats
+them with every column shifted by i(k+1)N, between the identity block row 0
+and the p copy rows. The structural nonzero count
 
     (d+1) N  +  m k nnz(A)  +  m (k+1) N  +  p N
 
@@ -179,62 +182,36 @@ def build_matrix(A, params: TaylorParams) -> sp.csr_matrix:
     m, k, p, h = params.m, params.k, params.p, params.h
     d = params.d
 
-    a_cols = A.indices.astype(np.int64)
-    a_ptr = A.indptr
+    a_cols, a_ptr = A.indices.astype(np.int64), A.indptr
     diag_cols = np.arange(N, dtype=np.int64)
     ones = np.ones(N, dtype=complex)
 
-    indices = []
-    data = []
-    row_counts = np.empty((d + 1, N), dtype=np.int64)
+    # Step template: block rows 1..k+1 of step 0; step i shifts every column
+    # by i(k+1)N. Taylor row j holds -(Ah)/j under block j-1, then the diagonal.
+    step_cols, step_vals = [], []
+    for j in range(1, k + 1):
+        step_cols.append(np.insert(a_cols + (j - 1) * N, a_ptr[1:], j * N + diag_cols))
+        step_vals.append(np.insert(A.data * (-h / j), a_ptr[1:], ones))
+    # Collector: -I under all k+1 blocks of the step, then the diagonal.
+    step_cols.append((np.arange(k + 2, dtype=np.int64) * N + diag_cols[:, None]).ravel())
+    step_vals.append(np.tile(np.append(np.full(k + 1, -1.0, dtype=complex), 1.0), N))
+    step_cols = np.concatenate(step_cols)
+    step_counts = np.concatenate([np.tile(np.diff(a_ptr) + 1, k), np.full(N, k + 2)])
 
-    # Block row 0: identity only.
-    indices.append(diag_cols)
-    data.append(ones)
-    row_counts[0] = 1
-
-    a_row_nnz = np.diff(a_ptr)
-    collector_data = np.concatenate(
-        [np.full((N, k + 1), -1.0, dtype=complex), np.ones((N, 1), dtype=complex)],
-        axis=1,
-    ).ravel()
-    padding_data = np.tile(np.array([-1.0, 1.0], dtype=complex), N)
-
-    for l in range(1, d + 1):
-        row0 = l * N
-        if l <= m * (k + 1) and l % (k + 1) == 0:
-            # collector row: -I under all k+1 blocks of the previous step
-            i = l // (k + 1) - 1
-            base = (np.arange(i * (k + 1), i * (k + 1) + k + 1, dtype=np.int64)) * N
-            cols = np.concatenate(
-                [base[None, :] + diag_cols[:, None], (row0 + diag_cols)[:, None]],
-                axis=1,
-            ).ravel()
-            indices.append(cols)
-            data.append(collector_data)
-            row_counts[l] = k + 2
-        elif l > m * (k + 1):
-            # padding row: copy the previous block
-            cols = np.stack([(l - 1) * N + diag_cols, row0 + diag_cols], axis=1).ravel()
-            indices.append(cols)
-            data.append(padding_data)
-            row_counts[l] = 2
-        else:
-            # Taylor row: -(Ah)/j under the previous block, then the diagonal
-            j = l % (k + 1)
-            cols = np.insert(a_cols + (l - 1) * N, a_ptr[1:], row0 + diag_cols)
-            vals = np.insert(A.data * (-h / j), a_ptr[1:], ones)
-            indices.append(cols)
-            data.append(vals)
-            row_counts[l] = a_row_nnz + 1
+    # Copy rows: -I on the subdiagonal, then the diagonal.
+    copy_rows = np.arange((d + 1 - p) * N, (d + 1) * N, dtype=np.int64)
 
     indptr = np.zeros((d + 1) * N + 1, dtype=np.int64)
-    np.cumsum(row_counts.ravel(), out=indptr[1:])
-    C = sp.csr_matrix(
-        (np.concatenate(data), np.concatenate(indices), indptr),
-        shape=((d + 1) * N, (d + 1) * N),
-    )
-    return C
+    np.cumsum(np.concatenate([np.ones(N, dtype=np.int64), np.tile(step_counts, m),
+                              np.full(p * N, 2)]), out=indptr[1:])
+    indices = np.concatenate([
+        diag_cols,
+        (step_cols + (k + 1) * N * np.arange(m, dtype=np.int64)[:, None]).ravel(),
+        np.stack([copy_rows - N, copy_rows], axis=1).ravel(),
+    ])
+    data = np.concatenate([ones, np.tile(np.concatenate(step_vals), m),
+                           np.tile(np.array([-1.0, 1.0], dtype=complex), p * N)])
+    return sp.csr_matrix((data, indices, indptr), shape=((d + 1) * N, (d + 1) * N))
 
 
 def build_rhs(x_in, b, params: TaylorParams) -> np.ndarray:
@@ -244,13 +221,10 @@ def build_rhs(x_in, b, params: TaylorParams) -> np.ndarray:
     N = x_in.size
     if b.size != N:
         raise DimensionError(f"b has length {b.size}, expected {N}")
-    rhs = np.zeros((params.d + 1) * N, dtype=complex)
-    rhs[:N] = x_in
-    hb = params.h * b
-    for i in range(params.m):
-        start = (i * (params.k + 1) + 1) * N
-        rhs[start:start + N] = hb
-    return rhs
+    rhs = np.zeros((params.d + 1, N), dtype=complex)
+    rhs[0] = x_in
+    rhs[1:params.m * (params.k + 1):params.k + 1] = params.h * b
+    return rhs.ravel()
 
 
 def encode(A, x_in, b, params: TaylorParams) -> EncodedSystem:
@@ -302,7 +276,6 @@ def simulate_state_prep(x_in_norm: float, b_norm: float, x_in_state, b_state,
     branch_one = index_amps[1] * b_state
 
     # Stage 3: spread index 1 uniformly over the m source blocks.
-    for i in range(m):
-        out[i * (k + 1) + 1] = branch_one / math.sqrt(m)
+    out[1:m * (k + 1):k + 1] = branch_one / math.sqrt(m)
 
     return out.ravel()

@@ -181,9 +181,9 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0) -> dict:
     if name not in SUITE_NAMES:
         raise ParameterError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if name == "taylor":
-        return taylor_suite(trials or 1000, seed)
+        return taylor_suite(1000 if trials is None else trials, seed)
     if name == "lemma1":
-        return lemma1_suite(trials or 4, seed)
+        return lemma1_suite(4 if trials is None else trials, seed)
     if name == "lemma2":
         return lemma2_suite(seed)
     if name == "lemma3":
@@ -195,7 +195,7 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0) -> dict:
     if name == "thm3":
         return thm3_suite(seed)
     if name == "appendixB":
-        return appendix_b_suite(trials or 10_000, seed)
+        return appendix_b_suite(10_000 if trials is None else trials, seed)
     results = {
         sub: run_suite(sub, trials, seed)
         for sub in SUITE_NAMES if sub != "all"

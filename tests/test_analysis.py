@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from odeql.analysis import (
     COLUMN_ENTRY_BOUND,
     BoundReport,
+    _component_split,
     bessel_i0_2,
     column_norm_bound,
     condition_number_bound,
@@ -119,6 +120,13 @@ class TestMatrixNormBounds:
         assert report.details["component_collector"] == pytest.approx(
             math.sqrt(6.0), rel=1e-4)
         assert report.details["components_ok"]
+        C1, C2, C3 = _component_split(system)
+        assert (C1 + C2 + C3 != system.matrix).nnz == 0
+        # C2 lives in the collector block rows (i+1)(k+1) and fills them.
+        blocks = np.flatnonzero(np.diff(C2.indptr)) // system.N
+        np.testing.assert_array_equal(np.unique(blocks),
+                                      (np.arange(params.m) + 1) * (params.k + 1))
+        assert C2.nnz == params.m * (params.k + 1) * system.N
 
     def test_zero_generator_component(self):
         params = TaylorParams(m=1, k=5, p=1, h=1.0)

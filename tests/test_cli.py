@@ -121,6 +121,26 @@ def test_solve_defective_matrix_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_solve_missing_matrix_exits_2(tmp_path, capsys):
+    save_vector(tmp_path / "x.txt", np.ones(2, dtype=complex))
+    save_vector(tmp_path / "b.txt", np.zeros(2, dtype=complex))
+    code = main(["solve", "--matrix", str(tmp_path / "missing.mtx"),
+                 "--x-in", str(tmp_path / "x.txt"), "--b", str(tmp_path / "b.txt"),
+                 "--m", "1", "--k", "5", "--p", "1", "--h", "0.5",
+                 "--out-dir", str(tmp_path / "sol")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_run_missing_instance_exits_2(tmp_path, capsys):
+    code = main(["run", "--instance", str(tmp_path / "missing"), "--T", "1.0",
+                 "--epsilon", "1e-3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_step_bound_violation_exits_2(instance_dir, tmp_path):
     code = main(["encode", "--instance", str(instance_dir),
                  "--m", "1", "--k", "5", "--p", "1", "--h", "50.0",
@@ -138,6 +158,14 @@ def test_verify_taylor_suite(tmp_path):
     assert report["passed"]
     assert report["command"] == "odeql verify --suite taylor --trials 50 " \
                                 "--seed 7 --report " + str(report_path)
+
+
+def test_verify_zero_trials_exits_2(tmp_path, capsys):
+    # 0 is a count, not "use the default": the taylor suite has nothing to check
+    code = main(["verify", "--suite", "taylor", "--trials", "0",
+                 "--report", str(tmp_path / "t.json")])
+    assert code == 2
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_verify_appendix_b(tmp_path):

@@ -94,15 +94,25 @@ class TestBuildMatrix:
         np.testing.assert_array_equal(
             C.toarray(), expected_block_matrix(np.array([[a]]), params))
 
-    def test_printed_layout_2_3_2_matrix(self):
+    @pytest.mark.parametrize("m, k, p", [(1, 1, 1), (2, 3, 2), (3, 5, 1), (1, 6, 4)])
+    def test_printed_layout_2_3_2_matrix(self, m, k, p):
+        # The printed layout and three others, with one explicitly stored
+        # zero in A, which the -(Ah)/j blocks must keep as a structural entry.
         rng = np.random.default_rng(17)
         N = 3
         dense = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
         dense /= 2.0 * np.linalg.norm(dense, 2)
-        params = TaylorParams(m=2, k=3, p=2, h=1.0)
-        C = build_matrix(sp.csr_matrix(dense), params)
+        A = sp.csr_matrix(dense)
+        A.data[4] = 0.0
+        dense = A.toarray()
+        params = TaylorParams(m=m, k=k, p=p, h=1.0)
+        C = build_matrix(A, params)
         np.testing.assert_array_equal(C.toarray(),
                                       expected_block_matrix(dense, params))
+        assert C.has_sorted_indices
+        system = encode(A, np.ones(N, dtype=complex), np.zeros(N, dtype=complex),
+                        params)
+        assert system.matrix.nnz == system.expected_nnz
 
     def test_single_entry_value(self):
         # N=1, lambda=-1, h=1, m=1, k=5, p=1: row 2 holds -lambda h/2 = +0.5.
