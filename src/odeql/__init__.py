@@ -61,14 +61,12 @@ from .pipeline import (
 )
 from .solver import (
     BlockSolution,
-    adjoint_solve,
     block_solve,
     forward_substitute,
     generic_solve,
     residual,
 )
 from .taylor import (
-    poly_action,
     tail_poly,
     truncated_exp,
     truncated_phi,

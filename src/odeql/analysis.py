@@ -127,24 +127,29 @@ def merge_reports(reports) -> BoundReport:
 
 @dataclass(frozen=True)
 class DecayProfile:
-    """Norm history of the true solution on the step grid.
+    """Norm history of the true solution on the step grid, and x(T) itself.
 
     q is ||x(T)||; g_grid = max_i ||x(ih)|| / q over the step grid, the
-    quantity the measurement bound consumes.
+    quantity the measurement bound consumes. x_T is the trajectory's last
+    row, so a caller that needs the final state takes it from here instead
+    of integrating the ODE a second time.
     """
 
     step_norms: np.ndarray
     q: float
     g_grid: float
+    x_T: np.ndarray
 
 
 def decay_profile(inst: Instance, T: float, m: int) -> DecayProfile:
     """Evaluate ||x(ih)|| on the step grid from one oracle trajectory."""
-    step_norms = np.linalg.norm(reference_trajectory(inst, T, m), axis=1)
+    states = reference_trajectory(inst, T, m)
+    step_norms = np.linalg.norm(states, axis=1)
     q = float(step_norms[-1])
     if q < 1e-300:
         raise DegenerateInputError("||x(T)|| vanishes; decay ratio undefined")
-    return DecayProfile(step_norms=step_norms, q=q, g_grid=float(step_norms.max() / q))
+    return DecayProfile(step_norms=step_norms, q=q,
+                        g_grid=float(step_norms.max() / q), x_T=states[-1].copy())
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,64 @@ def spectral_norm(M, tol: float = 1e-6, max_iter: int = 10_000, seed: int = POWE
     return _sigma_max(lambda x: M @ x, lambda y: MH @ y, n, tol, max_iter, seed)
 
 
+def _operator_norm1(A):
+    """(A ready for ``A @ x``, ||A||_1); raise ParameterError on non-finite entries."""
+    if sp.issparse(A):
+        scale = sp.linalg.norm(A, 1)
+    else:
+        A = np.asarray(A, dtype=complex)
+        scale = np.linalg.norm(A, 1)
+    if not math.isfinite(float(scale)):
+        raise ParameterError("matrix contains non-finite entries")
+    return A, float(scale)
+
+
+def _exp_stepper(A, scale: float, t: float, tol: float):
+    """The map v -> exp(A t) v for one fixed (A, t), inputs already checked.
+
+    The substep count s = ceil(|t| ||A||_1), the substep dt = t/s and the
+    per-substep cutoff tol/(2s) are fixed here once, so a caller that applies
+    the same propagator many times pays for them once. Each substep sums the
+    series until the running term is below the cutoff relative to the
+    accumulated result, plus two safety terms.
+    """
+    if t == 0.0 or scale == 0.0:
+        return np.copy
+
+    steps = max(1, math.ceil(abs(t) * scale))
+    dt = t / steps
+    cutoff = tol / (2.0 * steps)
+    max_terms = 120
+
+    def step(v: np.ndarray) -> np.ndarray:
+        w = v
+        for _ in range(steps):
+            term = w.copy()
+            acc = w.copy()
+            converged = False
+            for j in range(1, max_terms + 1):
+                term = (dt / j) * (A @ term)
+                acc += term
+                if np.linalg.norm(term) <= cutoff * np.linalg.norm(acc):
+                    # two extra terms at essentially zero cost close the tail
+                    for jj in (j + 1, j + 2):
+                        term = (dt / jj) * (A @ term)
+                        acc += term
+                    converged = True
+                    break
+            if not converged:
+                raise ConvergenceError(
+                    f"exp series did not reach tol={tol:g} within {max_terms} terms "
+                    f"(substep norm {abs(dt) * scale:.3g})",
+                    last_iterate=acc,
+                    residual=float(np.linalg.norm(term)),
+                )
+            w = acc
+        return w
+
+    return step
+
+
 def exp_action(A, t: float, v: np.ndarray, tol: float = DEFAULT_EXP_TOL) -> np.ndarray:
     """exp(A t) v by truncated Taylor series with scaling.
 
@@ -112,46 +170,30 @@ def exp_action(A, t: float, v: np.ndarray, tol: float = DEFAULT_EXP_TOL) -> np.n
         raise ParameterError(f"time must be finite, got {t}")
     if t == 0.0:
         return v.copy()
+    A, scale = _operator_norm1(A)
+    return _exp_stepper(A, scale, t, tol)(v)
 
+
+def _augmented(A, b: np.ndarray, x_in: np.ndarray):
+    """Operator and start vector whose exponential action carries the ODE.
+
+    Returns M = [[A, b], [0, 0]] and (x_in, 1), so that exp(M t)(x_in, 1)
+    holds x(t) in its leading block and keeps its last entry exactly 1; when
+    b = 0 it returns A and x_in unchanged.
+    """
+    if not np.any(b):
+        return A, x_in
+    n = x_in.size
     if sp.issparse(A):
-        scale = sp.linalg.norm(A, 1)
+        aug = sp.bmat(
+            [[A, sp.csr_matrix(b.reshape(n, 1))], [None, sp.csr_matrix((1, 1), dtype=complex)]],
+            format="csr",
+        )
     else:
-        A = np.asarray(A, dtype=complex)
-        scale = np.linalg.norm(A, 1)
-    if not math.isfinite(float(scale)):
-        raise ParameterError("matrix contains non-finite entries")
-    if scale == 0.0:
-        return v.copy()
-
-    steps = max(1, math.ceil(abs(t) * float(scale)))
-    dt = t / steps
-    cutoff = tol / (2.0 * steps)
-    max_terms = 120
-
-    w = v.copy()
-    for _ in range(steps):
-        term = w.copy()
-        acc = w.copy()
-        converged = False
-        for j in range(1, max_terms + 1):
-            term = (dt / j) * (A @ term)
-            acc += term
-            if np.linalg.norm(term) <= cutoff * np.linalg.norm(acc):
-                # two extra terms at essentially zero cost close the tail
-                for jj in (j + 1, j + 2):
-                    term = (dt / jj) * (A @ term)
-                    acc += term
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceError(
-                f"exp series did not reach tol={tol:g} within {max_terms} terms "
-                f"(substep norm {abs(dt) * scale:.3g})",
-                last_iterate=acc,
-                residual=float(np.linalg.norm(term)),
-            )
-        w = acc
-    return w
+        aug = np.zeros((n + 1, n + 1), dtype=complex)
+        aug[:n, :n] = np.asarray(A, dtype=complex)
+        aug[:n, n] = b
+    return aug, np.concatenate([x_in, [1.0 + 0.0j]])
 
 
 def evolve(A, b, x_in, t: float, tol: float = DEFAULT_EXP_TOL) -> np.ndarray:
@@ -168,21 +210,8 @@ def evolve(A, b, x_in, t: float, tol: float = DEFAULT_EXP_TOL) -> np.ndarray:
         raise DimensionError(f"b has length {b.size}, expected {n}")
     if t < 0:
         raise ParameterError(f"time must be >= 0, got {t}")
-
-    if not np.any(b):
-        return exp_action(A, t, x_in, tol)
-
-    if sp.issparse(A):
-        aug = sp.bmat(
-            [[A, sp.csr_matrix(b.reshape(n, 1))], [None, sp.csr_matrix((1, 1), dtype=complex)]],
-            format="csr",
-        )
-    else:
-        aug = np.zeros((n + 1, n + 1), dtype=complex)
-        aug[:n, :n] = np.asarray(A, dtype=complex)
-        aug[:n, n] = b
-    w = np.concatenate([x_in, [1.0 + 0.0j]])
-    return exp_action(aug, t, w, tol)[:n]
+    op, w = _augmented(A, b, x_in)
+    return exp_action(op, t, w, tol)[:n]
 
 
 @dataclass(frozen=True)
@@ -264,13 +293,24 @@ def reference_solution(inst: Instance, t: float, tol: float = DEFAULT_EXP_TOL) -
 def reference_trajectory(inst: Instance, T: float, m: int) -> np.ndarray:
     """Oracle states x(ih), i = 0..m, h = T/m, as rows; row 0 is x_in itself.
 
-    Each row steps the oracle one interval on from the row before, so the
-    whole grid costs one O(T||A||) integration.
+    The augmented operator of :func:`evolve` and its one-interval propagator
+    are built once; each row steps the augmented state one interval on from
+    the row before, so the whole grid costs one O(T||A||) integration. Every
+    row is bit for bit what ``evolve(A, b, previous_row, T/m)`` returns, and
+    the last row is x(T).
     """
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
-    states = np.empty((m + 1, inst.N), dtype=complex)
-    states[0] = inst.x_in
+    if not (math.isfinite(T) and T >= 0):
+        raise ParameterError(f"T must be finite and >= 0, got {T}")
+    x_in = as_state(inst.x_in, "x_in")
+    n = x_in.size
+    op, w = _augmented(inst.A, as_state(inst.b, "b"), x_in)
+    op, scale = _operator_norm1(op)
+    step = _exp_stepper(op, scale, T / m, DEFAULT_EXP_TOL)
+    states = np.empty((m + 1, n), dtype=complex)
+    states[0] = x_in
     for i in range(m):
-        states[i + 1] = evolve(inst.A, inst.b, states[i], T / m)
+        w = step(w)
+        states[i + 1] = w[:n]
     return states

@@ -33,9 +33,10 @@ from .encoder import BlockIndex, TaylorParams
 from .errors import (
     BoundViolationError,
     DegenerateInputError,
+    DimensionError,
     ParameterError,
 )
-from .numerics import Instance, reference_solution, spectral_norm
+from .numerics import Instance, as_state, reference_solution, spectral_norm
 from .solver import forward_substitute
 
 # The norm estimate is inflated by this factor before the ceiling that sets
@@ -249,13 +250,16 @@ class MeasurementResult:
 
 
 def measure(inst: Instance, params: TaylorParams, seed: int,
-            delta_injection: float = 0.0) -> MeasurementResult:
+            delta_injection: float = 0.0,
+            x_T: np.ndarray | None = None) -> MeasurementResult:
     """Stages 2-6 of the emulation with the layout already fixed.
 
     Solves the encoded system, optionally injects the norm-delta error on
     the normalized solution, computes exact block probabilities, samples one
     block index by inverse CDF, and evaluates the sampled (and worst
-    success-set) output distance to the true normalized final state.
+    success-set) output distance to the true normalized final state. That
+    state is x_T when given (x(m h), as :func:`run` passes it from the decay
+    profile's trajectory); otherwise the oracle integrates x(m h) from t = 0.
     """
     sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
     flat = sol.vector()
@@ -280,7 +284,12 @@ def measure(inst: Instance, params: TaylorParams, seed: int,
 
     block = blocks[sampled_flat]
     output = block / np.linalg.norm(block)
-    x_true = reference_solution(inst, params.T)
+    if x_T is None:
+        x_true = reference_solution(inst, params.T)
+    else:
+        x_true = as_state(x_T, "x_T")
+        if x_true.size != inst.N:
+            raise DimensionError(f"x_T has length {x_true.size}, expected {inst.N}")
     x_true_unit = x_true / np.linalg.norm(x_true)
 
     # Worst output error over the whole success set: the quantity the
@@ -323,7 +332,7 @@ def run(inst: Instance, cfg: RunConfig) -> PipelineReport:
     else:
         injected = float(cfg.delta_injection)
 
-    outcome = measure(inst, chosen.params, cfg.seed, injected)
+    outcome = measure(inst, chosen.params, cfg.seed, injected, x_T=decay.x_T)
 
     return PipelineReport(
         params=chosen.params,

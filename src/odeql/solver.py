@@ -12,7 +12,7 @@ it walks the blocks in flat order and replays the defining recurrences
 at a cost of m*k sparse matrix-vector products plus vector additions.
 :func:`block_solve` is the one kernel for these recurrences: it solves C or
 C^dagger for any stack of right-hand sides, and backs forward substitution,
-the adjoint solve, the inverse-norm estimate and the scalar inverse columns.
+the inverse-norm estimate and the scalar inverse columns.
 The assembled matrix is solved only by :func:`generic_solve`, the
 independent cross-check.
 """
@@ -140,15 +140,6 @@ def generic_solve(system: EncodedSystem) -> np.ndarray:
     C = system.matrix
     _check_triangular(C)
     return spsolve_triangular(C, system.rhs, lower=True)
-
-
-def adjoint_solve(system: EncodedSystem, y) -> np.ndarray:
-    """Solve C^dagger z = y by structured back substitution."""
-    y = as_state(y, "y")
-    if y.size != system.dim:
-        raise DimensionError(f"y has length {y.size}, expected {system.dim}")
-    z = y.reshape(system.params.d + 1, system.N).copy()
-    return block_solve(system.A, system.params, z, adjoint=True).ravel()
 
 
 def residual(system: EncodedSystem, x) -> float:

@@ -26,6 +26,8 @@ from .taylor import half_disk_samples, verify_remainder_bounds
 
 SUITE_NAMES = ("taylor", "lemma1", "lemma2", "lemma3", "thm1", "thm2", "thm3",
                "appendixB", "all")
+# The suites that draw a trial count; the others sweep the fixed standard family.
+TRIAL_SUITES = ("taylor", "lemma1", "appendixB")
 
 FAMILY_N = (1, 2, 4, 8, 16)
 FAMILY_KAPPA = (1.0, 3.0, 10.0)
@@ -177,9 +179,16 @@ def appendix_b_suite(trials: int = 10_000, seed: int = 0) -> dict:
 
 
 def run_suite(name: str, trials: int | None = None, seed: int = 0) -> dict:
-    """Run one named suite (or "all") and return its JSON-ready report."""
+    """Run one named suite (or "all") and return its JSON-ready report.
+
+    trials applies to the TRIAL_SUITES only; "all" passes it on to those.
+    """
     if name not in SUITE_NAMES:
         raise ParameterError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if trials is not None and name not in TRIAL_SUITES + ("all",):
+        raise ParameterError(f"suite {name!r} sweeps the fixed standard family and "
+                             f"takes no trial count; only {', '.join(TRIAL_SUITES)} "
+                             "and all do")
     if name == "taylor":
         return taylor_suite(1000 if trials is None else trials, seed)
     if name == "lemma1":
@@ -197,7 +206,7 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0) -> dict:
     if name == "appendixB":
         return appendix_b_suite(10_000 if trials is None else trials, seed)
     results = {
-        sub: run_suite(sub, trials, seed)
+        sub: run_suite(sub, trials if sub in TRIAL_SUITES else None, seed)
         for sub in SUITE_NAMES if sub != "all"
     }
     return {

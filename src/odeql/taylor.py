@@ -109,30 +109,6 @@ def phi1(z):
     return out
 
 
-def poly_action(A, h: float, v: np.ndarray, kind: str, k: int) -> np.ndarray:
-    """Apply T_k(Ah) or S_k(Ah) to a vector using k matrix-vector products.
-
-    Horner's scheme on the matrix action; no dense matrix polynomial is ever
-    formed. ``kind`` selects the family: ``"T"`` for T_k, ``"S"`` for S_k.
-    """
-    v = np.asarray(v, dtype=complex)
-    if kind == "T":
-        if k < 0:
-            raise ParameterError(f"truncation order must be >= 0, got {k}")
-        acc = v.copy()
-        for j in range(k, 0, -1):
-            acc = v + (h / j) * (A @ acc)
-        return acc
-    if kind == "S":
-        if k < 1:
-            raise ParameterError(f"truncation order must be >= 1, got {k}")
-        acc = v / k
-        for j in range(k - 1, 0, -1):
-            acc = (v + h * (A @ acc)) / j
-        return acc
-    raise ParameterError(f"kind must be 'T' or 'S', got {kind!r}")
-
-
 def half_disk_samples(n: int, seed: int) -> np.ndarray:
     """Draw n points uniformly in area from { |z| <= 1, Re(z) <= 0 }."""
     rng = np.random.default_rng(seed)

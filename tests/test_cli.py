@@ -168,6 +168,16 @@ def test_verify_zero_trials_exits_2(tmp_path, capsys):
     assert not (tmp_path / "t.json").exists()
 
 
+def test_verify_family_suite_trials_exits_2(tmp_path, capsys):
+    # lemma3 sweeps the fixed family: a trial count would be silently dropped
+    code = main(["verify", "--suite", "lemma3", "--trials", "1",
+                 "--report", str(tmp_path / "l3.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "l3.json").exists()
+
+
 def test_verify_appendix_b(tmp_path):
     code = main(["verify", "--suite", "appendixB", "--trials", "200",
                  "--seed", "1", "--report", str(tmp_path / "b.json")])

@@ -6,6 +6,8 @@ to 1e-12, and the eigenbasis closed form of x(t) (never the code paths
 under test).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -258,6 +260,22 @@ class TestReferenceTrajectory:
         inst = make_instance(np.eye(1), [-1.0], np.zeros(1), np.ones(1))
         with pytest.raises(ParameterError):
             reference_trajectory(inst, 1.0, 0)
+
+    @pytest.mark.parametrize("layout", ["csr", "dense"])
+    @pytest.mark.parametrize("b_mode", ["zero", "random"])
+    def test_bitwise_equal_to_stepping_evolve(self, b_mode, layout):
+        # the operator and propagator built once must step exactly like a
+        # fresh evolve call per interval, to the last bit
+        inst = generate(GenSpec(N=5, kappa_V=3.0, b_mode=b_mode, seed=21,
+                                unit_norm=True))
+        if layout == "dense":
+            inst = replace(inst, A=inst.A.toarray())
+        T, m = 3.7, 6
+        states = reference_trajectory(inst, T, m)
+        expected = [inst.x_in]
+        for _ in range(m):
+            expected.append(evolve(inst.A, inst.b, expected[-1], T / m))
+        assert states.tobytes() == np.array(expected).tobytes()
 
 
 class TestInstanceValidation:

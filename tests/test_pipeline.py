@@ -16,8 +16,10 @@ from odeql.encoder import TaylorParams
 from odeql.errors import (
     BoundViolationError,
     DegenerateInputError,
+    DimensionError,
     ParameterError,
 )
+from odeql import pipeline
 from odeql.instances import GenSpec, generate
 from odeql.numerics import make_instance, reference_solution
 from odeql.pipeline import (
@@ -151,6 +153,14 @@ class TestMeasure:
         assert outcome.sampled_index == again.sampled_index
         assert np.array_equal(outcome.probabilities, again.probabilities)
 
+    def test_given_final_state_must_match_the_dimension(self):
+        # a length-1 x_T would broadcast against every block without a check
+        inst = generate(GenSpec(N=3, kappa_V=2.0, b_mode="random", seed=5,
+                                unit_norm=True))
+        params = TaylorParams(m=2, k=6, p=2, h=0.9)
+        with pytest.raises(DimensionError):
+            measure(inst, params, seed=1, x_T=np.ones(1))
+
     def test_probabilities_sum_to_one(self):
         inst = generate(GenSpec(N=3, kappa_V=2.0, b_mode="random", seed=5,
                                 unit_norm=True))
@@ -242,6 +252,29 @@ class TestRun:
         report = run(inst, RunConfig(T=1.0, epsilon=1e-3, seed=9))
         in_set = report.sampled_index.flat in report.params.success_set()
         assert report.success_flag == in_set
+
+    def test_integrates_the_ode_once(self, monkeypatch):
+        # x(T) comes from the decay profile's trajectory, not a second pass
+        def second_pass(*args, **kwargs):
+            raise AssertionError("run() called reference_solution")
+
+        monkeypatch.setattr(pipeline, "reference_solution", second_pass)
+        report = run(self._instance(seed=7), RunConfig(T=3.0, epsilon=1e-6,
+                                                       seed=2))
+        assert report.success_conditioned_error <= 1e-6
+
+    @pytest.mark.parametrize("b_mode", ["zero", "random"])
+    def test_errors_match_a_standalone_measure(self, b_mode):
+        # the trajectory's x(T) and the oracle's x(mh) from t = 0 agree to
+        # rounding, so the reported distances do too
+        inst = self._instance(seed=8, b_mode=b_mode)
+        report = run(inst, RunConfig(T=2.5, epsilon=1e-6, seed=4,
+                                     delta_injection="auto"))
+        alone = measure(inst, report.params, 4, report.injected_delta)
+        assert abs(report.fidelity_error - alone.fidelity_error) <= 1e-15
+        assert abs(report.success_conditioned_error
+                   - alone.success_conditioned_error) <= 1e-15
+        assert report.sampled_index == alone.sampled_index
 
     def test_epsilon_validation(self):
         with pytest.raises(ParameterError):

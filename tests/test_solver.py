@@ -12,13 +12,14 @@ from odeql.encoder import TaylorParams, encode
 from odeql.errors import IntegrityError
 from odeql.instances import GenSpec, generate
 from odeql.solver import (
-    adjoint_solve,
     block_solve,
     forward_substitute,
     generic_solve,
     residual,
 )
-from odeql.taylor import poly_action, truncated_exp
+from odeql.taylor import truncated_exp
+
+from oracles import adjoint_solve, poly_action
 
 
 def random_problem(seed, N=4, m=3, k=6, p=2, b_mode="random"):

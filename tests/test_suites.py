@@ -43,3 +43,30 @@ def test_lemma1_reports_grid_size():
     report = suites.lemma1_suite(trials=2, seed=0, mp_values=(1, 2))
     assert report["passed"]
     assert report["lambda_grid_size"] == 8
+
+
+@pytest.mark.parametrize("name", ["lemma2", "lemma3", "thm1", "thm2", "thm3"])
+def test_family_suites_reject_trials(name):
+    with pytest.raises(ParameterError):
+        suites.run_suite(name, trials=1)
+
+
+def test_all_forwards_trials_to_trial_suites_only(monkeypatch):
+    calls = {}
+
+    def stub(name):
+        def suite(*args):
+            calls[name] = args
+            return {"passed": True}
+        return suite
+
+    for name, attr in (("taylor", "taylor_suite"), ("lemma1", "lemma1_suite"),
+                       ("lemma2", "lemma2_suite"), ("lemma3", "lemma3_suite"),
+                       ("thm1", "thm1_suite"), ("thm2", "thm2_suite"),
+                       ("thm3", "thm3_suite"), ("appendixB", "appendix_b_suite")):
+        monkeypatch.setattr(suites, attr, stub(name))
+    report = suites.run_suite("all", trials=3, seed=5)
+    assert report["passed"]
+    assert calls == {"taylor": (3, 5), "lemma1": (3, 5), "appendixB": (3, 5),
+                     "lemma2": (5,), "lemma3": (5,), "thm1": (5,),
+                     "thm2": (5,), "thm3": (5,)}

@@ -16,12 +16,13 @@ from odeql.taylor import (
     BOUNDARY_CASES,
     half_disk_samples,
     phi1,
-    poly_action,
     tail_poly,
     truncated_exp,
     truncated_phi,
     verify_remainder_bounds,
 )
+
+from oracles import poly_action
 
 
 def sum_T(z, k):
@@ -138,6 +139,8 @@ def test_tail_partial_sum_identity(z, k, data):
 
 
 class TestPolyAction:
+    """The Horner oracle of tests/oracles.py against the scalar polynomials."""
+
     def test_zero_matrix_is_identity_for_both_kinds(self):
         rng = np.random.default_rng(0)
         v = rng.normal(size=5) + 1j * rng.normal(size=5)
