@@ -8,28 +8,13 @@ forward substitution, verifies the conditioning / accuracy / measurement
 bounds that make the encoding useful, and emulates the end-to-end algorithm
 including parameter selection, solver-inexactness injection and measurement
 sampling.
+
+The package namespace holds the names the demos use, the error classes and
+the state-preparation stage; every other name is imported from its module.
 """
 
-from .analysis import (
-    BoundReport,
-    DecayProfile,
-    condition_number_bound,
-    inverse_norm_bound,
-    matrix_norm_bounds,
-    scalar_inverse_columns,
-    solution_error_report,
-    state_distance_checks,
-    success_probability_report,
-)
-from .encoder import (
-    BlockIndex,
-    EncodedSystem,
-    TaylorParams,
-    build_matrix,
-    build_rhs,
-    encode,
-    simulate_state_prep,
-)
+from .analysis import condition_number_bound, matrix_norm_bounds
+from .encoder import TaylorParams, encode, simulate_state_prep
 from .errors import (
     BoundViolationError,
     ConvergenceError,
@@ -41,36 +26,9 @@ from .errors import (
     ParameterError,
 )
 from .instances import GenSpec, generate
-from .numerics import (
-    Instance,
-    evolve,
-    exp_action,
-    make_instance,
-    reference_solution,
-    reference_trajectory,
-    spectral_norm,
-)
-from .pipeline import (
-    ChosenParameters,
-    PipelineReport,
-    RunConfig,
-    amplification_estimate,
-    choose_parameters,
-    run,
-    sweep_grid,
-)
-from .solver import (
-    BlockSolution,
-    block_solve,
-    forward_substitute,
-    generic_solve,
-    residual,
-)
-from .taylor import (
-    tail_poly,
-    truncated_exp,
-    truncated_phi,
-    verify_remainder_bounds,
-)
+from .numerics import reference_trajectory
+from .pipeline import RunConfig, run, sweep_grid
+from .solver import forward_substitute, residual
+from .taylor import truncated_exp, verify_remainder_bounds
 
 __version__ = "0.1.0"

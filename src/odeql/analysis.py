@@ -29,7 +29,9 @@ import scipy.sparse as sp
 from .encoder import EncodedSystem, TaylorParams
 from .errors import (
     DegenerateInputError,
+    DimensionError,
     HypothesisError,
+    IntegrityError,
     ParameterError,
 )
 from .numerics import (
@@ -127,29 +129,43 @@ def merge_reports(reports) -> BoundReport:
 
 @dataclass(frozen=True)
 class DecayProfile:
-    """Norm history of the true solution on the step grid, and x(T) itself.
+    """The true solution on the step grid, and its norm history.
 
-    q is ||x(T)||; g_grid = max_i ||x(ih)|| / q over the step grid, the
-    quantity the measurement bound consumes. x_T is the trajectory's last
-    row, so a caller that needs the final state takes it from here instead
-    of integrating the ODE a second time.
+    states holds the oracle states x(ih), i = 0..m, as rows (one
+    trajectory); step_norms are their norms, q is ||x(T)|| and
+    g_grid = max_i ||x(ih)|| / q, the quantity the measurement bound
+    consumes. A caller that needs a grid state, x(T) included, reads it
+    from here instead of integrating the ODE a second time.
     """
 
+    states: np.ndarray
     step_norms: np.ndarray
     q: float
     g_grid: float
-    x_T: np.ndarray
+
+    @property
+    def x_T(self) -> np.ndarray:
+        """x(T), the trajectory's last row."""
+        return self.states[-1]
 
 
 def decay_profile(inst: Instance, T: float, m: int) -> DecayProfile:
     """Evaluate ||x(ih)|| on the step grid from one oracle trajectory."""
     states = reference_trajectory(inst, T, m)
+    states.setflags(write=False)  # shared by every reader of the profile
     step_norms = np.linalg.norm(states, axis=1)
     q = float(step_norms[-1])
     if q < 1e-300:
         raise DegenerateInputError("||x(T)|| vanishes; decay ratio undefined")
-    return DecayProfile(step_norms=step_norms, q=q,
-                        g_grid=float(step_norms.max() / q), x_T=states[-1].copy())
+    return DecayProfile(states=states, step_norms=step_norms, q=q,
+                        g_grid=float(step_norms.max() / q))
+
+
+def _require_grid(decay: DecayProfile, inst: Instance, params: TaylorParams) -> None:
+    expected = (params.m + 1, inst.N)
+    if decay.states.shape != expected:
+        raise DimensionError(f"decay profile holds states of shape {decay.states.shape}, "
+                             f"expected {expected} for m={params.m}, N={inst.N}")
 
 
 # ---------------------------------------------------------------------------
@@ -342,15 +358,19 @@ def condition_number_bound(system: EncodedSystem, kappa_V: float,
 # ---------------------------------------------------------------------------
 
 def solution_error_report(inst: Instance, params: TaylorParams,
-                          sol: BlockSolution) -> BoundReport:
+                          sol: BlockSolution, decay: DecayProfile) -> BoundReport:
     """Check ||x(jh) - x_{j,0}|| <= 2.8 kappa_V j (|x_in| + mh|b|)/(k+1)! for all j.
 
-    One oracle trajectory supplies every step; (k+1)! enters in
-    log space. j = 0 shares the initial condition exactly and is checked
-    for literal equality.
+    decay is the instance's profile on this layout's grid (from
+    ``decay_profile(inst, params.T, params.m)``); its trajectory supplies
+    every x(jh), so no ODE is integrated here. (k+1)! enters in log space.
+    j = 0 shares the initial condition exactly and is checked for literal
+    equality. Raises DimensionError when decay holds another grid's states
+    and IntegrityError when block (0,0) is not x_in.
     """
     params.require_bound_hypotheses()
     _require_eigenvalue_hypotheses(inst.eigenvalues, params.h)
+    _require_grid(decay, inst, params)
 
     m, h = params.m, params.h
     weight = float(np.linalg.norm(inst.x_in) + m * h * np.linalg.norm(inst.b))
@@ -358,10 +378,9 @@ def solution_error_report(inst: Instance, params: TaylorParams,
         raise DegenerateInputError("x_in and b both vanish; the bound degenerates")
     log_scale = math.log(2.8 * inst.kappa_V * weight) - math.lgamma(params.k + 2)
 
-    states = reference_trajectory(inst, params.T, m)
-    errors = np.linalg.norm(states - sol.step_states(), axis=1)
+    errors = np.linalg.norm(decay.states - sol.step_states(), axis=1)
     if errors[0] != 0.0:
-        raise ParameterError("block (0,0) does not equal x_in; solver integrity broken")
+        raise IntegrityError("block (0,0) does not equal x_in; solver integrity broken")
 
     ratios = np.zeros(m + 1)
     for j in range(1, m + 1):
@@ -382,18 +401,18 @@ def solution_error_report(inst: Instance, params: TaylorParams,
 
 
 def success_probability_report(inst: Instance, params: TaylorParams,
-                               sol: BlockSolution,
-                               decay: DecayProfile | None = None) -> BoundReport:
+                               sol: BlockSolution, decay: DecayProfile) -> BoundReport:
     """Check the measurement bound ||x_{m,0}|| / ||x|| >= 1/sqrt(p + 77 m g^2).
 
-    g is the step-grid decay ratio (the proof consumes only grid values).
-    Requires the truncation condition (k+1)! >= 70 kappa_V m (|x_in|+mh|b|)/q,
-    checked in log space; when p = m the implied squared success probability
-    over the padded blocks is at least 1/(78 g^2), recorded in the details.
+    decay is the instance's profile on this layout's grid; it supplies q and
+    the step-grid decay ratio g (the proof consumes only grid values), and a
+    profile of another grid raises DimensionError. Requires the truncation
+    condition (k+1)! >= 70 kappa_V m (|x_in|+mh|b|)/q, checked in log space;
+    when p = m the implied squared success probability over the padded
+    blocks is at least 1/(78 g^2), recorded in the details.
     """
+    _require_grid(decay, inst, params)
     m, p, h = params.m, params.p, params.h
-    if decay is None:
-        decay = decay_profile(inst, params.T, m)
     weight = float(np.linalg.norm(inst.x_in) + m * h * np.linalg.norm(inst.b))
     log_needed = math.log(70.0 * inst.kappa_V * m * weight) - math.log(decay.q)
     if math.lgamma(params.k + 2) < log_needed:

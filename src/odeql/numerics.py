@@ -238,13 +238,18 @@ class Instance:
         return self.x_in.size
 
     def validate(self) -> None:
-        """Check the construction invariants; raise ParameterError on failure."""
+        """Check the construction invariants; raise ParameterError on failure.
+
+        The |V V_inv - I| tolerance is max(1e-12, N kappa eps_machine) with
+        kappa the measured |V||V_inv|: the rounding floor of the product.
+        """
         if np.any(self.eigenvalues.real > 0):
             raise ParameterError("eigenvalues must satisfy Re(lambda) <= 0 entrywise")
-        resid = np.max(np.abs(self.V @ self.V_inv - np.eye(self.N)))
-        if resid > 1e-12:
-            raise ParameterError(f"|V V_inv - I|_max = {resid:.3g} exceeds 1e-12")
         kappa = float(np.linalg.norm(self.V, 2) * np.linalg.norm(self.V_inv, 2))
+        resid = np.max(np.abs(self.V @ self.V_inv - np.eye(self.N)))
+        tol = max(1e-12, self.N * kappa * np.finfo(float).eps)
+        if resid > tol:
+            raise ParameterError(f"|V V_inv - I|_max = {resid:.3g} exceeds {tol:.3g}")
         if abs(kappa - self.kappa_V) > 1e-6 * self.kappa_V:
             raise ParameterError(
                 f"kappa_V = {self.kappa_V:.9g} but |V||V_inv| = {kappa:.9g}"

@@ -1,12 +1,13 @@
 """Named verification suites over standard instance families.
 
-Each suite sweeps a family of seeded test problems satisfying the relevant
-hypotheses, runs the matching checker from :mod:`odeql.analysis`, and folds
-the outcomes into one JSON-ready report. The families follow a fixed recipe:
-dimensions {1, 2, 4, 8, 16}, condition numbers {1, 3, 10}, eigenvalues in
-the closed left half-disk, homogeneous and inhomogeneous right-hand sides,
-m = p in {1, 2, 4, 8}, and the truncation order chosen by the same rule the
-end-to-end driver uses (clipped to k >= 5).
+Each suite runs the matching checker from :mod:`odeql.analysis` over seeded
+test problems satisfying the relevant hypotheses, and folds the outcomes
+into one JSON-ready report. The five family suites (lemma2, lemma3, thm1,
+thm2, thm3) take one family built by :func:`standard_family`, which follows
+a fixed recipe: dimensions {1, 2, 4, 8, 16}, condition numbers {1, 3, 10},
+eigenvalues in the closed left half-disk, homogeneous and inhomogeneous
+right-hand sides, m = p in {1, 2, 4, 8}, and the truncation order chosen by
+the same rule the end-to-end driver uses (clipped to k >= 5).
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ FAMILY_EPSILON = 1e-3
 
 @dataclass(frozen=True)
 class FamilyMember:
-    """One standard-family problem with its chosen layout and decay profile."""
+    """One standard-family problem, its chosen layout and its decay profile
+    (whose trajectory is the member's one ODE integration)."""
 
     inst: Instance
     params: TaylorParams
@@ -46,21 +48,23 @@ class FamilyMember:
 
 def standard_family(seed: int = 0, N_values=FAMILY_N, kappa_values=FAMILY_KAPPA,
                     m_values=FAMILY_M, epsilon: float = FAMILY_EPSILON):
-    """Yield FamilyMember problems covering the standard hypothesis box.
+    """Return the tuple of FamilyMember problems covering the standard box.
 
-    b alternates between zero and random across members; T is set a hair
-    under m/||A|| so the step-count rule lands exactly on m steps with
-    ||A h|| < 1.
+    Each member is generated, and its ODE integrated on its step grid, once
+    here; the family suites all read the same tuple, so one family serves a
+    whole ``run_suite("all")``. b alternates between zero and random across
+    members; T is set a hair under m/||A|| so the step-count rule lands
+    exactly on m steps with ||A h|| < 1.
     """
-    count = 0
+    members = []
     for N in N_values:
         for kappa in kappa_values:
             if N == 1 and kappa != 1.0:
                 continue
             for m in m_values:
-                b_mode = "random" if count % 2 else "zero"
+                b_mode = "random" if len(members) % 2 else "zero"
                 spec = GenSpec(N=N, kappa_V=kappa, b_mode=b_mode,
-                               seed=seed + 7 * count, unit_norm=True)
+                               seed=seed + 7 * len(members), unit_norm=True)
                 inst = generate(spec)
                 normA = spectral_norm(inst.A, tol=1e-6)
                 T = 0.999 * m / normA
@@ -72,8 +76,8 @@ def standard_family(seed: int = 0, N_values=FAMILY_N, kappa_values=FAMILY_KAPPA,
                 if chosen.params.m != m:
                     raise ParameterError(
                         f"family step-count rule produced m={chosen.params.m}, wanted {m}")
-                yield FamilyMember(inst=inst, params=chosen.params, decay=decay)
-                count += 1
+                members.append(FamilyMember(inst=inst, params=chosen.params, decay=decay))
+    return tuple(members)
 
 
 def _suite_from_reports(name: str, reports) -> dict:
@@ -112,59 +116,57 @@ def lemma1_suite(trials: int = 4, seed: int = 0,
     return out
 
 
-def _family_systems(seed, **kwargs):
-    for member in standard_family(seed, **kwargs):
-        system = encode(member.inst.A, member.inst.x_in, member.inst.b,
-                        member.params)
-        yield member, system
+def _encoded(member: FamilyMember):
+    return encode(member.inst.A, member.inst.x_in, member.inst.b, member.params)
 
 
-def lemma3_suite(seed: int = 0, **kwargs) -> dict:
-    reports = [analysis.matrix_norm_bounds(system)
-               for _, system in _family_systems(seed, **kwargs)]
+def _solved(member: FamilyMember):
+    return forward_substitute(member.inst.A, member.params, member.inst.x_in,
+                              member.inst.b)
+
+
+def lemma3_suite(family) -> dict:
+    reports = [analysis.matrix_norm_bounds(_encoded(member)) for member in family]
     out = _suite_from_reports("lemma3", [analysis.merge_reports(reports)])
     out["components_ok"] = all(r.details["components_ok"] for r in reports)
     out["passed"] = out["passed"] and out["components_ok"]
     return out
 
 
-def lemma2_suite(seed: int = 0, **kwargs) -> dict:
+def lemma2_suite(family) -> dict:
     reports = [
-        analysis.inverse_norm_bound(system, member.inst.kappa_V,
+        analysis.inverse_norm_bound(_encoded(member), member.inst.kappa_V,
                                     member.inst.eigenvalues)
-        for member, system in _family_systems(seed, **kwargs)
+        for member in family
     ]
     return _suite_from_reports("lemma2", [analysis.merge_reports(reports)])
 
 
-def thm1_suite(seed: int = 0, **kwargs) -> dict:
+def thm1_suite(family) -> dict:
     reports = [
-        analysis.condition_number_bound(system, member.inst.kappa_V,
+        analysis.condition_number_bound(_encoded(member), member.inst.kappa_V,
                                         member.inst.eigenvalues)
-        for member, system in _family_systems(seed, **kwargs)
+        for member in family
     ]
     return _suite_from_reports("thm1", [analysis.merge_reports(reports)])
 
 
-def thm2_suite(seed: int = 0, **kwargs) -> dict:
-    reports = []
-    for member in standard_family(seed, **kwargs):
-        sol = forward_substitute(member.inst.A, member.params,
-                                 member.inst.x_in, member.inst.b)
-        reports.append(analysis.solution_error_report(member.inst,
-                                                      member.params, sol))
+def thm2_suite(family) -> dict:
+    reports = [
+        analysis.solution_error_report(member.inst, member.params,
+                                       _solved(member), member.decay)
+        for member in family
+    ]
     return _suite_from_reports("thm2", [analysis.merge_reports(reports)])
 
 
-def thm3_suite(seed: int = 0, **kwargs) -> dict:
+def thm3_suite(family) -> dict:
     reports = []
     skipped = 0
-    for member in standard_family(seed, **kwargs):
-        sol = forward_substitute(member.inst.A, member.params,
-                                 member.inst.x_in, member.inst.b)
+    for member in family:
         try:
             reports.append(analysis.success_probability_report(
-                member.inst, member.params, sol, member.decay))
+                member.inst, member.params, _solved(member), member.decay))
         except HypothesisError:
             skipped += 1
     out = _suite_from_reports("thm3", [analysis.merge_reports(reports)])
@@ -182,6 +184,7 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0) -> dict:
     """Run one named suite (or "all") and return its JSON-ready report.
 
     trials applies to the TRIAL_SUITES only; "all" passes it on to those.
+    A family suite, or "all", builds standard_family(seed) once and reads it.
     """
     if name not in SUITE_NAMES:
         raise ParameterError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
@@ -193,20 +196,16 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0) -> dict:
         return taylor_suite(1000 if trials is None else trials, seed)
     if name == "lemma1":
         return lemma1_suite(4 if trials is None else trials, seed)
-    if name == "lemma2":
-        return lemma2_suite(seed)
-    if name == "lemma3":
-        return lemma3_suite(seed)
-    if name == "thm1":
-        return thm1_suite(seed)
-    if name == "thm2":
-        return thm2_suite(seed)
-    if name == "thm3":
-        return thm3_suite(seed)
     if name == "appendixB":
         return appendix_b_suite(10_000 if trials is None else trials, seed)
+    family = standard_family(seed)
+    family_suites = {"lemma2": lemma2_suite, "lemma3": lemma3_suite,
+                     "thm1": thm1_suite, "thm2": thm2_suite, "thm3": thm3_suite}
+    if name in family_suites:
+        return family_suites[name](family)
     results = {
-        sub: run_suite(sub, trials if sub in TRIAL_SUITES else None, seed)
+        sub: family_suites[sub](family) if sub in family_suites
+        else run_suite(sub, trials, seed)
         for sub in SUITE_NAMES if sub != "all"
     }
     return {

@@ -109,9 +109,10 @@ def test_criterion_4_inverse_columns():
 
 def test_criterion_5_norm_bounds():
     """Matrix norm, inverse norm and condition number on the family."""
-    lem3 = suites.lemma3_suite(seed=10)
-    lem2 = suites.lemma2_suite(seed=10)
-    thm1 = suites.thm1_suite(seed=10)
+    family = suites.standard_family(seed=10)
+    lem3 = suites.lemma3_suite(family)
+    lem2 = suites.lemma2_suite(family)
+    thm1 = suites.thm1_suite(family)
     passed = lem3["passed"] and lem2["passed"] and thm1["passed"]
     detail = (f"|C| ratio {lem3['worst_ratio']:.3f}, "
               f"|C^-1| ratio {lem2['worst_ratio']:.3f}, "
@@ -121,13 +122,14 @@ def test_criterion_5_norm_bounds():
 
 def test_criterion_6_solution_error():
     """Per-step error bound on the family plus the frozen scalar case."""
-    family = suites.thm2_suite(seed=11)
+    family = suites.thm2_suite(suites.standard_family(seed=11))
 
     inst = make_instance(np.eye(1), [-1.0], np.zeros(1), np.ones(1),
                          label="scalar")
     params = TaylorParams(m=1, k=5, p=1, h=1.0)
     sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
-    scalar = analysis.solution_error_report(inst, params, sol)
+    scalar = analysis.solution_error_report(
+        inst, params, sol, analysis.decay_profile(inst, params.T, params.m))
     eps_1 = scalar.details["errors"][1]
     scalar_ok = (abs(eps_1 - 0.0012127745047756378) <= 1e-14
                  and abs(scalar.worst_ratio - 0.31185630122802116) <= 1e-9

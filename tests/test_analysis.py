@@ -27,10 +27,21 @@ from odeql.analysis import (
     success_probability_report,
 )
 from odeql.encoder import TaylorParams, encode
-from odeql.errors import DegenerateInputError, HypothesisError, ParameterError
+from odeql.errors import (
+    DegenerateInputError,
+    DimensionError,
+    HypothesisError,
+    IntegrityError,
+    ParameterError,
+)
 from odeql.instances import GenSpec, generate
-from odeql.numerics import make_instance
-from odeql.solver import block_solve, forward_substitute
+from odeql.numerics import make_instance, reference_trajectory
+from odeql.solver import BlockSolution, block_solve, forward_substitute
+
+
+def grid_decay(inst, params):
+    """The decay profile on params' step grid, as the reports require."""
+    return decay_profile(inst, params.T, params.m)
 
 
 class TestConstants:
@@ -203,7 +214,7 @@ class TestSolutionError:
                              label="scalar")
         params = TaylorParams(m=1, k=5, p=1, h=1.0)
         sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
-        report = solution_error_report(inst, params, sol)
+        report = solution_error_report(inst, params, sol, grid_decay(inst, params))
         assert report.details["errors"][1] == pytest.approx(
             0.0012127745047756378, abs=1e-14)
         assert report.worst_ratio == pytest.approx(0.31185630122802116, rel=1e-10)
@@ -215,7 +226,7 @@ class TestSolutionError:
                                     seed=seed, unit_norm=True))
             params = TaylorParams(m=10, k=7, p=10, h=0.8)
             sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
-            report = solution_error_report(inst, params, sol)
+            report = solution_error_report(inst, params, sol, grid_decay(inst, params))
             assert report.passed, report.to_json_dict()
 
     def test_monotone_error_growth_homogeneous_normal(self):
@@ -223,7 +234,7 @@ class TestSolutionError:
                                 unit_norm=True))
         params = TaylorParams(m=6, k=6, p=2, h=0.9)
         sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
-        errors = solution_error_report(inst, params, sol).details["errors"]
+        errors = solution_error_report(inst, params, sol, grid_decay(inst, params)).details["errors"]
         for j in range(len(errors) - 1):
             assert errors[j + 1] >= errors[j] - 1e-10
 
@@ -232,7 +243,7 @@ class TestSolutionError:
         params = TaylorParams(m=1, k=4, p=1, h=1.0)
         sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
         with pytest.raises(HypothesisError):
-            solution_error_report(inst, params, sol)
+            solution_error_report(inst, params, sol, grid_decay(inst, params))
 
 
 class TestSuccessProbability:
@@ -269,10 +280,42 @@ class TestSuccessProbability:
         sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
         # (k+1)! = 720 < 70 * 1 * 5 * 1 / e^-5 ~ 51940
         with pytest.raises(HypothesisError):
-            success_probability_report(inst, params, sol)
+            success_probability_report(inst, params, sol, grid_decay(inst, params))
+
+
+class TestReportArguments:
+    def _scalar(self, m=2):
+        inst = make_instance(np.eye(1), [-1.0], np.zeros(1), np.ones(1))
+        params = TaylorParams(m=m, k=9, p=m, h=0.5)
+        return inst, params, forward_substitute(inst.A, params, inst.x_in, inst.b)
+
+    def test_decay_of_another_grid_rejected(self):
+        inst, params, sol = self._scalar(m=2)
+        other = decay_profile(inst, params.T, 4)
+        with pytest.raises(DimensionError):
+            solution_error_report(inst, params, sol, other)
+        with pytest.raises(DimensionError):
+            success_probability_report(inst, params, sol, other)
+
+    def test_history_not_starting_at_x_in_is_an_integrity_error(self):
+        inst, params, sol = self._scalar()
+        data = sol.data.copy()
+        data[0] += 1e-3
+        broken = BlockSolution(params=params, N=inst.N, data=data)
+        with pytest.raises(IntegrityError):
+            solution_error_report(inst, params, broken, grid_decay(inst, params))
 
 
 class TestDecayProfile:
+    def test_keeps_its_trajectory(self):
+        inst = generate(GenSpec(N=3, kappa_V=2.0, b_mode="random", seed=5,
+                                unit_norm=True))
+        decay = decay_profile(inst, T=1.5, m=3)
+        states = reference_trajectory(inst, 1.5, 3)
+        assert np.array_equal(decay.states, states)
+        assert np.array_equal(decay.x_T, states[-1])
+        assert np.array_equal(decay.step_norms, np.linalg.norm(states, axis=1))
+
     def test_scalar_exponential_grid(self):
         inst = make_instance(np.eye(1), [-1.0], np.zeros(1), np.ones(1))
         decay = decay_profile(inst, T=2.0, m=2)

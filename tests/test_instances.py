@@ -53,6 +53,16 @@ class TestDenseMode:
         np.testing.assert_array_equal(a.x_in, b.x_in)
         np.testing.assert_array_equal(a.b, b.b)
 
+    @pytest.mark.parametrize("kappa", [1e6, 1e9])
+    @pytest.mark.parametrize("unit_norm", [False, True])
+    def test_ill_conditioned_similarity_generates(self, kappa, unit_norm):
+        # |V V_inv - I| is ~N kappa eps_machine here, far above 1e-12
+        inst = generate(GenSpec(N=8, kappa_V=kappa, seed=0, unit_norm=unit_norm))
+        residual = np.abs(inst.V @ inst.V_inv - np.eye(8)).max()
+        assert 1e-12 < residual <= 8 * kappa * np.finfo(float).eps
+        measured = (np.linalg.norm(inst.V, 2) * np.linalg.norm(inst.V_inv, 2))
+        assert abs(measured - kappa) <= 1e-6 * kappa
+
     def test_scalar_with_large_kappa_rejected(self):
         with pytest.raises(ParameterError):
             generate(GenSpec(N=1, kappa_V=3.0, seed=0))

@@ -288,6 +288,12 @@ class TestInstanceValidation:
             make_instance(np.eye(2), [-1.0, -0.5], np.zeros(2), np.ones(2),
                           kappa_V=5.0)
 
+    def test_inverse_residual_tolerance_stays_tight_when_well_conditioned(self):
+        # kappa = 1: N kappa eps_machine is far below 1e-12, which still applies
+        with pytest.raises(ParameterError, match="exceeds 1e-12"):
+            make_instance(np.eye(2), [-1.0, -0.5], np.zeros(2), np.ones(2),
+                          V_inv=np.eye(2) + 1e-10)
+
     def test_make_instance_builds_A(self):
         inst = make_instance(np.eye(2), [-1.0, -0.5], np.zeros(2), np.ones(2))
         np.testing.assert_allclose(inst.A.toarray(), np.diag([-1.0, -0.5]),

@@ -230,7 +230,8 @@ class TestRun:
         cfg = RunConfig(T=2.0, epsilon=1e-5, seed=11, delta_injection=None)
         report = run(inst, cfg)
         sol = forward_substitute(inst.A, report.params, inst.x_in, inst.b)
-        err_report = solution_error_report(inst, report.params, sol)
+        decay = decay_profile(inst, report.params.T, report.params.m)
+        err_report = solution_error_report(inst, report.params, sol, decay)
         eps_m = err_report.details["errors"][-1]
         x_T = reference_solution(inst, cfg.T)
         alpha = float(np.linalg.norm(x_T))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from odeql import suites
+from odeql import analysis, numerics, suites
 from odeql.errors import ParameterError
 
 
@@ -29,9 +29,50 @@ def test_run_suite_dispatch_and_shapes():
 
 
 def test_small_family_suites_pass():
-    assert suites.lemma2_suite(seed=1, **SMALL_FAMILY)["passed"]
-    assert suites.thm2_suite(seed=1, **SMALL_FAMILY)["passed"]
-    assert suites.thm3_suite(seed=1, **SMALL_FAMILY)["passed"]
+    family = suites.standard_family(seed=1, **SMALL_FAMILY)
+    assert suites.lemma2_suite(family)["passed"]
+    assert suites.thm2_suite(family)["passed"]
+    assert suites.thm3_suite(family)["passed"]
+
+
+def test_thm2_reads_the_members_trajectories(monkeypatch):
+    family = suites.standard_family(seed=1, **SMALL_FAMILY)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return numerics.reference_trajectory(*args)
+
+    monkeypatch.setattr(analysis, "reference_trajectory", counted)
+    assert suites.thm2_suite(family)["passed"]
+    assert calls == []
+
+
+def test_all_builds_one_family_and_shares_it(monkeypatch):
+    built = []
+    seen = {}
+    standard_family = suites.standard_family
+
+    def small_family(seed):
+        built.append(standard_family(seed, **SMALL_FAMILY))
+        return built[-1]
+
+    def recorded(name, suite):
+        def wrapper(family):
+            seen[name] = family
+            return suite(family)
+        return wrapper
+
+    monkeypatch.setattr(suites, "standard_family", small_family)
+    for name in ("lemma2", "lemma3", "thm1", "thm2", "thm3"):
+        attr = f"{name}_suite"
+        monkeypatch.setattr(suites, attr, recorded(name, getattr(suites, attr)))
+    report = suites.run_suite("all", trials=1)
+    assert report["passed"]
+    assert len(built) == 1
+    assert isinstance(built[0], tuple) and len(built[0]) == 6
+    assert sorted(seen) == ["lemma2", "lemma3", "thm1", "thm2", "thm3"]
+    assert all(family is built[0] for family in seen.values())
 
 
 def test_unknown_suite_rejected():
@@ -53,6 +94,7 @@ def test_family_suites_reject_trials(name):
 
 def test_all_forwards_trials_to_trial_suites_only(monkeypatch):
     calls = {}
+    monkeypatch.setattr(suites, "standard_family", lambda seed: ("family", seed))
 
     def stub(name):
         def suite(*args):
@@ -67,6 +109,7 @@ def test_all_forwards_trials_to_trial_suites_only(monkeypatch):
         monkeypatch.setattr(suites, attr, stub(name))
     report = suites.run_suite("all", trials=3, seed=5)
     assert report["passed"]
+    family = ("family", 5)
     assert calls == {"taylor": (3, 5), "lemma1": (3, 5), "appendixB": (3, 5),
-                     "lemma2": (5,), "lemma3": (5,), "thm1": (5,),
-                     "thm2": (5,), "thm3": (5,)}
+                     "lemma2": (family,), "lemma3": (family,), "thm1": (family,),
+                     "thm2": (family,), "thm3": (family,)}
