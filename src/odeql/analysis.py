@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator
 
 from .encoder import EncodedSystem, TaylorParams
 from .errors import (
@@ -34,13 +35,7 @@ from .errors import (
     IntegrityError,
     ParameterError,
 )
-from .numerics import (
-    POWER_SEED,
-    Instance,
-    _sigma_max,
-    reference_trajectory,
-    spectral_norm,
-)
+from .numerics import Instance, lanczos_norm, reference_trajectory
 from .solver import BlockSolution, block_solve
 
 # Relative slack accepted on every bound check; absorbs floating-point
@@ -132,13 +127,14 @@ class DecayProfile:
     """The true solution on the step grid, and its norm history.
 
     states holds the oracle states x(ih), i = 0..m, as rows (one
-    trajectory); step_norms are their norms, q is ||x(T)|| and
-    g_grid = max_i ||x(ih)|| / q, the quantity the measurement bound
-    consumes. A caller that needs a grid state, x(T) included, reads it
-    from here instead of integrating the ODE a second time.
+    trajectory) on the grid of step h; step_norms are their norms, q is
+    ||x(T)|| and g_grid = max_i ||x(ih)|| / q, the quantity the measurement
+    bound consumes. A caller that needs a grid state, x(T) included, reads
+    it from here instead of integrating the ODE a second time.
     """
 
     states: np.ndarray
+    h: float
     step_norms: np.ndarray
     q: float
     g_grid: float
@@ -157,15 +153,16 @@ def decay_profile(inst: Instance, T: float, m: int) -> DecayProfile:
     q = float(step_norms[-1])
     if q < 1e-300:
         raise DegenerateInputError("||x(T)|| vanishes; decay ratio undefined")
-    return DecayProfile(states=states, step_norms=step_norms, q=q,
+    return DecayProfile(states=states, h=T / m, step_norms=step_norms, q=q,
                         g_grid=float(step_norms.max() / q))
 
 
 def _require_grid(decay: DecayProfile, inst: Instance, params: TaylorParams) -> None:
     expected = (params.m + 1, inst.N)
-    if decay.states.shape != expected:
-        raise DimensionError(f"decay profile holds states of shape {decay.states.shape}, "
-                             f"expected {expected} for m={params.m}, N={inst.N}")
+    if decay.states.shape != expected or not math.isclose(decay.h, params.h, rel_tol=1e-12):
+        raise DimensionError(f"decay profile holds states of shape {decay.states.shape} "
+                             f"at step {decay.h:.6g}, expected {expected} at step "
+                             f"{params.h:.6g} for m={params.m}, N={inst.N}")
 
 
 # ---------------------------------------------------------------------------
@@ -238,27 +235,28 @@ def _component_split(system: EncodedSystem):
 def matrix_norm_bounds(system: EncodedSystem, components: bool = True) -> BoundReport:
     """Check ||C|| <= 2 sqrt(k) and (optionally) the three component norms.
 
+    ||C||, ||C2|| and ||C3|| come from ARPACK Lanczos (:func:`lanczos_norm`)
+    and ||Ah||, an N x N block, from a dense SVD; all are exact to rounding.
     The components satisfy ||C1|| = 1, ||C2|| = sqrt(k+1) and
-    ||C3|| = max(||Ah||, 1); each is verified by power iteration and must
-    match its closed form to 5e-4 relative (power-iteration accuracy).
+    ||C3|| = max(||Ah||, 1), and each must match its closed form to 1e-10
+    relative.
     """
     params = system.params
     if params.k < 5:
         raise HypothesisError(f"norm bound requires k >= 5, got k={params.k}")
     k = params.k
-    tol = 1e-6
 
-    norm_C = spectral_norm(system.matrix, tol)
+    norm_C = lanczos_norm(system.matrix)
     bound = 2.0 * math.sqrt(k)
     details = {"norm": norm_C, "bound": bound}
 
     if components:
         _, C2, C3 = _component_split(system)
-        norm_C2 = spectral_norm(C2, tol)
-        norm_C3 = spectral_norm(C3, tol)
+        norm_C2 = lanczos_norm(C2)
+        norm_C3 = lanczos_norm(C3)
         # ||Ah|| read off the first subdiagonal block, which stores -(Ah)/1.
         N = system.N
-        norm_Ah = spectral_norm(system.matrix[N:2 * N, :N].tocsr(), tol)
+        norm_Ah = float(np.linalg.norm(system.matrix[N:2 * N, :N].toarray(), 2))
         expected_C2 = math.sqrt(k + 1.0)
         expected_C3 = max(norm_Ah, 1.0)
         details.update({
@@ -268,8 +266,8 @@ def matrix_norm_bounds(system: EncodedSystem, components: bool = True) -> BoundR
             "component_subdiagonal": norm_C3,
             "component_subdiagonal_expected": expected_C3,
             "components_ok": bool(
-                abs(norm_C2 - expected_C2) <= 5e-4 * expected_C2
-                and abs(norm_C3 - expected_C3) <= 5e-4 * expected_C3
+                abs(norm_C2 - expected_C2) <= 1e-10 * expected_C2
+                and abs(norm_C3 - expected_C3) <= 1e-10 * expected_C3
             ),
         })
 
@@ -283,21 +281,23 @@ def matrix_norm_bounds(system: EncodedSystem, components: bool = True) -> BoundR
     )
 
 
-def inverse_norm(system: EncodedSystem, tol: float = 1e-6,
-                 max_iter: int = 10_000, seed: int = POWER_SEED) -> float:
-    """||C^{-1}|| = 1/sigma_min(C) by power iteration on the inverse Gram map.
+def inverse_norm(system: EncodedSystem) -> float:
+    """||C^{-1}|| = 1/sigma_min(C) by ARPACK Lanczos on the block solves.
 
-    Each iteration applies C^{-1} and C^{-dagger} by the structured block
-    solves; the matrix is never inverted.
+    :func:`lanczos_norm` runs on the operator C^{-1}, applied forward and
+    adjoint by :func:`~odeql.solver.block_solve`; the matrix is never
+    inverted. block_solve gets a dense copy of A, made once per call: it
+    costs N^2 memory, and at the N <= 16 of the suites and demos a dense
+    product is cheaper than a sparse product's dispatch.
     """
-    A, params = system.A, system.params
+    A, params = system.A.toarray(), system.params
     shape = (params.d + 1, system.N)
-    return _sigma_max(
-        lambda x: block_solve(A, params, x.reshape(shape).copy()).ravel(),
-        lambda y: block_solve(A, params, y.reshape(shape).copy(),
-                              adjoint=True).ravel(),
-        system.dim, tol, max_iter, seed,
-    )
+    return lanczos_norm(LinearOperator(
+        (system.dim, system.dim), dtype=complex,
+        matvec=lambda x: block_solve(A, params, x.reshape(shape).astype(complex)).ravel(),
+        rmatvec=lambda y: block_solve(A, params, y.reshape(shape).astype(complex),
+                                      adjoint=True).ravel(),
+    ))
 
 
 def _require_eigenvalue_hypotheses(eigenvalues, h: float) -> None:

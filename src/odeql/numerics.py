@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence, svds
 
 from .errors import ConvergenceError, DimensionError, ParameterError
 
@@ -97,6 +98,22 @@ def spectral_norm(M, tol: float = 1e-6, max_iter: int = 10_000, seed: int = POWE
         return 0.0
     MH = _adjoint(M)
     return _sigma_max(lambda x: M @ x, lambda y: MH @ y, n, tol, max_iter, seed)
+
+
+def lanczos_norm(M) -> float:
+    """Largest singular value of a sparse matrix or a LinearOperator.
+
+    ARPACK Lanczos (``svds``, k=1) on M^dagger M to machine precision, from
+    a start vector fixed by POWER_SEED, so the value repeats bit for bit and
+    numpy's global RNG is never drawn from. A LinearOperator must supply
+    rmatvec. M must be nonzero with min(M.shape) >= 2. Raises
+    ConvergenceError when ARPACK does not converge.
+    """
+    v0 = np.random.default_rng(POWER_SEED).standard_normal(M.shape[1])
+    try:
+        return float(svds(M, k=1, v0=v0, return_singular_vectors=False)[0])
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
 
 
 def _operator_norm1(A):

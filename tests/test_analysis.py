@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import svdvals
 
 from odeql.analysis import (
     COLUMN_ENTRY_BOUND,
@@ -37,6 +38,7 @@ from odeql.errors import (
 from odeql.instances import GenSpec, generate
 from odeql.numerics import make_instance, reference_trajectory
 from odeql.solver import BlockSolution, block_solve, forward_substitute
+from odeql.suites import standard_family
 
 
 def grid_decay(inst, params):
@@ -162,7 +164,7 @@ class TestInverseNorm:
             inst, params, system = small_system(seed=seed, N=3, m=2, k=5)
             dense = system.matrix.toarray()
             exact = 1.0 / np.linalg.svd(dense, compute_uv=False)[-1]
-            assert inverse_norm(system) == pytest.approx(exact, rel=1e-4)
+            assert inverse_norm(system) == pytest.approx(exact, rel=1e-12)
 
     def test_scalar_system_against_svd(self):
         # N = 1, lambda = 0, m = p = 1, k = 5: bound 3 sqrt(5) * 2 ~ 13.4.
@@ -172,7 +174,7 @@ class TestInverseNorm:
         exact = 1.0 / np.linalg.svd(system.matrix.toarray(),
                                     compute_uv=False)[-1]
         measured = inverse_norm(system)
-        assert measured == pytest.approx(exact, rel=1e-5)
+        assert measured == pytest.approx(exact, rel=1e-12)
         assert measured <= 3.0 * math.sqrt(5.0) * 2.0
 
     def test_bound_normal_and_conditioned(self):
@@ -185,6 +187,43 @@ class TestInverseNorm:
         inst, params, system = small_system(seed=4)
         with pytest.raises(HypothesisError):
             inverse_norm_bound(system, inst.kappa_V, np.array([0.5 + 0j]))
+
+
+class TestLanczosNorms:
+    """The Lanczos path against dense SVDs, and its reproducibility."""
+
+    def test_family_norms_match_dense_svd(self):
+        checked = 0
+        for member in standard_family(0):
+            system = encode(member.inst.A, member.inst.x_in, member.inst.b,
+                            member.params)
+            if system.dim > 432:
+                continue
+            report = matrix_norm_bounds(system)
+            _, C2, C3 = _component_split(system)
+            singular = svdvals(system.matrix.toarray())
+            pairs = (
+                (report.details["norm"], singular[0]),
+                (report.details["component_collector"], svdvals(C2.toarray())[0]),
+                (report.details["component_subdiagonal"], svdvals(C3.toarray())[0]),
+                (inverse_norm(system), 1.0 / singular[-1]),
+            )
+            for measured, exact in pairs:
+                assert measured == pytest.approx(exact, rel=1e-12, abs=0)
+            assert report.details["components_ok"]
+            checked += 1
+        assert checked >= 40
+
+    def test_repeatable_and_leaves_global_rng_alone(self):
+        inst, params, system = small_system(seed=2, N=4, kappa=3.0)
+        np.random.seed(123)
+        before = np.random.get_state()
+        first = (matrix_norm_bounds(system).details, inverse_norm(system))
+        after = np.random.get_state()
+        assert before[0] == after[0]
+        np.testing.assert_array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
+        assert (matrix_norm_bounds(system).details, inverse_norm(system)) == first
 
 
 class TestConditionNumber:
@@ -296,6 +335,17 @@ class TestReportArguments:
             solution_error_report(inst, params, sol, other)
         with pytest.raises(DimensionError):
             success_probability_report(inst, params, sol, other)
+
+    def test_decay_of_another_time_grid_rejected(self):
+        # Same m, twice the T: the states have the right shape but the wrong
+        # times, and read as an error of 3.1e5 times the bound.
+        inst, params, sol = self._scalar(m=2)
+        other = decay_profile(inst, 2 * params.T, params.m)
+        with pytest.raises(DimensionError):
+            solution_error_report(inst, params, sol, other)
+        with pytest.raises(DimensionError):
+            success_probability_report(inst, params, sol, other)
+        assert solution_error_report(inst, params, sol, grid_decay(inst, params)).passed
 
     def test_history_not_starting_at_x_in_is_an_integrity_error(self):
         inst, params, sol = self._scalar()

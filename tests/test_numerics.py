@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator
 
 from odeql.errors import DimensionError, ParameterError
 from odeql.instances import GenSpec, generate, random_unitary
@@ -19,6 +20,7 @@ from odeql.numerics import (
     Instance,
     evolve,
     exp_action,
+    lanczos_norm,
     make_instance,
     reference_solution,
     reference_trajectory,
@@ -101,6 +103,19 @@ class TestSpectralNorm:
             spectral_norm(M, tol=1e-6, max_iter=2)
         assert exc.value.last_iterate is not None
         assert exc.value.residual is not None
+
+
+class TestLanczosNorm:
+    def test_constructed_svd_sparse_and_operator(self):
+        # Top two singular values 1e-9 apart: Lanczos still resolves the top.
+        rng = np.random.default_rng(7)
+        Q1, Q2 = random_unitary(8, rng), random_unitary(8, rng)
+        sigma = np.array([2.0, 2.0 - 1e-9, 0.9, 0.5, 0.3, 0.2, 0.1, 0.05])
+        M = (Q1 * sigma) @ Q2.conj().T
+        assert lanczos_norm(sp.csr_matrix(M)) == pytest.approx(2.0, rel=1e-13)
+        op = LinearOperator(M.shape, dtype=complex, matvec=lambda x: M @ x,
+                            rmatvec=lambda y: M.conj().T @ y)
+        assert lanczos_norm(op) == pytest.approx(2.0, rel=1e-13)
 
 
 class TestExpAction:
