@@ -34,9 +34,9 @@ SHIFT_MARGIN = 1e-6
 class GenSpec:
     """Recipe for one test problem.
 
-    kappa_V prescribes the exact condition number of V (dense mode only);
-    sparsity switches to the measured-kappa sparse mode. b_mode selects a
-    zero or random unit-norm inhomogeneity. unit_norm rescales the
+    kappa_V prescribes the exact, finite condition number of V (dense mode
+    only); sparsity switches to the measured-kappa sparse mode. b_mode
+    selects a zero or random unit-norm inhomogeneity. unit_norm rescales the
     eigenvalues so that ||A|| <= 1.
     """
 
@@ -57,6 +57,8 @@ class GenSpec:
                 f"eig_profile must be one of {EIG_PROFILES}, got {self.eig_profile!r}")
         if self.eig_profile == "scalar" and self.eig_value is None:
             raise ParameterError("the scalar profile needs eig_value")
+        if self.eig_value is not None and not np.isfinite(self.eig_value):
+            raise ParameterError(f"eig_value must be finite, got {self.eig_value}")
         if self.b_mode not in ("zero", "random"):
             raise ParameterError(f"b_mode must be 'zero' or 'random', got {self.b_mode!r}")
         if self.sparsity is not None:
@@ -68,8 +70,8 @@ class GenSpec:
                     "set kappa_V=None when sparsity is given (the two modes are "
                     "mutually exclusive)")
         else:
-            if self.kappa_V is None or self.kappa_V < 1.0:
-                raise ParameterError(f"kappa_V must be >= 1, got {self.kappa_V}")
+            if self.kappa_V is None or not 1.0 <= self.kappa_V < math.inf:
+                raise ParameterError(f"kappa_V must be finite and >= 1, got {self.kappa_V}")
 
 
 def random_unitary(n: int, rng) -> np.ndarray:

@@ -14,7 +14,9 @@ at a cost of m*k sparse matrix-vector products plus vector additions.
 C^dagger for any stack of right-hand sides, and backs forward substitution,
 the inverse-norm estimate and the scalar inverse columns.
 The assembled matrix is solved only by :func:`generic_solve`, the
-independent cross-check.
+independent cross-check: it first proves the matrix is canonical CSR and unit
+lower triangular, then hands it to SuperLU's triangular solve with the
+diagonal declared unit.
 """
 
 from __future__ import annotations
@@ -122,24 +124,32 @@ def forward_substitute(A, params: TaylorParams, x_in, b) -> BlockSolution:
 
 
 def _check_triangular(C: sp.csr_matrix) -> None:
-    """Verify unit lower triangularity structurally: cols <= row, diagonal 1."""
+    """Prove C is canonical CSR and unit lower triangular.
+
+    Canonical (sorted column indices, no duplicates) puts each row's largest
+    column in its last entry, so "the last entry is the diagonal and equals 1"
+    rules out every entry above the diagonal and every split diagonal value.
+    """
+    if not C.has_canonical_format:
+        raise IntegrityError("matrix is not canonical CSR "
+                             "(unsorted or duplicate column indices)")
     n = C.shape[0]
-    rows = np.repeat(np.arange(n), np.diff(C.indptr))
-    if np.any(C.indices > rows):
-        raise IntegrityError("matrix has entries above the diagonal")
     last = C.indptr[1:] - 1
     if np.any(C.indptr[1:] == C.indptr[:-1]):
         raise IntegrityError("matrix has an empty row (missing diagonal)")
     if np.any(C.indices[last] != np.arange(n)) or np.any(C.data[last] != 1.0):
-        raise IntegrityError("diagonal entries must all be stored and equal 1")
+        raise IntegrityError("the last entry of every row must be its diagonal, "
+                             "equal to 1 (nothing above the diagonal)")
 
 
 def generic_solve(system: EncodedSystem) -> np.ndarray:
-    """Cross-validation path: solve the assembled matrix by generic sparse
-    forward substitution after checking its triangular structure."""
+    """Cross-validation path: generic sparse forward substitution (SuperLU)
+    on the assembled matrix, once its canonical, unit lower-triangular form
+    is proved. SuperLU is told the diagonal is unit, so it skips rescaling
+    by a diagonal of ones; it works on a copy, never on ``system.matrix``."""
     C = system.matrix
     _check_triangular(C)
-    return spsolve_triangular(C, system.rhs, lower=True)
+    return spsolve_triangular(C, system.rhs, lower=True, unit_diagonal=True)
 
 
 def residual(system: EncodedSystem, x) -> float:

@@ -141,6 +141,20 @@ def test_run_missing_instance_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kappa", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["gen", "run"])
+def test_non_finite_kappa_exits_2(command, kappa, tmp_path, capsys):
+    # an infinite or NaN condition number is a bad parameter, not a crash
+    if command == "gen":
+        args = ["gen", "--out", str(tmp_path / "inst"), "--N", "2", "--kappa", kappa]
+    else:
+        args = ["run", "--gen", f"N=2,kappa={kappa}", "--T", "1", "--epsilon", "1e-3"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "inst").exists()
+
+
 def test_step_bound_violation_exits_2(instance_dir, tmp_path):
     code = main(["encode", "--instance", str(instance_dir),
                  "--m", "1", "--k", "5", "--p", "1", "--h", "50.0",

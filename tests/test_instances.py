@@ -1,5 +1,7 @@
 """Tests for the seeded instance factory."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,13 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             generate(GenSpec(N=2, kappa_V=1.0, eig_profile="scalar",
                              eig_value=0.5, seed=0))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ParameterError):
+            GenSpec(N=2, kappa_V=bad)
+        with pytest.raises(ParameterError):
+            GenSpec(N=2, eig_profile="scalar", eig_value=complex(-bad, 0.0))
 
     def test_unitary_is_unitary(self):
         rng = np.random.default_rng(0)

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve_triangular
 
 from odeql.encoder import TaylorParams, encode
 from odeql.errors import IntegrityError
@@ -181,12 +182,35 @@ class TestGenericSolve:
         assert x[6, 0] == 5.0          # collector: x_in + h b
         assert x[7, 0] == 5.0          # padding copy
 
-    def test_triangularity_integrity(self):
+    @pytest.mark.parametrize("breaker", [
+        "above_diagonal", "duplicate_diagonal", "diagonal_two", "unsorted_row"])
+    def test_triangularity_integrity(self, breaker):
         inst, params = random_problem(0, N=2, m=1, k=5, p=1)
         system = encode(inst.A, inst.x_in, inst.b, params)
-        broken = system.matrix.tolil()
-        broken[0, 3] = 1.0  # entry above the diagonal
-        bad = type(system)(matrix=broken.tocsr(), rhs=system.rhs,
+        C = system.matrix
+        data, indices, indptr = C.data.copy(), C.indices.copy(), C.indptr.copy()
+        r = 3  # row of block (0,1): -Ah entries in columns 0, 1, then the diagonal
+        start, end = indptr[r], indptr[r + 1]
+        assert list(indices[start:end]) == [0, 1, r] and data[end - 1] == 1.0
+        if breaker == "above_diagonal":
+            broken = C.tolil()
+            broken[0, 3] = 1.0
+            broken = broken.tocsr()
+        else:
+            if breaker == "duplicate_diagonal":
+                # (r, r) stored twice, 0.5 then 1.0: the true diagonal is 1.5
+                data = np.insert(data, end - 1, 0.5)
+                indices = np.insert(indices, end - 1, r)
+                indptr[r + 1:] += 1
+            elif breaker == "diagonal_two":
+                data[end - 1] = 2.0
+            else:
+                # off-diagonal columns swapped: the diagonal is still last and 1
+                swap = [start + 1, start]
+                indices[[start, start + 1]] = indices[swap]
+                data[[start, start + 1]] = data[swap]
+            broken = sp.csr_matrix((data, indices, indptr), shape=C.shape)
+        bad = type(system)(matrix=broken, rhs=system.rhs,
                            params=system.params, N=system.N, A=system.A)
         with pytest.raises(IntegrityError):
             generic_solve(bad)
@@ -209,7 +233,6 @@ class TestAdjointSolve:
         rng = np.random.default_rng(1)
         x = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
         y = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
-        from scipy.sparse.linalg import spsolve_triangular
         inv_x = spsolve_triangular(system.matrix, x, lower=True)
         adj_y = adjoint_solve(system, y)
         lhs = np.vdot(adj_y, x)
@@ -272,7 +295,14 @@ def test_any_layout_cross_validates(m, k, p, N, seed):
     system = encode(A, x_in, b, params)
     assert system.matrix.nnz == system.expected_nnz
     direct = forward_substitute(A, params, x_in, b).vector()
+    C = system.matrix
+    before = (C.data.copy(), C.indices.copy(), C.indptr.copy())
     generic = generic_solve(system)
+    # the unit-diagonal solve is bitwise SuperLU's rescale-by-diagonal solve,
+    # and it leaves the shared matrix untouched
+    assert np.array_equal(generic, spsolve_triangular(C, system.rhs, lower=True))
+    for old, new in zip(before, (C.data, C.indices, C.indptr)):
+        assert np.array_equal(old, new)
     scale = np.linalg.norm(generic)
     assert np.linalg.norm(direct - generic) <= 1e-12 * scale
     assert residual(system, direct) <= 1e-12
