@@ -35,7 +35,7 @@ from .errors import (
     IntegrityError,
     ParameterError,
 )
-from .numerics import Instance, lanczos_norm, reference_trajectory
+from .numerics import Instance, lanczos_norm, norm2, reference_trajectory
 from .solver import BlockSolution, block_solve
 
 # Relative slack accepted on every bound check; absorbs floating-point
@@ -236,7 +236,7 @@ def matrix_norm_bounds(system: EncodedSystem, components: bool = True) -> BoundR
     """Check ||C|| <= 2 sqrt(k) and (optionally) the three component norms.
 
     ||C||, ||C2|| and ||C3|| come from ARPACK Lanczos (:func:`lanczos_norm`)
-    and ||Ah||, an N x N block, from a dense SVD; all are exact to rounding.
+    and ||Ah||, an N x N block, from :func:`norm2`; all are exact to rounding.
     The components satisfy ||C1|| = 1, ||C2|| = sqrt(k+1) and
     ||C3|| = max(||Ah||, 1), and each must match its closed form to 1e-10
     relative.
@@ -256,7 +256,7 @@ def matrix_norm_bounds(system: EncodedSystem, components: bool = True) -> BoundR
         norm_C3 = lanczos_norm(C3)
         # ||Ah|| read off the first subdiagonal block, which stores -(Ah)/1.
         N = system.N
-        norm_Ah = float(np.linalg.norm(system.matrix[N:2 * N, :N].toarray(), 2))
+        norm_Ah = norm2(system.matrix[N:2 * N, :N].toarray())
         expected_C2 = math.sqrt(k + 1.0)
         expected_C3 = max(norm_Ah, 1.0)
         details.update({

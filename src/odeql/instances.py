@@ -140,11 +140,10 @@ def generate(spec: GenSpec) -> Instance:
             # ||A|| a hair above 1
             dense /= scale * (1.0 + 1e-7)
         eigvals, V = np.linalg.eig(dense)
-        V_inv = np.linalg.inv(V)
         A = sp.csr_matrix(dense)
         x_in, b = _states(spec, rng)
         label = f"gen(N={spec.N},s={spec.sparsity},seed={spec.seed})"
-        return make_instance(V, eigvals, b, x_in, V_inv=V_inv, A=A, label=label)
+        return make_instance(V, eigvals, b, x_in, A=A, label=label)
 
     eigvals = _sample_eigenvalues(spec, rng)
     if spec.N == 1:

@@ -37,6 +37,7 @@ from odeql.errors import (
 )
 from odeql.instances import GenSpec, generate
 from odeql.numerics import make_instance, reference_trajectory
+from odeql.pipeline import choose_parameters
 from odeql.solver import BlockSolution, block_solve, forward_substitute
 from odeql.suites import standard_family
 
@@ -187,6 +188,27 @@ class TestInverseNorm:
         inst, params, system = small_system(seed=4)
         with pytest.raises(HypothesisError):
             inverse_norm_bound(system, inst.kappa_V, np.array([0.5 + 0j]))
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("kappa", [1e6, 1e9])
+@pytest.mark.parametrize("N", [2, 4, 8])
+def test_inverse_norm_and_condition_bounds_at_large_kappa(N, kappa, m):
+    # Lemma 2 and Theorem 1 scale with kappa_V; check them where it is large,
+    # on the family's layout rule: T a hair under m/||A||, epsilon = 1e-3.
+    inst = generate(GenSpec(N=N, kappa_V=kappa, b_mode="random", seed=0,
+                            unit_norm=True))
+    normA = float(np.linalg.norm(inst.A.toarray(), 2))
+    T = 0.999 * m / normA
+    decay = decay_profile(inst, T, m)
+    params = choose_parameters(T, normA, 1e-3, decay.g_grid, inst.kappa_V,
+                               float(np.linalg.norm(inst.x_in)),
+                               float(np.linalg.norm(inst.b)), decay.q).params
+    assert params.m == m
+    system = encode(inst.A, inst.x_in, inst.b, params)
+    for report in (inverse_norm_bound(system, inst.kappa_V, inst.eigenvalues),
+                   condition_number_bound(system, inst.kappa_V, inst.eigenvalues)):
+        assert report.passed, report.to_json_dict()
 
 
 class TestLanczosNorms:

@@ -141,6 +141,24 @@ def test_run_missing_instance_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_run_tampered_matrix_exits_2(tmp_path, capsys):
+    # A + 0.5 I has max Re(lambda) = +0.42 while eigenvalues.txt still holds
+    # the stable spectrum; loading must catch the mismatch, not report on it.
+    from odeql.fileio import save_instance, save_matrix
+    inst = generate(GenSpec(N=4, kappa_V=2.0, b_mode="random", seed=3,
+                            unit_norm=True))
+    save_instance(tmp_path / "inst", inst)
+    save_matrix(tmp_path / "inst" / "A.mtx",
+                inst.A + 0.5 * sp.eye(4, format="csr"))
+    code = main(["run", "--instance", str(tmp_path / "inst"), "--T", "2",
+                 "--epsilon", "1e-3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: |A V - V diag(eigenvalues)|_max")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("kappa", ["inf", "nan"])
 @pytest.mark.parametrize("command", ["gen", "run"])
 def test_non_finite_kappa_exits_2(command, kappa, tmp_path, capsys):

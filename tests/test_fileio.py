@@ -1,7 +1,12 @@
 """Round-trip tests for the matrix, vector and instance file formats."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odeql.fileio import (
     load_instance,
@@ -64,3 +69,27 @@ def test_instance_round_trip(tmp_path):
     np.testing.assert_array_equal(back.A.toarray(), inst.A.toarray())
     assert back.kappa_V == inst.kappa_V
     assert back.label == inst.label
+
+
+@given(N=st.integers(1, 12), kappa=st.floats(1.0, 1e9), sparse=st.booleans(),
+       sparsity=st.integers(1, 12), b_mode=st.sampled_from(["zero", "random"]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_instance_round_trip_fuzz(N, kappa, sparse, sparsity, b_mode, seed):
+    # load_instance re-validates, so every drawn instance also passes the
+    # file path's checks; what comes back must be bit for bit what was saved.
+    if sparse:
+        spec = GenSpec(N=N, kappa_V=None, sparsity=min(sparsity, N),
+                       b_mode=b_mode, seed=seed)
+    else:
+        spec = GenSpec(N=N, kappa_V=1.0 if N == 1 else kappa, b_mode=b_mode,
+                       seed=seed)
+    inst = generate(spec)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_instance(Path(tmp) / "inst", inst)
+        back = load_instance(Path(tmp) / "inst")
+    for name in ("V", "V_inv", "eigenvalues", "x_in", "b"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(inst, name))
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(back.A, name), getattr(inst.A, name))
+    assert back.kappa_V == inst.kappa_V

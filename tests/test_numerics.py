@@ -14,9 +14,11 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
+from odeql import numerics
 from odeql.errors import DimensionError, ParameterError
 from odeql.instances import GenSpec, generate, random_unitary
 from odeql.numerics import (
+    LANCZOS_CUTOFF,
     Instance,
     evolve,
     exp_action,
@@ -309,9 +311,57 @@ class TestInstanceValidation:
             make_instance(np.eye(2), [-1.0, -0.5], np.zeros(2), np.ones(2),
                           V_inv=np.eye(2) + 1e-10)
 
+    def test_inconsistent_or_non_finite_decomposition_rejected(self):
+        V = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+        A = (V * np.array([-1.0, -0.5])) @ np.linalg.inv(V)
+        with pytest.raises(ParameterError, match=r"\|A V - V diag"):
+            make_instance(V, [-1.0, -0.5], np.zeros(2), np.ones(2),
+                          A=A + 1e-6 * np.eye(2))
+        with pytest.raises(ParameterError, match=r"\|A V - V diag"):
+            make_instance(V, [-1.0, -0.5], np.zeros(2), np.ones(2),
+                          A=np.where(A == 0, np.nan, A))
+        with pytest.raises(ParameterError, match="non-finite"):
+            make_instance(V + 1.0, [-np.inf, -0.5], np.zeros(2), np.ones(2),
+                          A=A)
+
     def test_make_instance_builds_A(self):
         inst = make_instance(np.eye(2), [-1.0, -0.5], np.zeros(2), np.ones(2))
         np.testing.assert_allclose(inst.A.toarray(), np.diag([-1.0, -0.5]),
                                    atol=1e-15)
         assert inst.kappa_V == pytest.approx(1.0)
         assert isinstance(inst, Instance)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    inner = getattr(numerics, name)
+
+    def wrapper(M):
+        calls.append(M.shape)
+        return inner(M)
+
+    monkeypatch.setattr(numerics, name, wrapper)
+    return calls
+
+
+class TestConditionMeasurement:
+    """kappa_V = |V||V_inv| is measured once per instance, on either path."""
+
+    def test_sparse_generate_takes_two_norms(self, monkeypatch):
+        calls = _counting(monkeypatch, "norm2")
+        generate(GenSpec(N=10, kappa_V=None, sparsity=3, b_mode="random", seed=6))
+        assert calls == [(10, 10), (10, 10)]
+
+    @pytest.mark.parametrize("N", [LANCZOS_CUTOFF - 1, LANCZOS_CUTOFF])
+    def test_known_singular_values_on_both_paths(self, monkeypatch, N):
+        lanczos_calls = _counting(monkeypatch, "lanczos_norm")
+        rng = np.random.default_rng(N)
+        sigma = np.concatenate([[40.0], rng.uniform(0.5, 40.0, N - 2), [0.5]])
+        Q1 = random_unitary(N, rng)
+        Q2 = random_unitary(N, rng)
+        V = (Q1 * sigma) @ Q2.conj().T
+        V_inv = (Q2 / sigma) @ Q1.conj().T
+        eigenvalues = -rng.uniform(0.1, 1.0, N)
+        inst = make_instance(V, eigenvalues, np.zeros(N), np.ones(N), V_inv=V_inv)
+        assert inst.kappa_V == pytest.approx(80.0, rel=1e-12, abs=0)
+        assert len(lanczos_calls) == (2 if N >= LANCZOS_CUTOFF else 0)
