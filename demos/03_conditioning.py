@@ -36,7 +36,7 @@ for kappa in (1.0, 3.0, 10.0):
           f"{cond_report.details['bound']:18.2f} "
           f"{cond_report.worst_ratio:7.3f}")
 
-print("\ncomponent check on the last system (power iteration vs closed form):")
+print("\ncomponent check on the last system (Lanczos norm vs closed form):")
 print(f"  collector part |C2| = {norm_report.details['component_collector']:.6f}"
       f"  (expected sqrt(k+1) = {norm_report.details['component_collector_expected']:.6f})")
 print(f"  subdiagonal   |C3| = {norm_report.details['component_subdiagonal']:.6f}"

@@ -18,11 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, pipeline, suites
-from .analysis import decay_profile
 from .encoder import TaylorParams, encode
 from .errors import BoundViolationError, DegenerateInputError, OdeqlError
 from .instances import GenSpec, generate
-from .numerics import make_instance, spectral_norm
+from .numerics import make_instance
 from .solver import forward_substitute, residual
 
 DEFAULT_SEED = int(os.environ.get("ODEQL_SEED", "0"))
@@ -95,10 +94,11 @@ def _instance_from_matrix(A, x_in, b):
     """
     dense = A.toarray() if hasattr(A, "toarray") else np.asarray(A)
     eigvals, V = np.linalg.eig(dense)
-    kappa_V = float(np.linalg.cond(V))
-    if not kappa_V < DEFECTIVE_KAPPA_V:
-        raise DegenerateInputError(f"A is numerically defective (kappa_V = {kappa_V:.2g})")
-    return make_instance(V, eigvals, b, x_in, A=A, label="from-files")
+    inst = make_instance(V, eigvals, b, x_in, A=A, label="from-files")
+    if not inst.kappa_V < DEFECTIVE_KAPPA_V:
+        raise DegenerateInputError(
+            f"A is numerically defective (kappa_V = {inst.kappa_V:.2g})")
+    return inst
 
 
 def _resolve_params(args, A, x_in, b, inst) -> TaylorParams:
@@ -117,13 +117,7 @@ def _resolve_params(args, A, x_in, b, inst) -> TaylorParams:
         raise OdeqlError("give either --m/--k/--p/--h or --T/--epsilon")
     if inst is None:
         inst = _instance_from_matrix(A, x_in, b)
-    normA = spectral_norm(A, tol=1e-6)
-    m = pipeline.step_count(args.T, normA)
-    decay = decay_profile(inst, args.T, m)
-    chosen = pipeline.choose_parameters(
-        args.T, normA, args.epsilon, decay.g_grid, inst.kappa_V,
-        float(np.linalg.norm(x_in)), float(np.linalg.norm(b)), decay.q)
-    return chosen.params
+    return pipeline.plan(inst, args.T, args.epsilon)[0].params
 
 
 def _add_problem_flags(sub, with_gen=False):

@@ -43,11 +43,11 @@ from .errors import (
     HypothesisError,
     ParameterError,
 )
-from .numerics import as_state, spectral_norm
+from .numerics import as_state, norm2
 
-# Relative tolerance on the |A|h <= 1 gate; spectral_norm is itself
-# approximate, so hard equality would spuriously reject h = 1/|A|.
-STEP_BOUND_SLACK = 1e-9
+# Relative rounding bar on the |A|h <= 1 gate: norm2 is exact to rounding, so
+# the bar only admits an h = 1/|A| that picked up rounding on its way.
+STEP_BOUND_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ class EncodedSystem:
 
 
 def _require_step_bound(A: sp.csr_matrix, h: float) -> None:
-    norm = spectral_norm(A, tol=1e-6)
+    norm = norm2(A)
     if norm * h > 1.0 + STEP_BOUND_SLACK:
         raise ParameterError(
             f"|A| h = {norm * h:.6g} exceeds 1; shrink the step to h <= {1.0 / norm:.6g}"
@@ -172,7 +172,7 @@ def _as_csr(A) -> sp.csr_matrix:
 def build_matrix(A, params: TaylorParams) -> sp.csr_matrix:
     """Assemble the (d+1)N x (d+1)N encoded block matrix for step generator Ah.
 
-    Requires |A| h <= 1 (within a 1e-9 relative slack); raises ParameterError
+    Requires |A| h <= 1 (up to a 1e-12 rounding bar); raises ParameterError
     directing the caller to shrink h otherwise. The result is unit lower
     triangular with sorted column indices and is returned in CSR form.
     """

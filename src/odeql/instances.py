@@ -7,10 +7,10 @@ Two mutually exclusive generation modes:
   extremes pinned, so kappa_V is exact by construction; eigenvalues are
   sampled from the requested profile inside the closed left half-disk.
 * sparse mode (sparsity s set): A starts from a random pattern with at most
-  s entries per row and column (a union of s permutations), is shifted so
-  every eigenvalue has strictly negative real part, rescaled to ||A|| <= 1,
-  and its eigendecomposition is then measured, not prescribed; kappa_V
-  cannot be requested in this mode.
+  s entries per row and column (a union of s permutations), whose one eig
+  gives V; A and its eigenvalues are then shifted so every eigenvalue has
+  strictly negative real part and rescaled to ||A|| <= 1; kappa_V cannot
+  be requested in this mode.
 """
 
 from __future__ import annotations
@@ -132,14 +132,17 @@ def generate(spec: GenSpec) -> Instance:
     if spec.sparsity is not None:
         A0 = _sparse_pattern(spec.N, spec.sparsity, rng)
         dense = A0.toarray()
-        shift = float(np.linalg.eigvals(dense).real.max()) + SHIFT_MARGIN
+        eigvals, V = np.linalg.eig(dense)  # the shift and scale below keep V
+        shift = float(eigvals.real.max()) + SHIFT_MARGIN
         dense -= shift * np.eye(spec.N)
+        eigvals -= shift
         scale = spectral_norm(dense, tol=1e-8)
         if scale > 1.0:
             # extra margin so a slightly low norm estimate cannot leave
             # ||A|| a hair above 1
-            dense /= scale * (1.0 + 1e-7)
-        eigvals, V = np.linalg.eig(dense)
+            scale *= 1.0 + 1e-7
+            dense /= scale
+            eigvals /= scale
         A = sp.csr_matrix(dense)
         x_in, b = _states(spec, rng)
         label = f"gen(N={spec.N},s={spec.sparsity},seed={spec.seed})"

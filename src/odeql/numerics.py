@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -120,10 +121,17 @@ def lanczos_norm(M) -> float:
         raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
 
 
-def norm2(M: np.ndarray) -> float:
-    """||M||_2 of a dense matrix: dense SVD below LANCZOS_CUTOFF, else Lanczos."""
+def norm2(M) -> float:
+    """||M||_2 of a dense or sparse M: dense SVD below LANCZOS_CUTOFF, else Lanczos.
+
+    Non-finite entries raise ParameterError; an all-zero M is 0.0, without ARPACK."""
+    data = M.data if sp.issparse(M) else M
+    if not np.all(np.isfinite(data)):
+        raise ParameterError("matrix contains non-finite entries")
+    if not np.any(data):
+        return 0.0
     if min(M.shape) < LANCZOS_CUTOFF:
-        return float(np.linalg.norm(M, 2))
+        return float(np.linalg.norm(M.toarray() if sp.issparse(M) else M, 2))
     return lanczos_norm(M)
 
 
@@ -248,8 +256,8 @@ class Instance:
 
     Carries its eigendecomposition (prescribed in dense ``generate`` mode,
     from an eigensolver in sparse mode and for file input), b, x_in and
-    kappa_V = |V| |V^{-1}|. Immutable; validated on creation via
-    :func:`make_instance`.
+    kappa_V = |V| |V^{-1}|; ||A|| is measured once, on first use of
+    ``norm_A``. Immutable; validated on creation via :func:`make_instance`.
     """
 
     V: np.ndarray
@@ -264,6 +272,11 @@ class Instance:
     @property
     def N(self) -> int:
         return self.x_in.size
+
+    @cached_property
+    def norm_A(self) -> float:
+        """||A||_2 by :func:`norm2`, measured on first use and kept."""
+        return norm2(self.A)
 
     def validate(self, norm_V: float, norm_V_inv: float) -> None:
         """Check the construction invariants; raise ParameterError on failure.

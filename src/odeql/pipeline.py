@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import decay_profile
+from .analysis import DecayProfile, decay_profile
 from .encoder import BlockIndex, TaylorParams
 from .errors import (
     BoundViolationError,
@@ -36,13 +36,8 @@ from .errors import (
     DimensionError,
     ParameterError,
 )
-from .numerics import Instance, as_state, reference_solution, spectral_norm
+from .numerics import Instance, as_state, reference_solution
 from .solver import forward_substitute
-
-# The norm estimate is inflated by this factor before the ceiling that sets
-# the step count, so an estimate a hair below the true norm cannot produce
-# a step with ||A h|| > 1.
-NORM_INFLATION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -131,12 +126,12 @@ class PipelineReport:
 
 
 def step_count(T: float, normA: float) -> int:
-    """m = ceil(T ||A||), with the estimate inflated to stay on the safe side."""
+    """The paper's step count m = ceil(T ||A||), so that ||A h|| <= 1 at h = T/m."""
     if not (math.isfinite(T) and T > 0):
         raise ParameterError(f"T must be positive and finite, got {T}")
     if not (math.isfinite(normA) and normA > 0):
         raise ParameterError(f"||A|| must be positive and finite, got {normA}")
-    return max(1, math.ceil(T * normA * (1.0 + NORM_INFLATION)))
+    return max(1, math.ceil(T * normA))
 
 
 def choose_parameters(T: float, normA: float, epsilon: float, g: float,
@@ -193,6 +188,17 @@ def choose_parameters(T: float, normA: float, epsilon: float, g: float,
         k_formula=k_formula,
         factorial_log_slack=math.lgamma(k + 2) - log_omega,
     )
+
+
+def plan(inst: Instance, T: float, epsilon: float) -> tuple[ChosenParameters, DecayProfile]:
+    """(chosen, decay): m = step_count(T, inst.norm_A), the decay profile on
+    that grid, and the parameters :func:`choose_parameters` picks from it."""
+    m = step_count(T, inst.norm_A)
+    decay = decay_profile(inst, T, m)
+    chosen = choose_parameters(T, inst.norm_A, epsilon, decay.g_grid, inst.kappa_V,
+                               float(np.linalg.norm(inst.x_in)),
+                               float(np.linalg.norm(inst.b)), decay.q)
+    return chosen, decay
 
 
 def _perturb_on_sphere(unit_vec: np.ndarray, delta: float, rng) -> np.ndarray:
@@ -317,13 +323,7 @@ def measure(inst: Instance, params: TaylorParams, seed: int,
 
 def run(inst: Instance, cfg: RunConfig) -> PipelineReport:
     """Full end-to-end emulated run; see the module docstring for the stages."""
-    normA = spectral_norm(inst.A, tol=1e-6)
-    m = step_count(cfg.T, normA)
-    decay = decay_profile(inst, cfg.T, m)
-    x_in_norm = float(np.linalg.norm(inst.x_in))
-    b_norm = float(np.linalg.norm(inst.b))
-    chosen = choose_parameters(cfg.T, normA, cfg.epsilon, decay.g_grid,
-                               inst.kappa_V, x_in_norm, b_norm, decay.q)
+    chosen, decay = plan(inst, cfg.T, cfg.epsilon)
 
     if cfg.delta_injection == "auto":
         injected = chosen.delta
@@ -340,7 +340,7 @@ def run(inst: Instance, cfg: RunConfig) -> PipelineReport:
         delta=chosen.delta,
         injected_delta=injected,
         g_grid=decay.g_grid,
-        beta=(x_in_norm + cfg.T * b_norm) / decay.q,
+        beta=(np.linalg.norm(inst.x_in) + cfg.T * np.linalg.norm(inst.b)) / decay.q,
         success_prob=outcome.success_prob,
         sampled_index=outcome.sampled_index,
         success_flag=outcome.success_flag,

@@ -15,13 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import analysis, pipeline
 from .encoder import TaylorParams, encode
 from .errors import HypothesisError, ParameterError
 from .instances import GenSpec, generate
-from .numerics import Instance, spectral_norm
+from .numerics import Instance
 from .solver import forward_substitute
 from .taylor import half_disk_samples, verify_remainder_bounds
 
@@ -66,13 +64,7 @@ def standard_family(seed: int = 0, N_values=FAMILY_N, kappa_values=FAMILY_KAPPA,
                 spec = GenSpec(N=N, kappa_V=kappa, b_mode=b_mode,
                                seed=seed + 7 * len(members), unit_norm=True)
                 inst = generate(spec)
-                normA = spectral_norm(inst.A, tol=1e-6)
-                T = 0.999 * m / normA
-                decay = analysis.decay_profile(inst, T, m)
-                chosen = pipeline.choose_parameters(
-                    T, normA, epsilon, decay.g_grid, inst.kappa_V,
-                    float(np.linalg.norm(inst.x_in)),
-                    float(np.linalg.norm(inst.b)), decay.q)
+                chosen, decay = pipeline.plan(inst, 0.999 * m / inst.norm_A, epsilon)
                 if chosen.params.m != m:
                     raise ParameterError(
                         f"family step-count rule produced m={chosen.params.m}, wanted {m}")

@@ -121,6 +121,41 @@ def test_solve_defective_matrix_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_solve_from_files_takes_no_condition_number(monkeypatch, tmp_path):
+    # the defective-A check reads the kappa_V that make_instance measured
+    def no_cond(*args, **kwargs):
+        raise AssertionError("np.linalg.cond called")
+
+    inst = generate(GenSpec(N=3, kappa_V=2.0, b_mode="random", seed=4,
+                            unit_norm=True))
+    from odeql.fileio import save_matrix
+    save_matrix(tmp_path / "A.mtx", inst.A)
+    save_vector(tmp_path / "x.txt", inst.x_in)
+    save_vector(tmp_path / "b.txt", inst.b)
+    monkeypatch.setattr(np.linalg, "cond", no_cond)
+    code = main(["solve", "--matrix", str(tmp_path / "A.mtx"),
+                 "--x-in", str(tmp_path / "x.txt"), "--b", str(tmp_path / "b.txt"),
+                 "--T", "2", "--epsilon", "1e-3", "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert (tmp_path / "out" / "solution.txt").exists()
+
+
+def test_zero_V_instance_exits_2(tmp_path, capsys):
+    # an all-zero V.mtx at N >= 256 (the Lanczos branch of the norm) is a
+    # one-line error, not an ARPACK traceback
+    from odeql.fileio import save_instance, save_matrix
+    from odeql.numerics import LANCZOS_CUTOFF, make_instance
+    N = LANCZOS_CUTOFF
+    inst = make_instance(np.eye(N), -np.ones(N), np.zeros(N), np.ones(N) / 16.0)
+    save_instance(tmp_path / "inst", inst)
+    save_matrix(tmp_path / "inst" / "V.mtx", np.zeros((N, N)))
+    code = main(["run", "--instance", str(tmp_path / "inst"), "--T", "1",
+                 "--epsilon", "1e-3"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_solve_missing_matrix_exits_2(tmp_path, capsys):
     save_vector(tmp_path / "x.txt", np.ones(2, dtype=complex))
     save_vector(tmp_path / "b.txt", np.zeros(2, dtype=complex))

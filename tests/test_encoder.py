@@ -20,6 +20,7 @@ from odeql.errors import (
     HypothesisError,
     ParameterError,
 )
+from odeql.instances import random_unitary
 
 
 def expected_block_matrix(A: np.ndarray, params: TaylorParams) -> np.ndarray:
@@ -177,9 +178,34 @@ class TestBuildMatrix:
         with pytest.raises(ParameterError, match="shrink the step"):
             build_matrix(A, TaylorParams(m=1, k=5, p=1, h=1.0))
 
-    def test_step_bound_tolerates_h_equal_inverse_norm(self):
-        A = sp.csr_matrix(np.array([[-2.0 + 0j]]))
-        build_matrix(A, TaylorParams(m=1, k=5, p=1, h=0.5))
+    @pytest.mark.parametrize("sigma", [
+        np.array([2.0]),
+        # N = 300 takes the Lanczos branch of the norm; top gap 1e-9
+        np.concatenate([[1.0, 1.0 - 1e-9], np.linspace(0.9, 0.1, 298)]),
+    ], ids=["1x1", "300x300"])
+    def test_step_bound_tolerates_h_equal_inverse_norm(self, sigma):
+        A = sp.diags(-sigma.astype(complex), format="csr")
+        build_matrix(A, TaylorParams(m=1, k=5, p=1, h=1.0 / sigma[0]))
+        with pytest.raises(ParameterError, match="shrink the step"):
+            build_matrix(A, TaylorParams(m=1, k=5, p=1, h=(1.0 + 1e-6) / sigma[0]))
+
+    def test_step_bound_is_sound_when_the_top_singular_values_nearly_coincide(self):
+        # 200 seeded 50x50 matrices whose top two singular values are within
+        # 1e-4 relative, where an iterative estimate converges slowly and low
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            sigma = np.concatenate([[1.0, 1.0 - rng.uniform(0.0, 1e-4)],
+                                    rng.uniform(0.0, 0.9, 48)])
+            A = (random_unitary(50, rng) * sigma) @ random_unitary(50, rng).conj().T
+            norm = np.linalg.norm(A, 2)
+            with pytest.raises(ParameterError, match="shrink the step"):
+                build_matrix(A, TaylorParams(m=1, k=5, p=1, h=(1.0 + 1e-6) / norm))
+            build_matrix(A, TaylorParams(m=1, k=5, p=1, h=(1.0 - 1e-9) / norm))
+
+    def test_zero_generator_passes_the_gate_on_the_lanczos_branch(self):
+        A = sp.csr_matrix((300, 300), dtype=complex)
+        system = encode(A, np.ones(300), np.zeros(300), TaylorParams(m=1, k=5, p=1, h=1.0))
+        assert system.matrix.nnz == system.expected_nnz
 
 
 class TestBuildRhs:

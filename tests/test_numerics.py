@@ -120,6 +120,44 @@ class TestLanczosNorm:
         assert lanczos_norm(op) == pytest.approx(2.0, rel=1e-13)
 
 
+class TestNorm2:
+    @pytest.mark.parametrize("N", [8, LANCZOS_CUTOFF + 44])
+    def test_dense_and_csr_on_both_paths(self, N):
+        # a permuted diagonal with complex phases: its singular values are
+        # the moduli of the diagonal, the largest 2
+        rng = np.random.default_rng(N)
+        sigma = np.concatenate([[2.0], rng.uniform(0.1, 1.9, N - 1)])
+        M = np.zeros((N, N), dtype=complex)
+        M[rng.permutation(N), np.arange(N)] = sigma * np.exp(2j * np.pi * rng.uniform(size=N))
+        assert numerics.norm2(M) == pytest.approx(2.0, rel=1e-13)
+        assert numerics.norm2(sp.csr_matrix(M)) == pytest.approx(2.0, rel=1e-13)
+
+    @pytest.mark.parametrize("N", [3, LANCZOS_CUTOFF])
+    def test_non_finite_rejected(self, N):
+        M = np.eye(N, dtype=complex)
+        M[0, 1] = np.nan
+        for matrix in (M, sp.csr_matrix(M)):
+            with pytest.raises(ParameterError, match="non-finite"):
+                numerics.norm2(matrix)
+
+    def test_zero_matrix_is_zero_without_arpack(self, monkeypatch):
+        def no_arpack(M):
+            raise AssertionError("ARPACK called on a zero matrix")
+
+        monkeypatch.setattr(numerics, "lanczos_norm", no_arpack)
+        N = LANCZOS_CUTOFF
+        assert numerics.norm2(np.zeros((N, N), dtype=complex)) == 0.0
+        assert numerics.norm2(sp.csr_matrix((N, N), dtype=complex)) == 0.0
+        assert numerics.norm2(sp.csr_matrix(np.zeros((N, N)))) == 0.0
+
+    def test_instance_measures_norm_A_once(self, monkeypatch):
+        inst = generate(GenSpec(N=6, kappa_V=3.0, unit_norm=True, seed=2))
+        calls = _counting(monkeypatch, "norm2")
+        assert inst.norm_A == np.linalg.norm(inst.A.toarray(), 2)
+        assert inst.norm_A == inst.norm_A
+        assert calls == [(6, 6)]
+
+
 class TestExpAction:
     def test_t_zero_is_identity(self):
         v = np.array([1.0 + 2j, -0.5, 3j])
@@ -323,6 +361,13 @@ class TestInstanceValidation:
         with pytest.raises(ParameterError, match="non-finite"):
             make_instance(V + 1.0, [-np.inf, -0.5], np.zeros(2), np.ones(2),
                           A=A)
+
+    def test_zero_V_on_the_lanczos_branch_rejected(self):
+        # an all-zero V (say a zeroed V.mtx) is a bad instance, not an ARPACK crash
+        N = LANCZOS_CUTOFF
+        with pytest.raises(ParameterError, match=r"\|V V_inv - I\|_max"):
+            make_instance(np.zeros((N, N)), -np.ones(N), np.zeros(N), np.ones(N),
+                          V_inv=np.eye(N), A=-sp.eye(N), kappa_V=1.0)
 
     def test_make_instance_builds_A(self):
         inst = make_instance(np.eye(2), [-1.0, -0.5], np.zeros(2), np.ones(2))

@@ -85,9 +85,9 @@ class TestChooseParameters:
                               kappa_V=1.0, x_in_norm=1.0, b_norm=0.0,
                               xT_norm=1.0)
 
-    def test_step_count_inflation(self):
-        # an exactly integer T ||A|| product steps up, protecting ||Ah|| <= 1
-        assert step_count(3.0, 1.0) == 4
+    def test_step_count_is_the_papers_rule(self):
+        # m = ceil(T ||A||): an exactly integer product takes that many steps
+        assert step_count(3.0, 1.0) == 3
         assert step_count(3.2, 1.0) == 4
 
 
