@@ -36,7 +36,7 @@ from .errors import (
     ParameterError,
 )
 from .numerics import Instance, lanczos_norm, norm2, reference_trajectory
-from .solver import BlockSolution, block_solve
+from .solver import BlockSolution, block_solve, unit_lower_factor
 
 # Relative slack accepted on every bound check; absorbs floating-point
 # evaluation of the bound constants (e, I_0(2), log-space factorials).
@@ -282,21 +282,17 @@ def matrix_norm_bounds(system: EncodedSystem, components: bool = True) -> BoundR
 
 
 def inverse_norm(system: EncodedSystem) -> float:
-    """||C^{-1}|| = 1/sigma_min(C) by ARPACK Lanczos on the block solves.
+    """||C^{-1}|| = 1/sigma_min(C) by ARPACK Lanczos on one factor of C.
 
-    :func:`lanczos_norm` runs on the operator C^{-1}, applied forward and
-    adjoint by :func:`~odeql.solver.block_solve`; the matrix is never
-    inverted. block_solve gets a dense copy of A, made once per call: it
-    costs N^2 memory, and at the N <= 16 of the suites and demos a dense
-    product is cheaper than a sparse product's dispatch.
+    The assembled C is proved unit lower triangular and factored once by
+    :func:`~odeql.solver.unit_lower_factor` (L = C, U = I, no fill);
+    :func:`lanczos_norm` then runs on C^{-1}, applied forward and adjoint by
+    triangular solves with that factor. C is never inverted or densified.
     """
-    A, params = system.A.toarray(), system.params
-    shape = (params.d + 1, system.N)
+    lu = unit_lower_factor(system.matrix)
     return lanczos_norm(LinearOperator(
-        (system.dim, system.dim), dtype=complex,
-        matvec=lambda x: block_solve(A, params, x.reshape(shape).astype(complex)).ravel(),
-        rmatvec=lambda y: block_solve(A, params, y.reshape(shape).astype(complex),
-                                      adjoint=True).ravel(),
+        (system.dim, system.dim), dtype=complex, matvec=lu.solve,
+        rmatvec=lambda y: lu.solve(y, trans="H"),
     ))
 
 

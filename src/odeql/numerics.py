@@ -306,25 +306,28 @@ class Instance:
             )
 
 
+def _dense(M) -> np.ndarray:
+    """M as a dense complex array; sparse M (a coordinate-format file) is expanded."""
+    return np.asarray(M.toarray() if sp.issparse(M) else M, dtype=complex)
+
+
 def make_instance(V, eigenvalues, b, x_in, V_inv=None, A=None, kappa_V=None,
                   label: str = "") -> Instance:
     """Assemble and validate an Instance, deriving the optional pieces.
 
-    V_inv defaults to the numerical inverse, A to V diag(eigenvalues) V^{-1}
-    (stored sparse), and kappa_V to |V| |V^{-1}|, each norm measured once by
-    :func:`norm2` and passed on to :meth:`Instance.validate`.
+    V and V_inv may be dense or sparse and are stored dense. V_inv defaults to
+    the numerical inverse, A to V diag(eigenvalues) V^{-1} (stored sparse),
+    and kappa_V to |V| |V^{-1}|, each norm measured once by :func:`norm2` and
+    passed on to :meth:`Instance.validate`.
     """
-    V = np.asarray(V, dtype=complex)
+    V = _dense(V)
     eigenvalues = as_state(np.ravel(eigenvalues), "eigenvalues")
     b = as_state(b, "b")
     x_in = as_state(x_in, "x_in")
     n = x_in.size
     if V.shape != (n, n) or eigenvalues.size != n or b.size != n:
         raise DimensionError("V, eigenvalues, b and x_in must share one dimension")
-    if V_inv is None:
-        V_inv = np.linalg.inv(V)
-    else:
-        V_inv = np.asarray(V_inv, dtype=complex)
+    V_inv = np.linalg.inv(V) if V_inv is None else _dense(V_inv)
     if A is None:
         A = sp.csr_matrix((V * eigenvalues) @ V_inv)
     elif not sp.issparse(A):

@@ -10,13 +10,17 @@ it walks the blocks in flat order and replays the defining recurrences
     x_{m,j} = x_{m,j-1}                     1 <= j <= p
 
 at a cost of m*k sparse matrix-vector products plus vector additions.
-:func:`block_solve` is the one kernel for these recurrences: it solves C or
-C^dagger for any stack of right-hand sides, and backs forward substitution,
-the inverse-norm estimate and the scalar inverse columns.
-The assembled matrix is solved only by :func:`generic_solve`, the
-independent cross-check: it first proves the matrix is canonical CSR and unit
-lower triangular, then hands it to SuperLU's triangular solve with the
-diagonal declared unit.
+:func:`block_solve` is the one kernel for these recurrences: it solves C
+(forward only) for any stack of right-hand sides, and backs forward
+substitution and the scalar inverse columns.
+
+The assembled matrix is solved only once :func:`_check_triangular` has proved
+it canonical CSR and unit lower triangular. :func:`generic_solve`, the
+independent cross-check, runs SuperLU's triangular solve with the diagonal
+declared unit. :func:`unit_lower_factor` factors it once, which pays only for
+many solves on a small system (the inverse norm's Lanczos run): at dimension
+943k, ``splu`` and one solve took 1.14 s and 650 MiB more peak memory,
+``spsolve_triangular`` 0.25 s and 115 MiB (2-vCPU VM, one BLAS thread).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve_triangular
+from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .encoder import (
     EncodedSystem,
@@ -35,7 +39,7 @@ from .encoder import (
     build_rhs,
 )
 from .errors import DegenerateInputError, DimensionError, IntegrityError
-from .numerics import _adjoint, as_state
+from .numerics import as_state
 
 
 @dataclass(frozen=True)
@@ -67,41 +71,24 @@ class BlockSolution:
         return self.block(self.params.m, 0)
 
 
-def block_solve(A, params: TaylorParams, rhs: np.ndarray,
-                adjoint: bool = False) -> np.ndarray:
-    """Solve C x = rhs (or C^dagger x = rhs) in place, block by block.
+def block_solve(A, params: TaylorParams, rhs: np.ndarray) -> np.ndarray:
+    """Solve C x = rhs in place by forward substitution, block by block.
 
     ``rhs`` has shape (d+1, N) or (d+1, N, B): row l is block l of B
-    right-hand sides. It is overwritten with the solution and returned. Only
-    ``A @`` and ``A^dagger @`` are applied, m*k times each way, so A may be
-    CSR or dense. No argument is checked; callers validate.
-
-    Forward substitution runs the recurrences in the module docstring with a
-    general right-hand side; back substitution on C^dagger gathers, into
-    each block, the blocks of later rows that reference it: the next Taylor
-    block through (h/(j+1)) A^dagger, the step's collector, the next copy.
+    right-hand sides. It is overwritten with the solution and returned. The
+    recurrences in the module docstring run with a general right-hand side;
+    only ``A @`` is applied, m*k times, so A may be CSR or dense. No argument
+    is checked; callers validate.
     """
     x = rhs
     m, k, h = params.m, params.k, params.h
-    top = m * (k + 1)
-    if not adjoint:
-        for i in range(m):
-            base = i * (k + 1)
-            for j in range(1, k + 1):
-                x[base + j] += (h / j) * (A @ x[base + j - 1])
-            x[base + k + 1] += x[base:base + k + 1].sum(axis=0)
-        for l in range(top + 1, params.d + 1):
-            x[l] += x[l - 1]
-        return x
-
-    AH = _adjoint(A)
-    for l in range(params.d - 1, top - 1, -1):
-        x[l] += x[l + 1]
-    for i in range(m - 1, -1, -1):
+    for i in range(m):
         base = i * (k + 1)
-        x[base:base + k + 1] += x[base + k + 1]
-        for j in range(k - 1, -1, -1):
-            x[base + j] += (h / (j + 1)) * (AH @ x[base + j + 1])
+        for j in range(1, k + 1):
+            x[base + j] += (h / j) * (A @ x[base + j - 1])
+        x[base + k + 1] += x[base:base + k + 1].sum(axis=0)
+    for l in range(m * (k + 1) + 1, params.d + 1):
+        x[l] += x[l - 1]
     return x
 
 
@@ -140,6 +127,17 @@ def _check_triangular(C: sp.csr_matrix) -> None:
     if np.any(C.indices[last] != np.arange(n)) or np.any(C.data[last] != 1.0):
         raise IntegrityError("the last entry of every row must be its diagonal, "
                              "equal to 1 (nothing above the diagonal)")
+
+
+def unit_lower_factor(C: sp.csr_matrix):
+    """SuperLU factor of C, once C is proved canonical unit lower triangular.
+
+    In the natural column order with diagonal pivots, the factor is L = C and
+    U = I: no permutation and no fill. ``solve(x)`` applies C^{-1} and
+    ``solve(y, trans="H")`` applies C^{-dagger}; C itself is left untouched.
+    """
+    _check_triangular(C)
+    return splu(C.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
 
 def generic_solve(system: EncodedSystem) -> np.ndarray:

@@ -7,7 +7,6 @@ own, a quantity that a library kernel produces.
 import numpy as np
 
 from odeql.errors import ParameterError
-from odeql.solver import block_solve
 
 
 def poly_action(A, h: float, v, kind: str, k: int) -> np.ndarray:
@@ -34,8 +33,3 @@ def poly_action(A, h: float, v, kind: str, k: int) -> np.ndarray:
         return acc
     raise ParameterError(f"kind must be 'T' or 'S', got {kind!r}")
 
-
-def adjoint_solve(system, y) -> np.ndarray:
-    """Solve C^dagger z = y for one flat vector with the kernel's adjoint mode."""
-    z = np.array(y, dtype=complex).reshape(system.params.d + 1, system.N)
-    return block_solve(system.A, system.params, z, adjoint=True).ravel()

@@ -38,7 +38,12 @@ from odeql.errors import (
 from odeql.instances import GenSpec, generate
 from odeql.numerics import make_instance, reference_trajectory
 from odeql.pipeline import choose_parameters
-from odeql.solver import BlockSolution, block_solve, forward_substitute
+from odeql.solver import (
+    BlockSolution,
+    block_solve,
+    forward_substitute,
+    unit_lower_factor,
+)
 from odeql.suites import standard_family
 
 
@@ -189,6 +194,28 @@ class TestInverseNorm:
         with pytest.raises(HypothesisError):
             inverse_norm_bound(system, inst.kappa_V, np.array([0.5 + 0j]))
 
+    def test_factor_is_the_matrix_itself(self):
+        # the family's largest member: in the natural order with diagonal
+        # pivots SuperLU neither permutes nor fills, so L = C and U = I
+        member = max(standard_family(0), key=lambda mem: (mem.params.d + 1) * mem.inst.N)
+        system = encode(member.inst.A, member.inst.x_in, member.inst.b,
+                        member.params)
+        assert system.dim == 1680
+        lu = unit_lower_factor(system.matrix)
+        identity = np.arange(system.dim)
+        np.testing.assert_array_equal(lu.perm_r, identity)
+        np.testing.assert_array_equal(lu.perm_c, identity)
+        assert (lu.U != sp.identity(system.dim)).nnz == 0
+        assert (lu.L != system.matrix).nnz == 0
+
+    def test_leaves_the_matrix_untouched(self):
+        inst, params, system = small_system(seed=5, N=3)
+        C = system.matrix
+        before = (C.data.copy(), C.indices.copy(), C.indptr.copy())
+        inverse_norm(system)
+        for old, new in zip(before, (C.data, C.indices, C.indptr)):
+            np.testing.assert_array_equal(old, new)
+
 
 @pytest.mark.parametrize("m", [1, 4])
 @pytest.mark.parametrize("kappa", [1e6, 1e9])
@@ -209,6 +236,11 @@ def test_inverse_norm_and_condition_bounds_at_large_kappa(N, kappa, m):
     for report in (inverse_norm_bound(system, inst.kappa_V, inst.eigenvalues),
                    condition_number_bound(system, inst.kappa_V, inst.eigenvalues)):
         assert report.passed, report.to_json_dict()
+    # the dense reference is itself only accurate to ~eps kappa_C
+    singular = svdvals(system.matrix.toarray())
+    kappa_C = singular[0] / singular[-1]
+    assert inverse_norm(system) == pytest.approx(
+        1.0 / singular[-1], rel=100 * np.finfo(float).eps * kappa_C, abs=0)
 
 
 class TestLanczosNorms:

@@ -156,6 +156,19 @@ def test_zero_V_instance_exits_2(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_run_instance_with_coordinate_similarity(tmp_path):
+    # a V.mtx and V_inv.mtx written in coordinate format load and run
+    from odeql.fileio import save_instance, save_matrix
+    inst = generate(GenSpec(N=4, kappa_V=2.0, b_mode="random", seed=3,
+                            unit_norm=True))
+    save_instance(tmp_path / "inst", inst)
+    save_matrix(tmp_path / "inst" / "V.mtx", sp.csr_matrix(inst.V))
+    save_matrix(tmp_path / "inst" / "V_inv.mtx", sp.csr_matrix(inst.V_inv))
+    code = main(["run", "--instance", str(tmp_path / "inst"), "--T", "2",
+                 "--epsilon", "1e-3"])
+    assert code == 0
+
+
 def test_solve_missing_matrix_exits_2(tmp_path, capsys):
     save_vector(tmp_path / "x.txt", np.ones(2, dtype=complex))
     save_vector(tmp_path / "b.txt", np.zeros(2, dtype=complex))

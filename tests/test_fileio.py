@@ -71,6 +71,20 @@ def test_instance_round_trip(tmp_path):
     assert back.label == inst.label
 
 
+def test_instance_with_coordinate_similarity_round_trip(tmp_path):
+    # V.mtx and V_inv.mtx in coordinate format load as CSR; the instance
+    # stores them dense, equal to what was saved
+    inst = generate(GenSpec(N=5, kappa_V=4.0, b_mode="random", seed=11,
+                            unit_norm=True))
+    save_instance(tmp_path / "inst", inst)
+    save_matrix(tmp_path / "inst" / "V.mtx", sp.csr_matrix(inst.V))
+    save_matrix(tmp_path / "inst" / "V_inv.mtx", sp.csr_matrix(inst.V_inv))
+    back = load_instance(tmp_path / "inst")
+    assert isinstance(back.V, np.ndarray) and isinstance(back.V_inv, np.ndarray)
+    np.testing.assert_array_equal(back.V, inst.V)
+    np.testing.assert_array_equal(back.V_inv, inst.V_inv)
+
+
 @given(N=st.integers(1, 12), kappa=st.floats(1.0, 1e9), sparse=st.booleans(),
        sparsity=st.integers(1, 12), b_mode=st.sampled_from(["zero", "random"]),
        seed=st.integers(0, 2**32 - 1))

@@ -1,4 +1,4 @@
-"""Tests for block forward substitution, its generic cross-check and adjoint."""
+"""Tests for block forward substitution and its generic cross-check."""
 
 import math
 
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve_triangular
 
+from odeql.analysis import inverse_norm
 from odeql.encoder import TaylorParams, encode
 from odeql.errors import IntegrityError
 from odeql.instances import GenSpec, generate
@@ -20,7 +21,7 @@ from odeql.solver import (
 )
 from odeql.taylor import truncated_exp
 
-from oracles import adjoint_solve, poly_action
+from oracles import poly_action
 
 
 def random_problem(seed, N=4, m=3, k=6, p=2, b_mode="random"):
@@ -212,45 +213,9 @@ class TestGenericSolve:
             broken = sp.csr_matrix((data, indices, indptr), shape=C.shape)
         bad = type(system)(matrix=broken, rhs=system.rhs,
                            params=system.params, N=system.N, A=system.A)
-        with pytest.raises(IntegrityError):
-            generic_solve(bad)
-
-
-class TestAdjointSolve:
-    def test_residual_of_adjoint_system(self):
-        inst, params = random_problem(6)
-        system = encode(inst.A, inst.x_in, inst.b, params)
-        rng = np.random.default_rng(0)
-        y = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
-        z = adjoint_solve(system, y)
-        CH = system.matrix.conj().T
-        assert (np.linalg.norm(CH @ z - y) / np.linalg.norm(y)) <= 1e-12
-
-    def test_adjoint_identity(self):
-        # <C^-dagger y, x> == <y, C^-1 x>
-        inst, params = random_problem(7, N=3, m=2)
-        system = encode(inst.A, inst.x_in, inst.b, params)
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
-        y = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
-        inv_x = spsolve_triangular(system.matrix, x, lower=True)
-        adj_y = adjoint_solve(system, y)
-        lhs = np.vdot(adj_y, x)
-        rhs = np.vdot(y, inv_x)
-        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
-
-    def test_padding_tail_back_substitution(self):
-        # On the trailing copy rows, C^dagger z = y solves z_j = y_j + z_{j+1}.
-        params = TaylorParams(m=1, k=5, p=3, h=1.0)
-        A = sp.csr_matrix(np.array([[-0.5 + 0j]]))
-        system = encode(A, np.array([1.0 + 0j]), np.array([0.0 + 0j]), params)
-        rng = np.random.default_rng(2)
-        y = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
-        z = adjoint_solve(system, y)
-        d = params.d
-        assert z[d] == pytest.approx(y[d])
-        for l in (d - 1, d - 2):
-            assert z[l] == pytest.approx(y[l] + z[l + 1], abs=1e-13)
+        for solve in (generic_solve, inverse_norm):
+            with pytest.raises(IntegrityError):
+                solve(bad)
 
 
 class TestResidual:
@@ -307,20 +272,14 @@ def test_any_layout_cross_validates(m, k, p, N, seed):
     assert np.linalg.norm(direct - generic) <= 1e-12 * scale
     assert residual(system, direct) <= 1e-12
 
-    y = rng.normal(size=system.dim) + 1j * rng.normal(size=system.dim)
-    z = adjoint_solve(system, y)
-    CH = system.matrix.conj().T
-    assert np.linalg.norm(CH @ z - y) <= 1e-12 * np.linalg.norm(y)
-
     # three right-hand sides in one kernel call equal three one-column solves
     shape = (params.d + 1, N)
     rhs = rng.normal(size=shape + (3,)) + 1j * rng.normal(size=shape + (3,))
-    for adjoint in (False, True):
-        stacked = block_solve(A, params, rhs.copy(), adjoint)
-        for c in range(3):
-            single = block_solve(A, params, rhs[:, :, c].copy(), adjoint)
-            np.testing.assert_allclose(stacked[:, :, c], single,
-                                       rtol=0, atol=1e-14 * np.abs(single).max())
+    stacked = block_solve(A, params, rhs.copy())
+    for c in range(3):
+        single = block_solve(A, params, rhs[:, :, c].copy())
+        np.testing.assert_allclose(stacked[:, :, c], single,
+                                   rtol=0, atol=1e-14 * np.abs(single).max())
 
 
 def test_desk_scale_ceiling():
