@@ -5,14 +5,16 @@ its claimed bound, reporting the worst observed ratio (oriented so that
 ratio <= 1 means the claim holds; a 1e-9 relative slack absorbs the floating
 point evaluation of the bound constants themselves). Hypothesis violations
 raise :class:`~odeql.errors.HypothesisError` instead of producing a verdict,
-so sweeps over invalid corners cannot pollute reports.
+so sweeps over invalid corners cannot pollute reports. ||C|| and ||C^{-1}||
+are the encoded system's own norms, measured once per system, so the
+condition-number check measures nothing of its own.
 
 The bounds covered:
 
 * inverse-column norms of the scalar system:  ||C(lam)^{-1} e_l|| and entries
 * matrix norm:        ||C|| <= 2 sqrt(k), with its three-part decomposition
 * inverse norm:       ||C^{-1}|| <= 3 kappa_V sqrt(k) (m+p)
-* condition number:   kappa_C <= 6 kappa_V k (m+p)
+* condition number:   kappa_C = ||C|| ||C^{-1}|| <= 6 kappa_V k (m+p)
 * solution error:     ||x(jh) - x_{j,0}|| <= 2.8 kappa_V j (|x_in| + mh|b|) / (k+1)!
 * measurement:        ||x_{m,j}|| / ||x|| >= 1 / sqrt(p + 77 m g^2)
 * three state-distance inequalities reused by the pipeline error accounting.
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator
 
 from .encoder import EncodedSystem, TaylorParams
 from .errors import (
@@ -36,7 +37,7 @@ from .errors import (
     ParameterError,
 )
 from .numerics import Instance, lanczos_norm, norm2, reference_trajectory
-from .solver import BlockSolution, block_solve, unit_lower_factor
+from .solver import BlockSolution, block_solve
 
 # Relative slack accepted on every bound check; absorbs floating-point
 # evaluation of the bound constants (e, I_0(2), log-space factorials).
@@ -232,120 +233,98 @@ def _component_split(system: EncodedSystem):
     return C1, C2, C3
 
 
-def matrix_norm_bounds(system: EncodedSystem, components: bool = True) -> BoundReport:
-    """Check ||C|| <= 2 sqrt(k) and (optionally) the three component norms.
-
-    ||C||, ||C2|| and ||C3|| come from ARPACK Lanczos (:func:`lanczos_norm`)
-    and ||Ah||, an N x N block, from :func:`norm2`; all are exact to rounding.
-    The components satisfy ||C1|| = 1, ||C2|| = sqrt(k+1) and
-    ||C3|| = max(||Ah||, 1), and each must match its closed form to 1e-10
-    relative.
-    """
+def _system_label(system: EncodedSystem) -> str:
     params = system.params
-    if params.k < 5:
-        raise HypothesisError(f"norm bound requires k >= 5, got k={params.k}")
-    k = params.k
+    return f"m={params.m}, k={params.k}, p={params.p}, N={system.N}"
 
-    norm_C = lanczos_norm(system.matrix)
+
+def matrix_norm_bounds(system: EncodedSystem) -> BoundReport:
+    """Check ||C|| <= 2 sqrt(k) and the three component norms.
+
+    ||C|| is the system's own ``norm``; ||C2|| and ||C3|| come from ARPACK
+    Lanczos (:func:`lanczos_norm`) and ||Ah||, an N x N block, from
+    :func:`norm2`; all are exact to rounding. The components satisfy
+    ||C1|| = 1, ||C2|| = sqrt(k+1) and ||C3|| = max(||Ah||, 1), and each
+    must match its closed form to 1e-10 relative.
+    """
+    k = system.params.k
+    if k < 5:
+        raise HypothesisError(f"norm bound requires k >= 5, got k={k}")
     bound = 2.0 * math.sqrt(k)
-    details = {"norm": norm_C, "bound": bound}
-
-    if components:
-        _, C2, C3 = _component_split(system)
-        norm_C2 = lanczos_norm(C2)
-        norm_C3 = lanczos_norm(C3)
-        # ||Ah|| read off the first subdiagonal block, which stores -(Ah)/1.
-        N = system.N
-        norm_Ah = norm2(system.matrix[N:2 * N, :N].toarray())
-        expected_C2 = math.sqrt(k + 1.0)
-        expected_C3 = max(norm_Ah, 1.0)
-        details.update({
+    _, C2, C3 = _component_split(system)
+    norm_C2 = lanczos_norm(C2)
+    norm_C3 = lanczos_norm(C3)
+    # ||Ah|| read off the first subdiagonal block, which stores -(Ah)/1.
+    N = system.N
+    norm_Ah = norm2(system.matrix[N:2 * N, :N].toarray())
+    expected_C2 = math.sqrt(k + 1.0)
+    expected_C3 = max(norm_Ah, 1.0)
+    return BoundReport(
+        bound_name="matrix-norm",
+        instances_checked=1,
+        worst_ratio=float(system.norm / bound),
+        argmax_instance=_system_label(system),
+        details={
+            "norm": system.norm,
+            "bound": bound,
             "component_identity": 1.0,
             "component_collector": norm_C2,
             "component_collector_expected": expected_C2,
             "component_subdiagonal": norm_C3,
             "component_subdiagonal_expected": expected_C3,
-            "components_ok": bool(
-                abs(norm_C2 - expected_C2) <= 1e-10 * expected_C2
-                and abs(norm_C3 - expected_C3) <= 1e-10 * expected_C3
-            ),
-        })
-
-    label = f"m={params.m}, k={k}, p={params.p}, N={system.N}"
-    return BoundReport(
-        bound_name="matrix-norm",
-        instances_checked=1,
-        worst_ratio=float(norm_C / bound),
-        argmax_instance=label,
-        details=details,
+            "components_ok": bool(abs(norm_C2 - expected_C2) <= 1e-10 * expected_C2
+                                  and abs(norm_C3 - expected_C3) <= 1e-10 * expected_C3),
+        },
     )
 
 
 def inverse_norm(system: EncodedSystem) -> float:
-    """||C^{-1}|| = 1/sigma_min(C) by ARPACK Lanczos on one factor of C.
-
-    The assembled C is proved unit lower triangular and factored once by
-    :func:`~odeql.solver.unit_lower_factor` (L = C, U = I, no fill);
-    :func:`lanczos_norm` then runs on C^{-1}, applied forward and adjoint by
-    triangular solves with that factor. C is never inverted or densified.
-    """
-    lu = unit_lower_factor(system.matrix)
-    return lanczos_norm(LinearOperator(
-        (system.dim, system.dim), dtype=complex, matvec=lu.solve,
-        rmatvec=lambda y: lu.solve(y, trans="H"),
-    ))
+    """||C^{-1}||, the system's own ``inverse_norm`` (measured once)."""
+    return system.inverse_norm
 
 
-def _require_eigenvalue_hypotheses(eigenvalues, h: float) -> None:
+def _require_hypotheses(params: TaylorParams, eigenvalues) -> None:
+    """k >= 5 and (k+1)! >= 2m, then Re(lambda) <= 0 and |lambda h| <= 1."""
+    params.require_bound_hypotheses()
     eigenvalues = np.asarray(eigenvalues, dtype=complex)
     if np.any(eigenvalues.real > 0):
         raise HypothesisError("Re(lambda) > 0 for some eigenvalue; bound not claimed")
-    if np.any(np.abs(eigenvalues) * h > 1.0 + 1e-9):
+    if np.any(np.abs(eigenvalues) * params.h > 1.0 + 1e-9):
         raise HypothesisError("|lambda h| > 1 for some eigenvalue; bound not claimed")
 
 
 def inverse_norm_bound(system: EncodedSystem, kappa_V: float,
                        eigenvalues) -> BoundReport:
-    """Check ||C^{-1}|| <= 3 kappa_V sqrt(k) (m+p).
-
-    The hypotheses Re(lambda) <= 0 and |lambda h| <= 1 are verified on the
-    given eigenvalues of A.
-    """
+    """Check ||C^{-1}|| <= 3 kappa_V sqrt(k) (m+p); the hypotheses
+    Re(lambda) <= 0 and |lambda h| <= 1 are verified on the given eigenvalues."""
     params = system.params
-    params.require_bound_hypotheses()
-    _require_eigenvalue_hypotheses(eigenvalues, params.h)
-
+    _require_hypotheses(params, eigenvalues)
     measured = inverse_norm(system)
     bound = 3.0 * kappa_V * math.sqrt(params.k) * (params.m + params.p)
-    label = f"m={params.m}, k={params.k}, p={params.p}, N={system.N}, kappa_V={kappa_V:.4g}"
     return BoundReport(
         bound_name="inverse-norm",
         instances_checked=1,
         worst_ratio=float(measured / bound),
-        argmax_instance=label,
+        argmax_instance=f"{_system_label(system)}, kappa_V={kappa_V:.4g}",
         details={"norm": measured, "bound": bound},
     )
 
 
 def condition_number_bound(system: EncodedSystem, kappa_V: float,
                            eigenvalues) -> BoundReport:
-    """Check kappa_C = ||C|| ||C^{-1}|| <= 6 kappa_V k (m+p)."""
-    fwd = matrix_norm_bounds(system, components=False)
-    inv = inverse_norm_bound(system, kappa_V, eigenvalues)
+    """Check kappa_C = ||C|| ||C^{-1}|| <= 6 kappa_V k (m+p), the product of
+    the system's two cached norms, under the hypotheses of Lemma 2."""
     params = system.params
-    kappa_C = fwd.details["norm"] * inv.details["norm"]
+    _require_hypotheses(params, eigenvalues)
+    kappa_C = system.norm * system.inverse_norm
     bound = 6.0 * kappa_V * params.k * (params.m + params.p)
     return BoundReport(
         bound_name="condition-number",
         instances_checked=1,
         worst_ratio=float(kappa_C / bound),
-        argmax_instance=inv.argmax_instance,
-        details={
-            "kappa_C": kappa_C,
-            "bound": bound,
-            "norm": fwd.details["norm"],
-            "inverse_norm": inv.details["norm"],
-        },
+        argmax_instance=f"{_system_label(system)}, kappa_V={kappa_V:.4g}",
+        details={"kappa_C": kappa_C, "bound": bound, "norm": system.norm,
+                 "inverse_norm": system.inverse_norm},
     )
 
 
@@ -364,8 +343,7 @@ def solution_error_report(inst: Instance, params: TaylorParams,
     equality. Raises DimensionError when decay holds another grid's states
     and IntegrityError when block (0,0) is not x_in.
     """
-    params.require_bound_hypotheses()
-    _require_eigenvalue_hypotheses(inst.eigenvalues, params.h)
+    _require_hypotheses(params, inst.eigenvalues)
     _require_grid(decay, inst, params)
 
     m, h = params.m, params.h

@@ -14,13 +14,9 @@ at a cost of m*k sparse matrix-vector products plus vector additions.
 (forward only) for any stack of right-hand sides, and backs forward
 substitution and the scalar inverse columns.
 
-The assembled matrix is solved only once :func:`_check_triangular` has proved
-it canonical CSR and unit lower triangular. :func:`generic_solve`, the
-independent cross-check, runs SuperLU's triangular solve with the diagonal
-declared unit. :func:`unit_lower_factor` factors it once, which pays only for
-many solves on a small system (the inverse norm's Lanczos run): at dimension
-943k, ``splu`` and one solve took 1.14 s and 650 MiB more peak memory,
-``spsolve_triangular`` 0.25 s and 115 MiB (2-vCPU VM, one BLAS thread).
+:func:`generic_solve`, the independent cross-check, solves the assembled
+matrix only once the encoder has proved it canonical CSR and unit lower
+triangular, by SuperLU's triangular solve with the diagonal declared unit.
 """
 
 from __future__ import annotations
@@ -28,17 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu, spsolve_triangular
+from scipy.sparse.linalg import spsolve_triangular
 
 from .encoder import (
     EncodedSystem,
     TaylorParams,
     _as_csr,
+    _check_triangular,
     _require_step_bound,
     build_rhs,
 )
-from .errors import DegenerateInputError, DimensionError, IntegrityError
+from .errors import DegenerateInputError, DimensionError
 from .numerics import as_state
 
 
@@ -108,36 +104,6 @@ def forward_substitute(A, params: TaylorParams, x_in, b) -> BlockSolution:
     data = block_solve(A, params, rhs.reshape(params.d + 1, N))
     data.flags.writeable = False
     return BlockSolution(params=params, N=N, data=data)
-
-
-def _check_triangular(C: sp.csr_matrix) -> None:
-    """Prove C is canonical CSR and unit lower triangular.
-
-    Canonical (sorted column indices, no duplicates) puts each row's largest
-    column in its last entry, so "the last entry is the diagonal and equals 1"
-    rules out every entry above the diagonal and every split diagonal value.
-    """
-    if not C.has_canonical_format:
-        raise IntegrityError("matrix is not canonical CSR "
-                             "(unsorted or duplicate column indices)")
-    n = C.shape[0]
-    last = C.indptr[1:] - 1
-    if np.any(C.indptr[1:] == C.indptr[:-1]):
-        raise IntegrityError("matrix has an empty row (missing diagonal)")
-    if np.any(C.indices[last] != np.arange(n)) or np.any(C.data[last] != 1.0):
-        raise IntegrityError("the last entry of every row must be its diagonal, "
-                             "equal to 1 (nothing above the diagonal)")
-
-
-def unit_lower_factor(C: sp.csr_matrix):
-    """SuperLU factor of C, once C is proved canonical unit lower triangular.
-
-    In the natural column order with diagonal pivots, the factor is L = C and
-    U = I: no permutation and no fill. ``solve(x)`` applies C^{-1} and
-    ``solve(y, trans="H")`` applies C^{-dagger}; C itself is left untouched.
-    """
-    _check_triangular(C)
-    return splu(C.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
 
 def generic_solve(system: EncodedSystem) -> np.ndarray:

@@ -7,20 +7,24 @@ thm2, thm3) take one family built by :func:`standard_family`, which follows
 a fixed recipe: dimensions {1, 2, 4, 8, 16}, condition numbers {1, 3, 10},
 eigenvalues in the closed left half-disk, homogeneous and inhomogeneous
 right-hand sides, m = p in {1, 2, 4, 8}, and the truncation order chosen by
-the same rule the end-to-end driver uses (clipped to k >= 5).
+the same rule the end-to-end driver uses (clipped to k >= 5). A member
+encodes and solves its problem once each, on first use, and its system
+measures ||C|| and ||C^{-1}|| once each: lemma3, lemma2 and thm1 share one
+system and its norms, thm2 and thm3 one solution.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import analysis, pipeline
-from .encoder import TaylorParams, encode
+from .encoder import EncodedSystem, TaylorParams, encode
 from .errors import HypothesisError, ParameterError
 from .instances import GenSpec, generate
 from .numerics import Instance
-from .solver import forward_substitute
+from .solver import BlockSolution, forward_substitute
 from .taylor import half_disk_samples, verify_remainder_bounds
 
 SUITE_NAMES = ("taylor", "lemma1", "lemma2", "lemma3", "thm1", "thm2", "thm3",
@@ -36,12 +40,22 @@ FAMILY_EPSILON = 1e-3
 
 @dataclass(frozen=True)
 class FamilyMember:
-    """One standard-family problem, its chosen layout and its decay profile
-    (whose trajectory is the member's one ODE integration)."""
+    """One standard-family problem, its chosen layout, its decay profile
+    (whose trajectory is the member's one ODE integration), and its encoded
+    system and block solution, each built once, on first use."""
 
     inst: Instance
     params: TaylorParams
     decay: analysis.DecayProfile
+
+    @cached_property
+    def system(self) -> EncodedSystem:
+        return encode(self.inst.A, self.inst.x_in, self.inst.b, self.params)
+
+    @cached_property
+    def solution(self) -> BlockSolution:
+        return forward_substitute(self.inst.A, self.params, self.inst.x_in,
+                                  self.inst.b)
 
 
 def standard_family(seed: int = 0, N_values=FAMILY_N, kappa_values=FAMILY_KAPPA,
@@ -73,13 +87,13 @@ def standard_family(seed: int = 0, N_values=FAMILY_N, kappa_values=FAMILY_KAPPA,
 
 
 def _suite_from_reports(name: str, reports) -> dict:
-    merged = [r.to_json_dict() for r in reports]
+    merged = analysis.merge_reports(reports)
     return {
         "suite": name,
-        "instances": sum(r.instances_checked for r in reports),
-        "worst_ratio": max((r.worst_ratio for r in reports), default=0.0),
-        "reports": merged,
-        "passed": all(r.passed for r in reports),
+        "instances": merged.instances_checked,
+        "worst_ratio": merged.worst_ratio,
+        "reports": [merged.to_json_dict()],
+        "passed": merged.passed,
     }
 
 
@@ -102,54 +116,38 @@ def lemma1_suite(trials: int = 4, seed: int = 0,
                 params = TaylorParams(m=m, k=k, p=p, h=1.0)
                 for lam in lam_grid:
                     reports.append(analysis.scalar_inverse_columns(lam, params))
-    merged = analysis.merge_reports(reports)
-    out = _suite_from_reports("lemma1", [merged])
+    out = _suite_from_reports("lemma1", reports)
     out["lambda_grid_size"] = len(lam_grid)
     return out
 
 
-def _encoded(member: FamilyMember):
-    return encode(member.inst.A, member.inst.x_in, member.inst.b, member.params)
-
-
-def _solved(member: FamilyMember):
-    return forward_substitute(member.inst.A, member.params, member.inst.x_in,
-                              member.inst.b)
-
-
 def lemma3_suite(family) -> dict:
-    reports = [analysis.matrix_norm_bounds(_encoded(member)) for member in family]
-    out = _suite_from_reports("lemma3", [analysis.merge_reports(reports)])
+    reports = [analysis.matrix_norm_bounds(member.system) for member in family]
+    out = _suite_from_reports("lemma3", reports)
     out["components_ok"] = all(r.details["components_ok"] for r in reports)
     out["passed"] = out["passed"] and out["components_ok"]
     return out
 
 
+def _kappa_suite(name: str, check, family) -> dict:
+    reports = [check(member.system, member.inst.kappa_V, member.inst.eigenvalues)
+               for member in family]
+    return _suite_from_reports(name, reports)
+
+
 def lemma2_suite(family) -> dict:
-    reports = [
-        analysis.inverse_norm_bound(_encoded(member), member.inst.kappa_V,
-                                    member.inst.eigenvalues)
-        for member in family
-    ]
-    return _suite_from_reports("lemma2", [analysis.merge_reports(reports)])
+    return _kappa_suite("lemma2", analysis.inverse_norm_bound, family)
 
 
 def thm1_suite(family) -> dict:
-    reports = [
-        analysis.condition_number_bound(_encoded(member), member.inst.kappa_V,
-                                        member.inst.eigenvalues)
-        for member in family
-    ]
-    return _suite_from_reports("thm1", [analysis.merge_reports(reports)])
+    return _kappa_suite("thm1", analysis.condition_number_bound, family)
 
 
 def thm2_suite(family) -> dict:
-    reports = [
-        analysis.solution_error_report(member.inst, member.params,
-                                       _solved(member), member.decay)
-        for member in family
-    ]
-    return _suite_from_reports("thm2", [analysis.merge_reports(reports)])
+    reports = [analysis.solution_error_report(member.inst, member.params,
+                                              member.solution, member.decay)
+               for member in family]
+    return _suite_from_reports("thm2", reports)
 
 
 def thm3_suite(family) -> dict:
@@ -158,10 +156,10 @@ def thm3_suite(family) -> dict:
     for member in family:
         try:
             reports.append(analysis.success_probability_report(
-                member.inst, member.params, _solved(member), member.decay))
+                member.inst, member.params, member.solution, member.decay))
         except HypothesisError:
             skipped += 1
-    out = _suite_from_reports("thm3", [analysis.merge_reports(reports)])
+    out = _suite_from_reports("thm3", reports)
     out["not_claimed"] = skipped
     return out
 

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import svdvals
 
+from odeql import encoder, numerics
 from odeql.analysis import (
     COLUMN_ENTRY_BOUND,
     BoundReport,
@@ -27,7 +28,7 @@ from odeql.analysis import (
     state_distance_checks,
     success_probability_report,
 )
-from odeql.encoder import TaylorParams, encode
+from odeql.encoder import TaylorParams, encode, unit_lower_factor
 from odeql.errors import (
     DegenerateInputError,
     DimensionError,
@@ -38,12 +39,7 @@ from odeql.errors import (
 from odeql.instances import GenSpec, generate
 from odeql.numerics import make_instance, reference_trajectory
 from odeql.pipeline import choose_parameters
-from odeql.solver import (
-    BlockSolution,
-    block_solve,
-    forward_substitute,
-    unit_lower_factor,
-)
+from odeql.solver import BlockSolution, block_solve, forward_substitute
 from odeql.suites import standard_family
 
 
@@ -198,8 +194,7 @@ class TestInverseNorm:
         # the family's largest member: in the natural order with diagonal
         # pivots SuperLU neither permutes nor fills, so L = C and U = I
         member = max(standard_family(0), key=lambda mem: (mem.params.d + 1) * mem.inst.N)
-        system = encode(member.inst.A, member.inst.x_in, member.inst.b,
-                        member.params)
+        system = member.system
         assert system.dim == 1680
         lu = unit_lower_factor(system.matrix)
         identity = np.arange(system.dim)
@@ -247,20 +242,20 @@ class TestLanczosNorms:
     """The Lanczos path against dense SVDs, and its reproducibility."""
 
     def test_family_norms_match_dense_svd(self):
+        # ||C|| and ||C^-1|| are read from the cached properties the suites use
         checked = 0
         for member in standard_family(0):
-            system = encode(member.inst.A, member.inst.x_in, member.inst.b,
-                            member.params)
+            system = member.system
             if system.dim > 432:
                 continue
             report = matrix_norm_bounds(system)
             _, C2, C3 = _component_split(system)
             singular = svdvals(system.matrix.toarray())
             pairs = (
-                (report.details["norm"], singular[0]),
+                (system.norm, singular[0]),
                 (report.details["component_collector"], svdvals(C2.toarray())[0]),
                 (report.details["component_subdiagonal"], svdvals(C3.toarray())[0]),
-                (inverse_norm(system), 1.0 / singular[-1]),
+                (system.inverse_norm, 1.0 / singular[-1]),
             )
             for measured, exact in pairs:
                 assert measured == pytest.approx(exact, rel=1e-12, abs=0)
@@ -277,7 +272,28 @@ class TestLanczosNorms:
         assert before[0] == after[0]
         np.testing.assert_array_equal(before[1], after[1])
         assert before[2:] == after[2:]
-        assert (matrix_norm_bounds(system).details, inverse_norm(system)) == first
+        # a fresh encoding of the same problem measures every norm again
+        again = encode(inst.A, inst.x_in, inst.b, params)
+        assert (matrix_norm_bounds(again).details, inverse_norm(again)) == first
+
+    def test_system_measures_each_norm_once(self, monkeypatch):
+        inst, params, system = small_system(seed=2, N=3)
+        calls = []
+
+        def counted(M):
+            calls.append(M)
+            return numerics.lanczos_norm(M)
+
+        monkeypatch.setattr(encoder, "lanczos_norm", counted)
+        singular = svdvals(system.matrix.toarray())
+        assert system.norm == pytest.approx(singular[0], rel=1e-12, abs=0)
+        assert system.inverse_norm == pytest.approx(1.0 / singular[-1],
+                                                    rel=1e-12, abs=0)
+        assert system.norm == system.norm
+        assert inverse_norm(system) == system.inverse_norm
+        assert matrix_norm_bounds(system).details["norm"] == system.norm
+        assert len(calls) == 2
+        assert calls[0] is system.matrix and not sp.issparse(calls[1])
 
 
 class TestConditionNumber:

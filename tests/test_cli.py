@@ -221,6 +221,16 @@ def test_non_finite_kappa_exits_2(command, kappa, tmp_path, capsys):
     assert not (tmp_path / "inst").exists()
 
 
+def test_kappa_above_ceiling_exits_2(tmp_path, capsys):
+    out = tmp_path / "inst"
+    assert main(["gen", "--out", str(out), "--N", "2", "--kappa", "1e12",
+                 "--seed", "122"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: kappa_V must lie in [1, KAPPA_V_MAX = 1e+10]")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_step_bound_violation_exits_2(instance_dir, tmp_path):
     code = main(["encode", "--instance", str(instance_dir),
                  "--m", "1", "--k", "5", "--p", "1", "--h", "50.0",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from odeql.errors import ParameterError
-from odeql.instances import GenSpec, generate, random_unitary
+from odeql.instances import KAPPA_V_MAX, GenSpec, generate, random_unitary
 from odeql.numerics import spectral_norm
 
 
@@ -115,6 +115,13 @@ class TestSpecValidation:
             GenSpec(N=2, kappa_V=bad)
         with pytest.raises(ParameterError):
             GenSpec(N=2, eig_profile="scalar", eig_value=complex(-bad, 0.0))
+
+    def test_kappa_above_ceiling_rejected(self):
+        # seed 122 at N=2 is the spec whose V V_inv misses validate's bar
+        generate(GenSpec(N=2, kappa_V=KAPPA_V_MAX, seed=122))
+        for kappa in (1.01 * KAPPA_V_MAX, 1e12):
+            with pytest.raises(ParameterError, match="KAPPA_V_MAX"):
+                GenSpec(N=2, kappa_V=kappa, seed=122)
 
     def test_unitary_is_unitary(self):
         rng = np.random.default_rng(0)

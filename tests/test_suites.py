@@ -1,12 +1,63 @@
 """Plumbing tests for the named verification suites."""
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from odeql import analysis, numerics, suites
+from odeql import analysis, encoder, numerics, suites
 from odeql.errors import ParameterError
 
 
 SMALL_FAMILY = dict(N_values=(1, 2), kappa_values=(1.0, 3.0), m_values=(1, 2))
+
+
+def _count_work(monkeypatch):
+    """Count encodes, block solves and norms of encoded systems.
+
+    Every binding of lanczos_norm is wrapped, and each run is filed by its
+    argument: the assembled C (unit diagonal), its inverse (an operator) or
+    a Lemma 3 component (C2, C3); norm2 in analysis takes only ||Ah||.
+    """
+    calls = {"encode": 0, "solve": 0, "norm_Ah": 0,
+             "norm_C": [], "inverse_norm": [], "component": []}
+    lanczos, encode = numerics.lanczos_norm, suites.encode
+    solve, norm2 = suites.forward_substitute, analysis.norm2
+
+    def counted(key, inner):
+        def wrapper(*args):
+            calls[key] += 1
+            return inner(*args)
+        return wrapper
+
+    def counted_lanczos(M):
+        if not sp.issparse(M):
+            calls["inverse_norm"].append(M)
+        elif np.all(M.diagonal() == 1.0):
+            calls["norm_C"].append(M)
+        else:
+            calls["component"].append(M)
+        return lanczos(M)
+
+    monkeypatch.setattr(suites, "encode", counted("encode", encode))
+    monkeypatch.setattr(suites, "forward_substitute", counted("solve", solve))
+    monkeypatch.setattr(analysis, "norm2", counted("norm_Ah", norm2))
+    for module in (numerics, encoder, analysis):
+        if getattr(module, "lanczos_norm", None) is lanczos:
+            monkeypatch.setattr(module, "lanczos_norm", counted_lanczos)
+    return calls
+
+
+def _small_family(monkeypatch):
+    """Make run_suite build the small family; return the list of builds."""
+    built = []
+    standard_family = suites.standard_family
+
+    def small_family(seed):
+        built.append(standard_family(seed, **SMALL_FAMILY))
+        return built[-1]
+
+    monkeypatch.setattr(suites, "standard_family", small_family)
+    return built
 
 
 def test_family_members_have_requested_layout():
@@ -49,13 +100,8 @@ def test_thm2_reads_the_members_trajectories(monkeypatch):
 
 
 def test_all_builds_one_family_and_shares_it(monkeypatch):
-    built = []
+    built = _small_family(monkeypatch)
     seen = {}
-    standard_family = suites.standard_family
-
-    def small_family(seed):
-        built.append(standard_family(seed, **SMALL_FAMILY))
-        return built[-1]
 
     def recorded(name, suite):
         def wrapper(family):
@@ -63,7 +109,6 @@ def test_all_builds_one_family_and_shares_it(monkeypatch):
             return suite(family)
         return wrapper
 
-    monkeypatch.setattr(suites, "standard_family", small_family)
     for name in ("lemma2", "lemma3", "thm1", "thm2", "thm3"):
         attr = f"{name}_suite"
         monkeypatch.setattr(suites, attr, recorded(name, getattr(suites, attr)))
@@ -73,6 +118,28 @@ def test_all_builds_one_family_and_shares_it(monkeypatch):
     assert isinstance(built[0], tuple) and len(built[0]) == 6
     assert sorted(seen) == ["lemma2", "lemma3", "thm1", "thm2", "thm3"]
     assert all(family is built[0] for family in seen.values())
+    assert all(report["suites"][name] == suites.run_suite(name) for name in seen)
+
+
+def test_all_encodes_solves_and_measures_each_member_once(monkeypatch):
+    calls = _count_work(monkeypatch)
+    assert suites.run_suite("all", trials=1, seed=0)["passed"]
+    # 52 members: one encode, one solve, one ||C|| and one ||C^-1|| each
+    assert calls["encode"] == calls["solve"] == 52
+    assert len(calls["norm_C"]) == len(calls["inverse_norm"]) == 52
+    # lemma3 alone measures the components: C2 and C3 by Lanczos, and ||Ah||
+    assert len(calls["component"]) == 2 * 52 and calls["norm_Ah"] == 52
+
+
+def test_lone_thm1_measures_only_the_two_norms(monkeypatch):
+    built = _small_family(monkeypatch)
+    calls = _count_work(monkeypatch)
+    assert suites.run_suite("thm1")["passed"]
+    systems = [member.system for member in built[0]]
+    assert len(calls["norm_C"]) == len(calls["inverse_norm"]) == len(systems)
+    assert all(C is system.matrix for C, system in zip(calls["norm_C"], systems))
+    assert calls["component"] == [] and calls["norm_Ah"] == 0
+    assert calls["encode"] == len(systems) and calls["solve"] == 0
 
 
 def test_unknown_suite_rejected():
