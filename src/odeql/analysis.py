@@ -256,7 +256,7 @@ def matrix_norm_bounds(system: EncodedSystem) -> BoundReport:
     norm_C3 = lanczos_norm(C3)
     # ||Ah|| read off the first subdiagonal block, which stores -(Ah)/1.
     N = system.N
-    norm_Ah = norm2(system.matrix[N:2 * N, :N].toarray())
+    norm_Ah = norm2(system.matrix[N:2 * N, :N])
     expected_C2 = math.sqrt(k + 1.0)
     expected_C3 = max(norm_Ah, 1.0)
     return BoundReport(

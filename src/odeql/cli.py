@@ -103,12 +103,14 @@ def _instance_from_matrix(A, x_in, b):
 
 def _resolve_params(args, A, x_in, b, inst) -> TaylorParams:
     if args.params:
-        blob = json.loads(Path(args.params).read_text())
+        blob = fileio.load_manifest(args.params)
         if {"m", "k", "p", "h"} <= set(blob):
-            return TaylorParams(m=int(blob["m"]), k=int(blob["k"]),
-                                p=int(blob["p"]), h=float(blob["h"]))
+            m, k, p = (fileio.manifest_field(blob, key, int, args.params) for key in "mkp")
+            return TaylorParams(m=m, k=k, p=p,
+                                h=fileio.manifest_field(blob, "h", float, args.params))
         if {"T", "epsilon"} <= set(blob):
-            args.T, args.epsilon = float(blob["T"]), float(blob["epsilon"])
+            args.T, args.epsilon = (fileio.manifest_field(blob, key, float, args.params)
+                                    for key in ("T", "epsilon"))
         else:
             raise OdeqlError("params file needs {m,k,p,h} or {T,epsilon}")
     if args.m is not None:

@@ -8,13 +8,15 @@ meta.json manifest next to the matrix and vector files.
 from __future__ import annotations
 
 import json
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmread, mmwrite
 
-from .errors import DimensionError
+from .errors import DimensionError, ParameterError
 from .numerics import Instance, as_state, make_instance
 
 
@@ -42,10 +44,40 @@ def save_vector(path, v) -> None:
 
 
 def load_vector(path) -> np.ndarray:
-    raw = np.loadtxt(str(path), ndmin=2)
+    with warnings.catch_warnings():
+        # numpy warns on a file without data; the error below says so instead
+        warnings.simplefilter("ignore", UserWarning)
+        raw = np.loadtxt(str(path), ndmin=2)
+    if raw.size == 0:
+        raise DimensionError(f"{path}: no entries")
     if raw.shape[1] != 2:
         raise DimensionError(f"{path}: expected two columns (re, im), got {raw.shape[1]}")
     return raw[:, 0] + 1j * raw[:, 1]
+
+
+def load_manifest(path) -> dict:
+    """The JSON object stored at path; any other JSON value is a ParameterError."""
+    blob = json.loads(Path(path).read_text())
+    if not isinstance(blob, dict):
+        raise ParameterError(f"{path}: expected a JSON object, got {type(blob).__name__}")
+    return blob
+
+
+def manifest_field(manifest: dict, key: str, kind: type, source):
+    """manifest[key] as kind: int takes integers only (not bools or floats),
+    float takes finite integers and floats. A missing or mistyped field is a
+    ParameterError that names source."""
+    if key not in manifest:
+        raise ParameterError(f"{source}: missing field {key!r}")
+    value = manifest[key]
+    if kind is int:
+        ok, what = isinstance(value, int), "an integer"
+    else:
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+        what = "a finite number"
+    if isinstance(value, bool) or not ok:
+        raise ParameterError(f"{source}: {key} must be {what}, got {json.dumps(value)}")
+    return kind(value)
 
 
 def save_instance(directory, inst: Instance, extra_meta: dict | None = None) -> Path:
@@ -72,7 +104,8 @@ def save_instance(directory, inst: Instance, extra_meta: dict | None = None) -> 
 
 def load_instance(directory) -> Instance:
     directory = Path(directory)
-    meta = json.loads((directory / "meta.json").read_text())
+    meta_path = directory / "meta.json"
+    meta = load_manifest(meta_path)
     return make_instance(
         V=load_matrix(directory / "V.mtx"),
         eigenvalues=load_vector(directory / "eigenvalues.txt"),
@@ -80,6 +113,6 @@ def load_instance(directory) -> Instance:
         x_in=load_vector(directory / "x_in.txt"),
         V_inv=load_matrix(directory / "V_inv.mtx"),
         A=load_matrix(directory / "A.mtx"),
-        kappa_V=meta["kappa_V"],
+        kappa_V=manifest_field(meta, "kappa_V", float, meta_path),
         label=meta.get("label", str(directory)),
     )

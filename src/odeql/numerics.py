@@ -2,9 +2,10 @@
 
 Everything here is pure and operates on immutable inputs: plain complex128
 numpy vectors for states and scipy CSR matrices (or dense arrays) for
-operators. The reference solution of ``dx/dt = A x + b`` is evaluated through
-the exponential of the augmented matrix ``[[A, b], [0, 0]]`` acting on
-``(x_in, 1)``, which never inverts A and is exact also for singular A.
+operators. :func:`reference_trajectory` is the one integrator of
+``dx/dt = A x + b``: it applies the exponential of the augmented matrix
+``[[A, b], [0, 0]]`` to ``(x_in, 1)``, which never inverts A and is exact
+also for singular A.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ POWER_SEED = 0xC0FFEE
 # N=256, ~70 vs ~500 ms at N=1024 (BLAS at one thread), agreeing to 2e-15.
 LANCZOS_CUTOFF = 256
 
-# Default accuracy of the matrix exponential kernel; small enough that
+# Accuracy of the reference oracle's exponential series; small enough that
 # oracle error is negligible against every bound this package tests.
 DEFAULT_EXP_TOL = 1e-13
 
@@ -135,18 +136,6 @@ def norm2(M) -> float:
     return lanczos_norm(M)
 
 
-def _operator_norm1(A):
-    """(A ready for ``A @ x``, ||A||_1); raise ParameterError on non-finite entries."""
-    if sp.issparse(A):
-        scale = sp.linalg.norm(A, 1)
-    else:
-        A = np.asarray(A, dtype=complex)
-        scale = np.linalg.norm(A, 1)
-    if not math.isfinite(float(scale)):
-        raise ParameterError("matrix contains non-finite entries")
-    return A, float(scale)
-
-
 def _exp_stepper(A, scale: float, t: float, tol: float):
     """The map v -> exp(A t) v for one fixed (A, t), inputs already checked.
 
@@ -193,23 +182,6 @@ def _exp_stepper(A, scale: float, t: float, tol: float):
     return step
 
 
-def exp_action(A, t: float, v: np.ndarray, tol: float = DEFAULT_EXP_TOL) -> np.ndarray:
-    """exp(A t) v by truncated Taylor series with scaling.
-
-    The action is split into s substeps with ||A t / s||_1 <= 1, and each
-    substep sums the series until the running term is below tol/(2s) of the
-    accumulated result (plus two safety terms). Only matrix-vector products
-    are used, so A may be sparse, dense, or anything supporting ``A @ x``.
-    """
-    v = as_state(v, "v")
-    if not math.isfinite(t):
-        raise ParameterError(f"time must be finite, got {t}")
-    if t == 0.0:
-        return v.copy()
-    A, scale = _operator_norm1(A)
-    return _exp_stepper(A, scale, t, tol)(v)
-
-
 def _augmented(A, b: np.ndarray, x_in: np.ndarray):
     """Operator and start vector whose exponential action carries the ODE.
 
@@ -230,24 +202,6 @@ def _augmented(A, b: np.ndarray, x_in: np.ndarray):
         aug[:n, :n] = np.asarray(A, dtype=complex)
         aug[:n, n] = b
     return aug, np.concatenate([x_in, [1.0 + 0.0j]])
-
-
-def evolve(A, b, x_in, t: float, tol: float = DEFAULT_EXP_TOL) -> np.ndarray:
-    """Solution of dx/dt = A x + b at time t >= 0 from x(0) = x_in.
-
-    Computed as exp(M t) (x_in, 1) restricted to the leading block, where
-    M = [[A, b], [0, 0]]; equivalently exp(A t) x_in + t phi_1(A t) b. This
-    avoids A^{-1} entirely and is exact for singular A.
-    """
-    x_in = as_state(x_in, "x_in")
-    b = as_state(b, "b")
-    n = x_in.size
-    if b.size != n:
-        raise DimensionError(f"b has length {b.size}, expected {n}")
-    if t < 0:
-        raise ParameterError(f"time must be >= 0, got {t}")
-    op, w = _augmented(A, b, x_in)
-    return exp_action(op, t, w, tol)[:n]
 
 
 @dataclass(frozen=True)
@@ -343,30 +297,36 @@ def make_instance(V, eigenvalues, b, x_in, V_inv=None, A=None, kappa_V=None,
     return inst
 
 
-def reference_solution(inst: Instance, t: float, tol: float = DEFAULT_EXP_TOL) -> np.ndarray:
-    """High-accuracy x(t) for an Instance (the oracle every bound is tested against)."""
-    if not 0.0 < tol <= 1e-6:
-        raise ParameterError(f"tol must lie in (0, 1e-6], got {tol}")
-    return evolve(inst.A, inst.b, inst.x_in, t, tol)
+def reference_solution(inst: Instance, t: float) -> np.ndarray:
+    """High-accuracy x(t) for an Instance: the last row of a one-interval trajectory."""
+    return reference_trajectory(inst, t, 1)[-1]
 
 
 def reference_trajectory(inst: Instance, T: float, m: int) -> np.ndarray:
     """Oracle states x(ih), i = 0..m, h = T/m, as rows; row 0 is x_in itself.
 
-    The augmented operator of :func:`evolve` and its one-interval propagator
-    are built once; each row steps the augmented state one interval on from
-    the row before, so the whole grid costs one O(T||A||) integration. Every
-    row is bit for bit what ``evolve(A, b, previous_row, T/m)`` returns, and
-    the last row is x(T).
+    The augmented operator of :func:`_augmented`, its 1-norm and its
+    one-interval propagator are built once; each row steps the augmented
+    state one interval on from the row before, so the whole grid costs one
+    O(T||A||) integration, and the last row is x(T).
     """
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
     if not (math.isfinite(T) and T >= 0):
         raise ParameterError(f"T must be finite and >= 0, got {T}")
     x_in = as_state(inst.x_in, "x_in")
+    b = as_state(inst.b, "b")
     n = x_in.size
-    op, w = _augmented(inst.A, as_state(inst.b, "b"), x_in)
-    op, scale = _operator_norm1(op)
+    if b.size != n:
+        raise DimensionError(f"b has length {b.size}, expected {n}")
+    op, w = _augmented(inst.A, b, x_in)
+    if sp.issparse(op):
+        scale = float(sp.linalg.norm(op, 1))
+    else:
+        op = np.asarray(op, dtype=complex)
+        scale = float(np.linalg.norm(op, 1))
+    if not math.isfinite(scale):
+        raise ParameterError("matrix contains non-finite entries")
     step = _exp_stepper(op, scale, T / m, DEFAULT_EXP_TOL)
     states = np.empty((m + 1, n), dtype=complex)
     states[0] = x_in

@@ -51,13 +51,7 @@ def truncated_exp(z, k: int):
     """
     if k < 0:
         raise ParameterError(f"truncation order must be >= 0, got {k}")
-    z = np.asarray(z, dtype=complex)
-    acc = np.ones_like(z)
-    for j in range(k, 0, -1):
-        acc = 1.0 + z * acc / j
-    if acc.ndim == 0:
-        return complex(acc)
-    return acc
+    return tail_poly(z, 0, k)
 
 
 def truncated_phi(z, k: int):

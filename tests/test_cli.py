@@ -231,6 +231,50 @@ def test_kappa_above_ceiling_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+# file (relative to tmp_path, where instance_dir is "inst") -> malformed text
+MALFORMED_MANIFESTS = {
+    "params-number": ("params.json", "5"),
+    "params-string": ("params.json", '"mkph"'),
+    "params-null-T": ("params.json", '{"T": null, "epsilon": 1e-3}'),
+    "params-float-m": ("params.json", '{"m": 1.5, "k": 5, "p": 1, "h": 0.1}'),
+    "params-bool-k": ("params.json", '{"m": 1, "k": true, "p": 1, "h": 0.1}'),
+    "params-infinite-epsilon": ("params.json", '{"T": 1, "epsilon": Infinity}'),
+    "meta-list": ("inst/meta.json", "[]"),
+    "meta-no-kappa": ("inst/meta.json", '{"schema": 1, "N": 3}'),
+    "meta-nan-kappa": ("inst/meta.json", '{"schema": 1, "N": 3, "kappa_V": NaN}'),
+    "empty-vector": ("inst/x_in.txt", ""),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_malformed_manifest_exits_2(case, instance_dir, tmp_path, capsys):
+    # a hostile manifest is a one-line usage error: no traceback, no warning
+    # and no run on a silently truncated value
+    (tmp_path / "params.json").write_text('{"m": 1, "k": 5, "p": 1, "h": 0.1}')
+    name, text = MALFORMED_MANIFESTS[case]
+    (tmp_path / name).write_text(text)
+    code = main(["encode", "--instance", str(instance_dir),
+                 "--params", str(tmp_path / "params.json"),
+                 "--out-matrix", str(tmp_path / "C.mtx"),
+                 "--out-rhs", str(tmp_path / "rhs.txt")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not (tmp_path / "C.mtx").exists()
+
+
+def test_well_formed_params_manifest_runs(instance_dir, tmp_path):
+    # the control for the cases above: integer m, k, p and an integer h run
+    (tmp_path / "params.json").write_text('{"m": 2, "k": 5, "p": 1, "h": 1}')
+    assert main(["encode", "--instance", str(instance_dir),
+                 "--params", str(tmp_path / "params.json"),
+                 "--out-matrix", str(tmp_path / "C.mtx"),
+                 "--out-rhs", str(tmp_path / "rhs.txt")]) == 0
+    assert load_matrix(tmp_path / "C.mtx").shape == (3 * (2 * 6 + 2),) * 2
+
+
 def test_step_bound_violation_exits_2(instance_dir, tmp_path):
     code = main(["encode", "--instance", str(instance_dir),
                  "--m", "1", "--k", "5", "--p", "1", "--h", "50.0",

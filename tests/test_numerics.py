@@ -1,4 +1,4 @@
-"""Tests for norms, the exponential kernel and the ODE reference oracle.
+"""Tests for norms, instances and the ODE reference oracle.
 
 Independent oracles used here: an SVD-constructed matrix with known largest
 singular value, scipy.linalg.expm, a step-halving RK4 integrator driven
@@ -20,8 +20,6 @@ from odeql.instances import GenSpec, generate, random_unitary
 from odeql.numerics import (
     LANCZOS_CUTOFF,
     Instance,
-    evolve,
-    exp_action,
     lanczos_norm,
     make_instance,
     reference_solution,
@@ -158,63 +156,82 @@ class TestNorm2:
         assert calls == [(6, 6)]
 
 
+def _from_matrix(A, b, x_in):
+    """An Instance of dx/dt = A x + b, its eigendecomposition taken by eig."""
+    eigenvalues, V = np.linalg.eig(np.asarray(A, dtype=complex))
+    return make_instance(V, eigenvalues, b, x_in, A=A)
+
+
+def _expm_oracle(inst, t):
+    """x(t) as the leading block of scipy's expm([[A, b], [0, 0]] t) (x_in, 1)."""
+    n = inst.N
+    M = np.zeros((n + 1, n + 1), dtype=complex)
+    M[:n, :n] = inst.A.toarray()
+    M[:n, n] = inst.b
+    return (sla.expm(M * t) @ np.append(inst.x_in, 1.0))[:n]
+
+
 class TestExpAction:
+    """The homogeneous flow x(t) = exp(At) x_in through the oracle (b = 0)."""
+
     def test_t_zero_is_identity(self):
-        v = np.array([1.0 + 2j, -0.5, 3j])
-        out = exp_action(np.eye(3), 0.0, v)
-        np.testing.assert_array_equal(out, v)
+        inst = make_instance(np.eye(3), [-1.0, -0.5, -0.2j], np.zeros(3),
+                             np.array([1.0 + 2j, -0.5, 3j]))
+        out = reference_solution(inst, 0.0)
+        np.testing.assert_array_equal(out, inst.x_in)
 
     def test_eigenvector(self):
         lam = -0.8 + 0.4j
-        A = np.diag([lam, -2.0 + 0j])
-        out = exp_action(A, 1.7, np.array([1.0, 0.0]))
+        inst = make_instance(np.eye(2), [lam, -2.0], np.zeros(2), np.array([1.0, 0.0]))
+        out = reference_solution(inst, 1.7)
         assert out[0] == pytest.approx(np.exp(lam * 1.7), rel=1e-12)
         assert out[1] == 0.0
 
     def test_anti_hermitian_preserves_norm(self):
+        # a pure-imaginary spectrum with unitary V (kappa_V = 1) is a unitary flow
         rng = np.random.default_rng(12)
-        G = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        A = G - G.conj().T  # anti-Hermitian
-        A /= spectral_norm(A, tol=1e-8)
-        v = rng.normal(size=6) + 1j * rng.normal(size=6)
-        out = exp_action(A, 2.3, v)
-        assert abs(np.linalg.norm(out) / np.linalg.norm(v) - 1.0) <= 1e-10
+        inst = make_instance(random_unitary(6, rng), 1j * rng.uniform(-1, 1, size=6),
+                             np.zeros(6), rng.normal(size=6) + 1j * rng.normal(size=6))
+        assert inst.kappa_V == pytest.approx(1.0)
+        out = reference_solution(inst, 2.3)
+        assert abs(np.linalg.norm(out) / np.linalg.norm(inst.x_in) - 1.0) <= 1e-10
 
     def test_semigroup(self):
-        rng = np.random.default_rng(5)
-        A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        A /= 2 * spectral_norm(A, tol=1e-8)
-        v = rng.normal(size=5) + 1j * rng.normal(size=5)
-        tol = 1e-13
-        once = exp_action(A, 0.9 + 0.6, v, tol)
-        twice = exp_action(A, 0.9, exp_action(A, 0.6, v, tol), tol)
-        assert np.linalg.norm(once - twice) <= 10 * tol * np.linalg.norm(once)
+        # two intervals of the trajectory reach what one interval does
+        inst = generate(GenSpec(N=5, kappa_V=4.0, seed=5, unit_norm=True))
+        once = reference_trajectory(inst, 0.9 + 0.6, 1)[-1]
+        twice = reference_trajectory(inst, 0.9 + 0.6, 2)[-1]
+        assert np.linalg.norm(once - twice) <= 1e-12 * np.linalg.norm(once)
 
     def test_against_scipy_expm(self):
-        rng = np.random.default_rng(42)
         for n in (2, 5, 9):
-            A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            v = rng.normal(size=n) + 1j * rng.normal(size=n)
-            expected = sla.expm(A * 0.7) @ v
-            out = exp_action(A, 0.7, v)
-            np.testing.assert_allclose(out, expected, rtol=1e-11, atol=1e-12)
+            inst = generate(GenSpec(N=n, kappa_V=3.0, b_mode="random", seed=42,
+                                    unit_norm=True))
+            np.testing.assert_allclose(reference_solution(inst, 0.7),
+                                       _expm_oracle(inst, 0.7), rtol=1e-11, atol=1e-12)
 
     def test_sparse_matrix(self):
-        A = sp.diags([[-1.0, -2.0, -0.5]], [0], format="csr").astype(complex)
-        v = np.ones(3, dtype=complex)
-        out = exp_action(A, 1.0, v)
+        # a CSR and a dense A give the same state
+        inst = make_instance(np.eye(3), [-1.0, -2.0, -0.5], np.zeros(3), np.ones(3))
+        out = reference_solution(inst, 1.0)
         np.testing.assert_allclose(out, np.exp([-1.0, -2.0, -0.5]), rtol=1e-12)
+        dense = reference_solution(replace(inst, A=inst.A.toarray()), 1.0)
+        np.testing.assert_allclose(dense, out, rtol=1e-15)
 
 
 class TestEvolve:
+    """The inhomogeneous flow through the oracle, and its argument checks."""
+
     def test_zero_generator_linear_drift(self):
         b0 = np.array([0.5, -1.0 + 0.5j])
         x0 = np.array([1.0, 2.0 + 0j])
-        out = evolve(np.zeros((2, 2)), b0, x0, 2.0)
+        inst = make_instance(np.eye(2), [0.0, 0.0], b0, x0)
+        out = reference_solution(inst, 2.0)
         np.testing.assert_allclose(out, x0 + 2.0 * b0, rtol=0, atol=1e-13)
 
     def test_scalar_exponential(self):
-        out = evolve(np.array([[-1.0]]), np.array([0.0]), np.array([1.0]), 1.0)
+        inst = make_instance(np.eye(1), [-1.0], np.zeros(1), np.ones(1))
+        out = reference_solution(inst, 1.0)
         assert out[0] == pytest.approx(0.36787944117144233, abs=1e-13)
 
     def test_rk4_oracle_two_by_two(self):
@@ -223,26 +240,18 @@ class TestEvolve:
         b = np.array([1.0, 0.0], dtype=complex)
         x0 = np.zeros(2, dtype=complex)
         expected = rk4_oracle(A, b, x0, 1.0)
-        out = evolve(A, b, x0, 1.0, tol=1e-13)
+        out = reference_solution(_from_matrix(A, b, x0), 1.0)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-11)
 
-    def test_singular_A_with_inhomogeneity(self):
-        # A is nilpotent (singular); the phi-form must still be exact:
-        # x(t) = x0 + t b + (t^2/2) A b for A^2 = 0.
-        A = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        b = np.array([0.0, 1.0], dtype=complex)
-        x0 = np.array([1.0, 0.0], dtype=complex)
-        t = 3.0
-        expected = x0 + t * b + 0.5 * t**2 * (A @ b)
-        np.testing.assert_allclose(evolve(A, b, x0, t), expected, rtol=1e-13)
-
     def test_dimension_mismatch(self):
+        inst = make_instance(np.eye(2), [-1.0, -0.5], np.zeros(2), np.ones(2))
         with pytest.raises(DimensionError):
-            evolve(np.eye(2), np.zeros(3), np.zeros(2), 1.0)
+            reference_solution(replace(inst, b=np.ones(3)), 1.0)
 
     def test_negative_time_rejected(self):
+        inst = make_instance(np.eye(2), [-1.0, -0.5], np.zeros(2), np.ones(2))
         with pytest.raises(ParameterError):
-            evolve(np.eye(2), np.zeros(2), np.ones(2), -1.0)
+            reference_solution(inst, -1.0)
 
 
 class TestReferenceSolution:
@@ -252,10 +261,10 @@ class TestReferenceSolution:
 
     def test_oracle_consistency_homogeneous(self):
         inst = self._instance(b_mode="zero")
-        t, tol = 1.3, 1e-12
-        via_ref = reference_solution(inst, t, tol)
-        via_exp = exp_action(inst.A, t, inst.x_in, tol)
-        assert np.linalg.norm(via_ref - via_exp) <= 10 * tol * np.linalg.norm(via_ref)
+        t = 1.3
+        via_ref = reference_solution(inst, t)
+        via_expm = sla.expm(inst.A.toarray() * t) @ inst.x_in
+        assert np.linalg.norm(via_ref - via_expm) <= 1e-12 * np.linalg.norm(via_ref)
 
     def test_ode_residual_finite_difference(self):
         # Central difference of x(t) must reproduce A x(t) + b to 1e-6 relative.
@@ -271,11 +280,6 @@ class TestReferenceSolution:
     def test_t_zero_exact(self):
         inst = self._instance(seed=5)
         np.testing.assert_array_equal(reference_solution(inst, 0.0), inst.x_in)
-
-    def test_tol_validation(self):
-        inst = self._instance()
-        with pytest.raises(ParameterError):
-            reference_solution(inst, 1.0, tol=1e-3)
 
 
 def closed_form(inst, t):
@@ -320,7 +324,7 @@ class TestReferenceTrajectory:
     @pytest.mark.parametrize("b_mode", ["zero", "random"])
     def test_bitwise_equal_to_stepping_evolve(self, b_mode, layout):
         # the operator and propagator built once must step exactly like a
-        # fresh evolve call per interval, to the last bit
+        # fresh one-interval oracle call per interval, to the last bit
         inst = generate(GenSpec(N=5, kappa_V=3.0, b_mode=b_mode, seed=21,
                                 unit_norm=True))
         if layout == "dense":
@@ -329,7 +333,7 @@ class TestReferenceTrajectory:
         states = reference_trajectory(inst, T, m)
         expected = [inst.x_in]
         for _ in range(m):
-            expected.append(evolve(inst.A, inst.b, expected[-1], T / m))
+            expected.append(reference_solution(replace(inst, x_in=expected[-1]), T / m))
         assert states.tobytes() == np.array(expected).tobytes()
 
 
