@@ -79,9 +79,10 @@ class TaylorParams:
     def __post_init__(self):
         for name in ("m", "k", "p"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ParameterError(f"{name} must be a positive integer, got {value!r}")
-        if not (isinstance(self.h, (int, float)) and math.isfinite(self.h) and self.h > 0):
+        if isinstance(self.h, bool) or not (
+                isinstance(self.h, (int, float)) and math.isfinite(self.h) and self.h > 0):
             raise ParameterError(f"h must be a positive finite real, got {self.h!r}")
 
     @property

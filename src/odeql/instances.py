@@ -55,6 +55,9 @@ class GenSpec:
     unit_norm: bool = False
 
     def __post_init__(self):
+        for name in ("N", "kappa_V", "sparsity", "seed"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ParameterError(f"{name} must be a number, got a bool")
         if self.N < 1:
             raise ParameterError(f"N must be >= 1, got {self.N}")
         if self.eig_profile not in EIG_PROFILES:

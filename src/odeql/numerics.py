@@ -23,9 +23,11 @@ from .errors import ConvergenceError, DimensionError, ParameterError
 # Fixed start-vector seed so norm estimates are reproducible run to run.
 POWER_SEED = 0xC0FFEE
 
-# Size from which norm2 takes Lanczos over a dense SVD: 3.4-4.1 vs 6.8 ms at
-# N=256, ~70 vs ~500 ms at N=1024 (BLAS at one thread), agreeing to 2e-15.
-LANCZOS_CUTOFF = 256
+# Size from which A is handled as sparse rather than dense. norm2 takes Lanczos
+# over a dense SVD (3.4-4.1 vs 6.8 ms at N=256, ~70 vs ~500 ms at N=1024, BLAS
+# at one thread, agreeing to 2e-15); below it the oracle and forward_substitute
+# apply A as an ndarray (2.2 vs 9.9 us a product through CSR at order 65).
+DENSE_CUTOFF = 256
 
 # Accuracy of the reference oracle's exponential series; small enough that
 # oracle error is negligible against every bound this package tests.
@@ -123,7 +125,7 @@ def lanczos_norm(M) -> float:
 
 
 def norm2(M) -> float:
-    """||M||_2 of a dense or sparse M: dense SVD below LANCZOS_CUTOFF, else Lanczos.
+    """||M||_2 of a dense or sparse M: dense SVD below DENSE_CUTOFF, else Lanczos.
 
     Non-finite entries raise ParameterError; an all-zero M is 0.0, without ARPACK."""
     data = M.data if sp.issparse(M) else M
@@ -131,7 +133,7 @@ def norm2(M) -> float:
         raise ParameterError("matrix contains non-finite entries")
     if not np.any(data):
         return 0.0
-    if min(M.shape) < LANCZOS_CUTOFF:
+    if min(M.shape) < DENSE_CUTOFF:
         return float(np.linalg.norm(M.toarray() if sp.issparse(M) else M, 2))
     return lanczos_norm(M)
 
@@ -139,11 +141,13 @@ def norm2(M) -> float:
 def _exp_stepper(A, scale: float, t: float, tol: float):
     """The map v -> exp(A t) v for one fixed (A, t), inputs already checked.
 
-    The substep count s = ceil(|t| ||A||_1), the substep dt = t/s and the
-    per-substep cutoff tol/(2s) are fixed here once, so a caller that applies
-    the same propagator many times pays for them once. Each substep sums the
-    series until the running term is below the cutoff relative to the
-    accumulated result, plus two safety terms.
+    scale bounds ||A||_2 from above. The substep count s = ceil(|t| scale),
+    which keeps ||A dt||_2 <= 1, the substep dt = t/s and the per-substep
+    cutoff tol/(2s) are fixed here once, so a caller that applies the same
+    propagator many times pays for them once. Each substep sums the series,
+    scaling each term in place, until the 2-norm of the running term is below
+    the cutoff relative to that of the accumulated result, plus two safety
+    terms.
     """
     if t == 0.0 or scale == 0.0:
         return np.copy
@@ -153,6 +157,9 @@ def _exp_stepper(A, scale: float, t: float, tol: float):
     cutoff = tol / (2.0 * steps)
     max_terms = 120
 
+    def norm(x: np.ndarray) -> float:
+        return math.sqrt(np.vdot(x, x).real)
+
     def step(v: np.ndarray) -> np.ndarray:
         w = v
         for _ in range(steps):
@@ -160,12 +167,14 @@ def _exp_stepper(A, scale: float, t: float, tol: float):
             acc = w.copy()
             converged = False
             for j in range(1, max_terms + 1):
-                term = (dt / j) * (A @ term)
+                term = A @ term
+                term *= dt / j
                 acc += term
-                if np.linalg.norm(term) <= cutoff * np.linalg.norm(acc):
+                if norm(term) <= cutoff * norm(acc):
                     # two extra terms at essentially zero cost close the tail
                     for jj in (j + 1, j + 2):
-                        term = (dt / jj) * (A @ term)
+                        term = A @ term
+                        term *= dt / jj
                         acc += term
                     converged = True
                     break
@@ -174,7 +183,7 @@ def _exp_stepper(A, scale: float, t: float, tol: float):
                     f"exp series did not reach tol={tol:g} within {max_terms} terms "
                     f"(substep norm {abs(dt) * scale:.3g})",
                     last_iterate=acc,
-                    residual=float(np.linalg.norm(term)),
+                    residual=norm(term),
                 )
             w = acc
         return w
@@ -199,7 +208,7 @@ def _augmented(A, b: np.ndarray, x_in: np.ndarray):
         )
     else:
         aug = np.zeros((n + 1, n + 1), dtype=complex)
-        aug[:n, :n] = np.asarray(A, dtype=complex)
+        aug[:n, :n] = A
         aug[:n, n] = b
     return aug, np.concatenate([x_in, [1.0 + 0.0j]])
 
@@ -305,10 +314,12 @@ def reference_solution(inst: Instance, t: float) -> np.ndarray:
 def reference_trajectory(inst: Instance, T: float, m: int) -> np.ndarray:
     """Oracle states x(ih), i = 0..m, h = T/m, as rows; row 0 is x_in itself.
 
-    The augmented operator of :func:`_augmented`, its 1-norm and its
-    one-interval propagator are built once; each row steps the augmented
-    state one interval on from the row before, so the whole grid costs one
-    O(T||A||) integration, and the last row is x(T).
+    The augmented operator of :func:`_augmented` (dense below DENSE_CUTOFF)
+    and its one-interval propagator are built once, the substeps sized by
+    hypot(||A||_2, ||b||) >= ||[[A, b], [0, 0]]||_2 from the instance's cached
+    ``norm_A``; each row steps the augmented state one interval on from the
+    row before, so the whole grid costs one O(T||A||) integration, and the
+    last row is x(T).
     """
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
@@ -319,14 +330,8 @@ def reference_trajectory(inst: Instance, T: float, m: int) -> np.ndarray:
     n = x_in.size
     if b.size != n:
         raise DimensionError(f"b has length {b.size}, expected {n}")
-    op, w = _augmented(inst.A, b, x_in)
-    if sp.issparse(op):
-        scale = float(sp.linalg.norm(op, 1))
-    else:
-        op = np.asarray(op, dtype=complex)
-        scale = float(np.linalg.norm(op, 1))
-    if not math.isfinite(scale):
-        raise ParameterError("matrix contains non-finite entries")
+    op, w = _augmented(_dense(inst.A) if n < DENSE_CUTOFF else inst.A, b, x_in)
+    scale = math.hypot(inst.norm_A, np.linalg.norm(b))
     step = _exp_stepper(op, scale, T / m, DEFAULT_EXP_TOL)
     states = np.empty((m + 1, n), dtype=complex)
     states[0] = x_in

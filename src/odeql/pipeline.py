@@ -55,6 +55,9 @@ class RunConfig:
     delta_injection: float | str | None = None
 
     def __post_init__(self):
+        for name in ("T", "epsilon", "seed", "delta_injection"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ParameterError(f"{name} must be a number, got a bool")
         if not (math.isfinite(self.T) and self.T > 0):
             raise ParameterError(f"T must be positive and finite, got {self.T}")
         if not 0.0 < self.epsilon <= 0.5:

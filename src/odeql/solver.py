@@ -9,7 +9,7 @@ it walks the blocks in flat order and replays the defining recurrences
     x_{i+1,0} = sum_{j=0}^{k} x_{i,j}
     x_{m,j} = x_{m,j-1}                     1 <= j <= p
 
-at a cost of m*k sparse matrix-vector products plus vector additions.
+at a cost of m*k products with A plus vector additions.
 :func:`block_solve` is the one kernel for these recurrences: it solves C
 (forward only) for any stack of right-hand sides, and backs forward
 substitution and the scalar inverse columns.
@@ -35,7 +35,7 @@ from .encoder import (
     build_rhs,
 )
 from .errors import DegenerateInputError, DimensionError
-from .numerics import as_state
+from .numerics import DENSE_CUTOFF, as_state
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,10 @@ def block_solve(A, params: TaylorParams, rhs: np.ndarray) -> np.ndarray:
 def forward_substitute(A, params: TaylorParams, x_in, b) -> BlockSolution:
     """Solve the encoded system block-by-block without assembling it.
 
-    Requires |A| h <= 1 like the matrix builder. The returned blocks satisfy
-    the recurrences exactly (padding blocks are bitwise copies and block
-    (0,0) is exactly x_in).
+    Requires |A| h <= 1 like the matrix builder. Below DENSE_CUTOFF the
+    kernel applies A as a dense ndarray, from there as CSR. The returned
+    blocks satisfy the recurrences exactly (padding blocks are bitwise copies
+    and block (0,0) is exactly x_in).
     """
     A = _as_csr(A)
     _require_step_bound(A, params.h)
@@ -101,7 +102,8 @@ def forward_substitute(A, params: TaylorParams, x_in, b) -> BlockSolution:
     rhs = build_rhs(x_in, b, params)
     if rhs.size != (params.d + 1) * N:
         raise DimensionError("x_in and b must match the dimension of A")
-    data = block_solve(A, params, rhs.reshape(params.d + 1, N))
+    data = block_solve(A.toarray() if N < DENSE_CUTOFF else A, params,
+                       rhs.reshape(params.d + 1, N))
     data.flags.writeable = False
     return BlockSolution(params=params, N=N, data=data)
 

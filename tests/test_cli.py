@@ -144,8 +144,8 @@ def test_zero_V_instance_exits_2(tmp_path, capsys):
     # an all-zero V.mtx at N >= 256 (the Lanczos branch of the norm) is a
     # one-line error, not an ARPACK traceback
     from odeql.fileio import save_instance, save_matrix
-    from odeql.numerics import LANCZOS_CUTOFF, make_instance
-    N = LANCZOS_CUTOFF
+    from odeql.numerics import DENSE_CUTOFF, make_instance
+    N = DENSE_CUTOFF
     inst = make_instance(np.eye(N), -np.ones(N), np.zeros(N), np.ones(N) / 16.0)
     save_instance(tmp_path / "inst", inst)
     save_matrix(tmp_path / "inst" / "V.mtx", np.zeros((N, N)))

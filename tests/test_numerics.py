@@ -6,6 +6,7 @@ to 1e-12, and the eigenbasis closed form of x(t) (never the code paths
 under test).
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from odeql import numerics
 from odeql.errors import DimensionError, ParameterError
 from odeql.instances import GenSpec, generate, random_unitary
 from odeql.numerics import (
-    LANCZOS_CUTOFF,
+    DENSE_CUTOFF,
     Instance,
     lanczos_norm,
     make_instance,
@@ -119,7 +120,7 @@ class TestLanczosNorm:
 
 
 class TestNorm2:
-    @pytest.mark.parametrize("N", [8, LANCZOS_CUTOFF + 44])
+    @pytest.mark.parametrize("N", [8, DENSE_CUTOFF + 44])
     def test_dense_and_csr_on_both_paths(self, N):
         # a permuted diagonal with complex phases: its singular values are
         # the moduli of the diagonal, the largest 2
@@ -130,7 +131,7 @@ class TestNorm2:
         assert numerics.norm2(M) == pytest.approx(2.0, rel=1e-13)
         assert numerics.norm2(sp.csr_matrix(M)) == pytest.approx(2.0, rel=1e-13)
 
-    @pytest.mark.parametrize("N", [3, LANCZOS_CUTOFF])
+    @pytest.mark.parametrize("N", [3, DENSE_CUTOFF])
     def test_non_finite_rejected(self, N):
         M = np.eye(N, dtype=complex)
         M[0, 1] = np.nan
@@ -143,7 +144,7 @@ class TestNorm2:
             raise AssertionError("ARPACK called on a zero matrix")
 
         monkeypatch.setattr(numerics, "lanczos_norm", no_arpack)
-        N = LANCZOS_CUTOFF
+        N = DENSE_CUTOFF
         assert numerics.norm2(np.zeros((N, N), dtype=complex)) == 0.0
         assert numerics.norm2(sp.csr_matrix((N, N), dtype=complex)) == 0.0
         assert numerics.norm2(sp.csr_matrix(np.zeros((N, N)))) == 0.0
@@ -162,13 +163,18 @@ def _from_matrix(A, b, x_in):
     return make_instance(V, eigenvalues, b, x_in, A=A)
 
 
-def _expm_oracle(inst, t):
-    """x(t) as the leading block of scipy's expm([[A, b], [0, 0]] t) (x_in, 1)."""
+def _augmented_dense(inst):
+    """The dense augmented operator [[A, b], [0, 0]] of an Instance."""
     n = inst.N
     M = np.zeros((n + 1, n + 1), dtype=complex)
     M[:n, :n] = inst.A.toarray()
     M[:n, n] = inst.b
-    return (sla.expm(M * t) @ np.append(inst.x_in, 1.0))[:n]
+    return M
+
+
+def _expm_oracle(inst, t):
+    """x(t) as the leading block of scipy's expm([[A, b], [0, 0]] t) (x_in, 1)."""
+    return (sla.expm(_augmented_dense(inst) * t) @ np.append(inst.x_in, 1.0))[:inst.N]
 
 
 class TestExpAction:
@@ -337,6 +343,60 @@ class TestReferenceTrajectory:
         assert states.tobytes() == np.array(expected).tobytes()
 
 
+class TestOracleAccuracy:
+    """The trajectory against expm of [[A, b], [0, 0]] on both sides of DENSE_CUTOFF."""
+
+    @staticmethod
+    def _worst_relative_error(inst, T, m):
+        states = reference_trajectory(inst, T, m)
+        worst = 0.0
+        for i in range(1, m + 1):
+            expected = _expm_oracle(inst, i * T / m)
+            worst = max(worst, np.linalg.norm(states[i] - expected)
+                        / np.linalg.norm(expected))
+        return worst
+
+    @pytest.mark.parametrize("N", [DENSE_CUTOFF - 1, DENSE_CUTOFF])
+    def test_generated_instance(self, N):
+        inst = generate(GenSpec(N=N, kappa_V=3.0, b_mode="random", seed=N,
+                                unit_norm=True))
+        assert self._worst_relative_error(inst, T=5.0, m=4) <= 1e-13
+
+    @pytest.mark.parametrize("N", [DENSE_CUTOFF - 1, DENSE_CUTOFF])
+    def test_dense_row(self, N):
+        # one dense row of -3 over a diagonal; with a random b the 1-norm of
+        # the augmented operator overstates its 2-norm
+        rng = np.random.default_rng(N)
+        A = np.diag(-rng.uniform(0.5, 1.5, N)).astype(complex)
+        A[0, :] = -3.0
+        b = rng.normal(size=N) + 1j * rng.normal(size=N)
+        inst = _from_matrix(A, b, rng.normal(size=N) + 0j)
+        op = _augmented_dense(inst)
+        assert np.linalg.norm(op, 1) > 2 * np.linalg.norm(op, 2)
+        assert self._worst_relative_error(inst, T=4.0, m=4) <= 1e-13
+
+
+class TestSubstepRule:
+    @pytest.mark.parametrize("b_mode", ["zero", "random"])
+    def test_scale_is_hypot_of_norm_A_and_b(self, monkeypatch, b_mode):
+        inst = generate(GenSpec(N=6, kappa_V=3.0, b_mode=b_mode, seed=8))
+        seen = []
+        inner = numerics._exp_stepper
+
+        def wrapper(op, scale, t, tol):
+            seen.append((op, scale))
+            return inner(op, scale, t, tol)
+
+        monkeypatch.setattr(numerics, "_exp_stepper", wrapper)
+        reference_trajectory(inst, 2.0, 3)
+        [(op, scale)] = seen
+        assert isinstance(op, np.ndarray)
+        assert scale == math.hypot(inst.norm_A, np.linalg.norm(inst.b))
+        dense_op = _augmented_dense(inst) if b_mode == "random" else inst.A.toarray()
+        np.testing.assert_array_equal(op, dense_op)
+        assert scale >= numerics.norm2(dense_op)
+
+
 class TestInstanceValidation:
     def test_positive_real_part_rejected(self):
         with pytest.raises(ParameterError):
@@ -368,7 +428,7 @@ class TestInstanceValidation:
 
     def test_zero_V_on_the_lanczos_branch_rejected(self):
         # an all-zero V (say a zeroed V.mtx) is a bad instance, not an ARPACK crash
-        N = LANCZOS_CUTOFF
+        N = DENSE_CUTOFF
         with pytest.raises(ParameterError, match=r"\|V V_inv - I\|_max"):
             make_instance(np.zeros((N, N)), -np.ones(N), np.zeros(N), np.ones(N),
                           V_inv=np.eye(N), A=-sp.eye(N), kappa_V=1.0)
@@ -401,7 +461,7 @@ class TestConditionMeasurement:
         generate(GenSpec(N=10, kappa_V=None, sparsity=3, b_mode="random", seed=6))
         assert calls == [(10, 10), (10, 10)]
 
-    @pytest.mark.parametrize("N", [LANCZOS_CUTOFF - 1, LANCZOS_CUTOFF])
+    @pytest.mark.parametrize("N", [DENSE_CUTOFF - 1, DENSE_CUTOFF])
     def test_known_singular_values_on_both_paths(self, monkeypatch, N):
         lanczos_calls = _counting(monkeypatch, "lanczos_norm")
         rng = np.random.default_rng(N)
@@ -413,4 +473,4 @@ class TestConditionMeasurement:
         eigenvalues = -rng.uniform(0.1, 1.0, N)
         inst = make_instance(V, eigenvalues, np.zeros(N), np.ones(N), V_inv=V_inv)
         assert inst.kappa_V == pytest.approx(80.0, rel=1e-12, abs=0)
-        assert len(lanczos_calls) == (2 if N >= LANCZOS_CUTOFF else 0)
+        assert len(lanczos_calls) == (2 if N >= DENSE_CUTOFF else 0)

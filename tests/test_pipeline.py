@@ -34,6 +34,30 @@ from odeql.pipeline import (
 from odeql.solver import forward_substitute
 
 
+# (constructor, arguments with one bool, the field the error names), by id
+BOOL_FIELDS = {
+    "TaylorParams.m": (TaylorParams, dict(m=True, k=5, p=1, h=True), "m"),
+    "TaylorParams.k": (TaylorParams, dict(m=2, k=True, p=1, h=0.5), "k"),
+    "TaylorParams.p": (TaylorParams, dict(m=2, k=5, p=True, h=0.5), "p"),
+    "TaylorParams.h": (TaylorParams, dict(m=2, k=5, p=1, h=True), "h"),
+    "GenSpec.N": (GenSpec, dict(N=True), "N"),
+    "GenSpec.seed": (GenSpec, dict(N=4, seed=True), "seed"),
+    "GenSpec.seed-numpy": (GenSpec, dict(N=4, seed=np.True_), "seed"),
+    "GenSpec.kappa_V": (GenSpec, dict(N=4, kappa_V=True), "kappa_V"),
+    "GenSpec.sparsity": (GenSpec, dict(N=4, sparsity=True, kappa_V=None), "sparsity"),
+    "RunConfig.T": (RunConfig, dict(T=True, epsilon=0.5, seed=1), "T"),
+    "RunConfig.seed": (RunConfig, dict(T=1.0, epsilon=0.5, seed=True), "seed"),
+    "RunConfig.delta_injection": (
+        RunConfig, dict(T=1.0, epsilon=0.5, seed=1, delta_injection=True), "delta_injection"),
+}
+
+
+@pytest.mark.parametrize("build, kwargs, field", BOOL_FIELDS.values(), ids=BOOL_FIELDS)
+def test_bools_are_not_numbers(build, kwargs, field):
+    with pytest.raises(ParameterError, match=f"^{field} must be"):
+        build(**kwargs)
+
+
 class TestChooseParameters:
     def test_ceiling_arithmetic(self):
         # T ||A|| = 3.2 -> m = p = 4, h = T/4

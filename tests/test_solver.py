@@ -12,7 +12,9 @@ from scipy.sparse.linalg import spsolve_triangular
 from odeql.analysis import inverse_norm
 from odeql.encoder import TaylorParams, encode
 from odeql.errors import IntegrityError
+from odeql import solver
 from odeql.instances import GenSpec, generate
+from odeql.numerics import DENSE_CUTOFF, norm2
 from odeql.solver import (
     block_solve,
     forward_substitute,
@@ -280,6 +282,33 @@ def test_any_layout_cross_validates(m, k, p, N, seed):
         single = block_solve(A, params, rhs[:, :, c].copy())
         np.testing.assert_allclose(stacked[:, :, c], single,
                                    rtol=0, atol=1e-14 * np.abs(single).max())
+
+
+@pytest.mark.parametrize("N", [DENSE_CUTOFF - 1, DENSE_CUTOFF])
+def test_block_kernel_on_both_sides_of_the_dense_cutoff(monkeypatch, N):
+    # below the cutoff the kernel gets A as an ndarray, from it as CSR; both
+    # agree with the assembled system and keep the exact-copy blocks exact
+    rng = np.random.default_rng(N)
+    A = (sp.random(N, N, density=4 / N, format="csr", random_state=rng)
+         - 1j * sp.random(N, N, density=4 / N, format="csr", random_state=rng))
+    params = TaylorParams(m=3, k=6, p=2, h=0.99 / norm2(A))
+    x_in = rng.normal(size=N) + 1j * rng.normal(size=N)
+    b = rng.normal(size=N) + 1j * rng.normal(size=N)
+    kinds = []
+    inner = solver.block_solve
+
+    def spy(A, params, rhs):
+        kinds.append(sp.issparse(A))
+        return inner(A, params, rhs)
+
+    monkeypatch.setattr(solver, "block_solve", spy)
+    sol = forward_substitute(A, params, x_in, b)
+    assert kinds == [N >= DENSE_CUTOFF]
+    generic = generic_solve(encode(A, x_in, b, params))
+    assert np.linalg.norm(sol.vector() - generic) <= 1e-12 * np.linalg.norm(generic)
+    assert sol.block(0, 0).tobytes() == x_in.tobytes()
+    for j in range(1, params.p + 1):
+        assert sol.block(params.m, j).tobytes() == sol.final_state().tobytes()
 
 
 def test_desk_scale_ceiling():
