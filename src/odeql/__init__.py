@@ -9,12 +9,12 @@ bounds that make the encoding useful, and emulates the end-to-end algorithm
 including parameter selection, solver-inexactness injection and measurement
 sampling.
 
-The package namespace holds the names the demos use, the error classes and
-the state-preparation stage; every other name is imported from its module.
+The package namespace holds the names the demos use and the error classes;
+every other name is imported from its module.
 """
 
 from .analysis import condition_number_bound, matrix_norm_bounds
-from .encoder import TaylorParams, encode, simulate_state_prep
+from .encoder import TaylorParams, encode
 from .errors import (
     BoundViolationError,
     ConvergenceError,

@@ -12,7 +12,8 @@ condition-number check measures nothing of its own.
 The bounds covered:
 
 * inverse-column norms of the scalar system:  ||C(lam)^{-1} e_l|| and entries
-* matrix norm:        ||C|| <= 2 sqrt(k), with its three-part decomposition
+* matrix norm:        ||C|| <= 2 sqrt(k), with the norms of its three-part
+                      decomposition proved from the encoded layout
 * inverse norm:       ||C^{-1}|| <= 3 kappa_V sqrt(k) (m+p)
 * condition number:   kappa_C = ||C|| ||C^{-1}|| <= 6 kappa_V k (m+p)
 * solution error:     ||x(jh) - x_{j,0}|| <= 2.8 kappa_V j (|x_in| + mh|b|) / (k+1)!
@@ -26,9 +27,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
-from .encoder import EncodedSystem, TaylorParams
+from .encoder import EncodedSystem, TaylorParams, _check_layout
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -36,7 +36,7 @@ from .errors import (
     IntegrityError,
     ParameterError,
 )
-from .numerics import Instance, lanczos_norm, norm2, reference_trajectory
+from .numerics import Instance, norm2, reference_trajectory
 from .solver import BlockSolution, block_solve
 
 # Relative slack accepted on every bound check; absorbs floating-point
@@ -215,50 +215,25 @@ def scalar_inverse_columns(lam: complex, params: TaylorParams) -> BoundReport:
 # matrix norm, inverse norm, condition number
 # ---------------------------------------------------------------------------
 
-def _component_split(system: EncodedSystem):
-    """Split C = C1 + C2 + C3: identity, collectors, subdiagonal blocks.
-
-    C2 is the strictly lower part of the collector block rows (i+1)(k+1) of
-    the assembled C; C3 is what remains below the diagonal.
-    """
-    C, N, params = system.matrix, system.N, system.params
-    rows = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
-    block = rows // N
-    collector = ((block % (params.k + 1) == 0) & (block <= params.m * (params.k + 1))
-                 & (C.indices < rows))
-    C2 = sp.csr_matrix((C.data[collector], (rows[collector], C.indices[collector])),
-                       shape=C.shape)
-    C1 = sp.identity(C.shape[0], dtype=complex, format="csr")
-    C3 = (C - C1 - C2).tocsr()
-    return C1, C2, C3
-
-
 def _system_label(system: EncodedSystem) -> str:
     params = system.params
     return f"m={params.m}, k={params.k}, p={params.p}, N={system.N}"
 
 
 def matrix_norm_bounds(system: EncodedSystem) -> BoundReport:
-    """Check ||C|| <= 2 sqrt(k) and the three component norms.
+    """Check ||C|| <= 2 sqrt(k) and report Lemma 3's three component norms.
 
-    ||C|| is the system's own ``norm``; ||C2|| and ||C3|| come from ARPACK
-    Lanczos (:func:`lanczos_norm`) and ||Ah||, an N x N block, from
-    :func:`norm2`; all are exact to rounding. The components satisfy
-    ||C1|| = 1, ||C2|| = sqrt(k+1) and ||C3|| = max(||Ah||, 1), and each
-    must match its closed form to 1e-10 relative.
+    ||C|| is the system's own ``norm``, exact to rounding. The components are
+    proved, not measured: :func:`~odeql.encoder._check_layout` proves the
+    block layout of C in O(nnz) or raises IntegrityError, and that layout
+    fixes ||C1|| = 1, ||C2|| = sqrt(k+1) and ||C3|| = max(h ||A||, 1), with
+    ||A|| from :func:`norm2`.
     """
-    k = system.params.k
-    if k < 5:
-        raise HypothesisError(f"norm bound requires k >= 5, got k={k}")
-    bound = 2.0 * math.sqrt(k)
-    _, C2, C3 = _component_split(system)
-    norm_C2 = lanczos_norm(C2)
-    norm_C3 = lanczos_norm(C3)
-    # ||Ah|| read off the first subdiagonal block, which stores -(Ah)/1.
-    N = system.N
-    norm_Ah = norm2(system.matrix[N:2 * N, :N])
-    expected_C2 = math.sqrt(k + 1.0)
-    expected_C3 = max(norm_Ah, 1.0)
+    params = system.params
+    if params.k < 5:
+        raise HypothesisError(f"norm bound requires k >= 5, got k={params.k}")
+    _check_layout(system.matrix, system.A, params)
+    bound = 2.0 * math.sqrt(params.k)
     return BoundReport(
         bound_name="matrix-norm",
         instances_checked=1,
@@ -268,12 +243,8 @@ def matrix_norm_bounds(system: EncodedSystem) -> BoundReport:
             "norm": system.norm,
             "bound": bound,
             "component_identity": 1.0,
-            "component_collector": norm_C2,
-            "component_collector_expected": expected_C2,
-            "component_subdiagonal": norm_C3,
-            "component_subdiagonal_expected": expected_C3,
-            "components_ok": bool(abs(norm_C2 - expected_C2) <= 1e-10 * expected_C2
-                                  and abs(norm_C3 - expected_C3) <= 1e-10 * expected_C3),
+            "component_collector": math.sqrt(params.k + 1.0),
+            "component_subdiagonal": max(params.h * norm2(system.A), 1.0),
         },
     )
 

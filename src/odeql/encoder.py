@@ -40,7 +40,6 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, splu
 
 from .errors import (
-    DegenerateInputError,
     DimensionError,
     HypothesisError,
     IntegrityError,
@@ -145,6 +144,38 @@ def _check_triangular(C: sp.csr_matrix) -> None:
                              "equal to 1 (nothing above the diagonal)")
 
 
+def _check_layout(C: sp.csr_matrix, A: sp.csr_matrix, params: TaylorParams) -> None:
+    """Prove in O(nnz) that C encodes canonical CSR A under params: below the
+    diagonal, collector rows hold -1 once in each block of their step and every
+    other entry sits one block left, as A.data * (-h/j) in Taylor row j or a
+    lone -1 in a copy row. So ||C2|| = sqrt(k+1) and ||C3|| = max(h||A||, 1)."""
+    _check_triangular(C)
+    N, m, k, body = A.shape[0], params.m, params.k, params.m * (params.k + 1)
+    step = np.concatenate([np.tile(np.diff(A.indptr), k), np.full(N, k + 1)])
+    counts = np.concatenate([np.zeros(N, int), np.tile(step, m), np.ones(params.p * N, int)])
+    if not np.array_equal(np.diff(C.indptr) - 1, counts):
+        raise IntegrityError("C breaks the encoded layout: wrong entry counts below the diagonal")
+    lower = np.delete(np.arange(C.nnz), C.indptr[1:] - 1)
+    rows = np.repeat(np.arange(counts.size), counts)
+    cols, vals, (block, r) = C.indices[lower], C.data[lower], np.divmod(rows, N)
+    coll, copy = (block % (k + 1) == 0) & (block <= body), block > body
+    taylor, slot = ~coll & ~copy, np.tile(np.arange(k + 1), m * N)
+    scaled = np.concatenate([A.data * (-params.h / j) for j in range(1, k + 1)])
+    broken = [claim for claim, held in (
+        ("collector rows hold -1 once in each block of their step",
+         np.all(cols[coll] == (block[coll] - k - 1 + slot) * N + r[coll])
+         and np.all(vals[coll] == -1)),
+        ("other lower entries sit one block left", np.all(cols[~coll] // N == block[~coll] - 1)),
+        ("Taylor rows hold A's pattern times -h/j",
+         np.all(cols[taylor] % N == np.tile(A.indices, m * k))
+         and np.all(vals[taylor] == np.tile(scaled, m))),
+        ("copy rows hold -1 on the subdiagonal",
+         np.all(cols[copy] == rows[copy] - N) and np.all(vals[copy] == -1)),
+    ) if not held]
+    if broken:
+        raise IntegrityError("C breaks the encoded layout: " + "; ".join(broken))
+
+
 def unit_lower_factor(C: sp.csr_matrix):
     """SuperLU factor of C, once C is proved canonical unit lower triangular.
 
@@ -218,7 +249,7 @@ def _as_csr(A) -> sp.csr_matrix:
     if A.shape[0] != A.shape[1]:
         raise DimensionError(f"A must be square, got shape {A.shape}")
     A = A.astype(complex)
-    A.sort_indices()
+    A.sum_duplicates()
     return A
 
 
@@ -289,46 +320,3 @@ def encode(A, x_in, b, params: TaylorParams) -> EncodedSystem:
         raise DimensionError("state dimension does not match the matrix block size")
     return EncodedSystem(matrix=matrix, rhs=rhs, params=params, N=A.shape[0], A=A)
 
-
-def simulate_state_prep(x_in_norm: float, b_norm: float, x_in_state, b_state,
-                        params: TaylorParams) -> np.ndarray:
-    """Amplitude-level simulation of preparing the normalized right-hand side.
-
-    Mirrors the three-stage preparation: a rotation on the block-index
-    register splitting weight ``|x_in| : sqrt(m) h |b|`` between index 0 and
-    index 1, controlled state oracles loading the normalized x_in and b, and
-    a spreader mapping index 1 uniformly onto the m source blocks
-    ``i(k+1)+1``. The result equals the normalized right-hand side.
-    """
-    if x_in_norm < 0 or b_norm < 0:
-        raise ParameterError("norms must be nonnegative")
-    if x_in_norm == 0 and b_norm == 0:
-        raise DegenerateInputError("x_in and b cannot both vanish")
-    x_in_state = as_state(x_in_state, "x_in_state")
-    b_state = as_state(b_state, "b_state")
-    N = x_in_state.size
-    if b_state.size != N:
-        raise DimensionError(f"b_state has length {b_state.size}, expected {N}")
-    for name, norm, state in (("x_in_state", x_in_norm, x_in_state),
-                              ("b_state", b_norm, b_state)):
-        if norm > 0 and abs(np.linalg.norm(state) - 1.0) > 1e-12:
-            raise ParameterError(f"{name} must be unit norm")
-
-    m, k, h = params.m, params.k, params.h
-    d = params.d
-
-    # Stage 1: rotation on the index register.
-    normalizer = math.sqrt(x_in_norm**2 + m * h**2 * b_norm**2)
-    index_amps = np.zeros(d + 1, dtype=complex)
-    index_amps[0] = x_in_norm / normalizer
-    index_amps[1] = math.sqrt(m) * h * b_norm / normalizer
-
-    # Stage 2: controlled oracles attach the normalized states.
-    out = np.zeros((d + 1, N), dtype=complex)
-    out[0] = index_amps[0] * x_in_state
-    branch_one = index_amps[1] * b_state
-
-    # Stage 3: spread index 1 uniformly over the m source blocks.
-    out[1:m * (k + 1):k + 1] = branch_one / math.sqrt(m)
-
-    return out.ravel()

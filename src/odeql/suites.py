@@ -122,11 +122,8 @@ def lemma1_suite(trials: int = 4, seed: int = 0,
 
 
 def lemma3_suite(family) -> dict:
-    reports = [analysis.matrix_norm_bounds(member.system) for member in family]
-    out = _suite_from_reports("lemma3", reports)
-    out["components_ok"] = all(r.details["components_ok"] for r in reports)
-    out["passed"] = out["passed"] and out["components_ok"]
-    return out
+    return _suite_from_reports(
+        "lemma3", [analysis.matrix_norm_bounds(member.system) for member in family])
 
 
 def _kappa_suite(name: str, check, family) -> dict:

@@ -1,6 +1,7 @@
 """Tests for the bound checkers: inverse columns, norms, error, probability."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from odeql import encoder, numerics
 from odeql.analysis import (
     COLUMN_ENTRY_BOUND,
     BoundReport,
-    _component_split,
     bessel_i0_2,
     column_norm_bound,
     condition_number_bound,
@@ -38,9 +38,11 @@ from odeql.errors import (
 )
 from odeql.instances import GenSpec, generate
 from odeql.numerics import make_instance, reference_trajectory
-from odeql.pipeline import choose_parameters
-from odeql.solver import BlockSolution, block_solve, forward_substitute
+from odeql.pipeline import RunConfig, choose_parameters, run
+from odeql.solver import BlockSolution, block_solve, forward_substitute, generic_solve
 from odeql.suites import standard_family
+
+from oracles import component_split
 
 
 def grid_decay(inst, params):
@@ -132,10 +134,10 @@ class TestMatrixNormBounds:
         report = matrix_norm_bounds(system)
         assert report.passed
         assert report.details["bound"] == pytest.approx(2.0 * math.sqrt(5))
-        assert report.details["component_collector"] == pytest.approx(
-            math.sqrt(6.0), rel=1e-4)
-        assert report.details["components_ok"]
-        C1, C2, C3 = _component_split(system)
+        assert report.details["component_collector"] == math.sqrt(6.0)
+        assert report.details["component_subdiagonal"] == pytest.approx(
+            max(params.h * np.linalg.norm(inst.A.toarray(), 2), 1.0), rel=1e-12)
+        C1, C2, C3 = component_split(system)
         assert (C1 + C2 + C3 != system.matrix).nnz == 0
         # C2 lives in the collector block rows (i+1)(k+1) and fills them.
         blocks = np.flatnonzero(np.diff(C2.indptr)) // system.N
@@ -151,6 +153,43 @@ class TestMatrixNormBounds:
         report = matrix_norm_bounds(system)
         assert report.details["component_subdiagonal"] == pytest.approx(1.0,
                                                                         rel=1e-4)
+
+    # Each tamper keeps C canonical and unit lower triangular: (block row of
+    # the changed row's first entry, the array changed, the change).
+    TAMPERS = {
+        "collector value": (lambda P: 2 * (P.k + 1), "data", lambda v, N: -0.5),
+        "collector column": (lambda P: 2 * (P.k + 1), "indices", lambda c, N: c - N),
+        "Taylor column": (lambda P: P.k + 3, "indices", lambda c, N: c - 2 * N),
+        "copy value": (lambda P: P.d, "data", lambda v, N: -0.5),
+        "Taylor value": (lambda P: P.k + 3, "data",
+                         lambda v, N: complex(np.nextafter(v.real, np.inf), v.imag)),
+    }
+
+    @pytest.mark.parametrize("tamper", TAMPERS)
+    def test_tampered_layout_raises(self, tamper):
+        inst, params, system = small_system(seed=1, N=4, m=2, k=5)
+        block_of, field, change = self.TAMPERS[tamper]
+        C = system.matrix
+        arrays = {"data": C.data.copy(), "indices": C.indices.copy()}
+        entry = C.indptr[block_of(params) * system.N + 1]
+        arrays[field][entry] = change(arrays[field][entry], system.N)
+        tampered = sp.csr_matrix((arrays["data"], arrays["indices"], C.indptr),
+                                 shape=C.shape)
+        encoder._check_triangular(tampered)
+        with pytest.raises(IntegrityError, match="encoded layout"):
+            matrix_norm_bounds(replace(system, matrix=tampered))
+
+    def test_layout_proof_runs_only_in_matrix_norm_bounds(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the layout proof ran outside matrix_norm_bounds")
+
+        monkeypatch.setattr(encoder, "_check_layout", refuse)
+        inst, params, system = small_system(seed=2, N=3)
+        x = generic_solve(system)
+        np.testing.assert_allclose(
+            x, forward_substitute(inst.A, params, inst.x_in, inst.b).vector(),
+            rtol=0, atol=1e-12)
+        assert run(inst, RunConfig(T=1.0, epsilon=1e-3, seed=9)).success_prob > 0
 
     def test_small_k_not_claimed(self):
         inst, params, system = small_system(k=5)
@@ -249,7 +288,7 @@ class TestLanczosNorms:
             if system.dim > 432:
                 continue
             report = matrix_norm_bounds(system)
-            _, C2, C3 = _component_split(system)
+            _, C2, C3 = component_split(system)
             singular = svdvals(system.matrix.toarray())
             pairs = (
                 (system.norm, singular[0]),
@@ -259,7 +298,6 @@ class TestLanczosNorms:
             )
             for measured, exact in pairs:
                 assert measured == pytest.approx(exact, rel=1e-12, abs=0)
-            assert report.details["components_ok"]
             checked += 1
         assert checked >= 40
 

@@ -12,15 +12,18 @@ from odeql.encoder import (
     build_matrix,
     build_rhs,
     encode,
-    simulate_state_prep,
 )
 from odeql.errors import (
-    DegenerateInputError,
     DimensionError,
     HypothesisError,
     ParameterError,
 )
+from odeql.analysis import matrix_norm_bounds
 from odeql.instances import random_unitary
+from odeql.numerics import norm2
+from odeql.solver import forward_substitute, generic_solve
+
+from oracles import simulate_state_prep
 
 
 def expected_block_matrix(A: np.ndarray, params: TaylorParams) -> np.ndarray:
@@ -208,6 +211,25 @@ class TestBuildMatrix:
         assert system.matrix.nnz == system.expected_nnz
 
 
+def test_duplicate_entries_in_A_are_summed():
+    # scipy accepts a CSR A that repeats a column within a row (the entry is
+    # the sum); encoding it must still give a canonical C
+    data = np.array([0.2, 0.1, 0.15, 0.3j, 0.1, -0.2, 0.25])
+    indices = np.array([1, 0, 1, 2, 0, 2, 2])
+    A = sp.csr_matrix((data, indices, np.array([0, 3, 4, 7])), shape=(3, 3))
+    before = A.indices.copy()
+    params = TaylorParams(m=2, k=5, p=2, h=0.9 / norm2(A))
+    x_in, b = np.array([1.0, -0.5j, 0.25]), np.array([0.0, 0.5, 1.0j])
+    system = encode(A, x_in, b, params)
+    np.testing.assert_array_equal(A.indices, before)
+    assert system.matrix.has_canonical_format
+    assert system.nnz_A == 5 and system.matrix.nnz == system.expected_nnz
+    np.testing.assert_allclose(
+        generic_solve(system), forward_substitute(A, params, x_in, b).vector(),
+        rtol=0, atol=1e-12)
+    assert matrix_norm_bounds(system).passed
+
+
 class TestBuildRhs:
     def test_pattern_2_3_2(self):
         params = TaylorParams(m=2, k=3, p=2, h=0.7)
@@ -240,6 +262,8 @@ class TestBuildRhs:
 
 
 class TestSimulateStatePrep:
+    """The amplitude-level preparation of tests/oracles.py against build_rhs."""
+
     def test_no_inhomogeneity(self):
         params = TaylorParams(m=2, k=3, p=1, h=0.5)
         x_bar = np.array([0.6, 0.8j])
@@ -271,13 +295,3 @@ class TestSimulateStatePrep:
                 np.linalg.norm(x_in), np.linalg.norm(b),
                 x_in / np.linalg.norm(x_in), b / np.linalg.norm(b), params)
             assert np.linalg.norm(prepared - rhs / np.linalg.norm(rhs)) <= 1e-12
-
-    def test_both_zero_rejected(self):
-        params = TaylorParams(m=1, k=3, p=1, h=1.0)
-        with pytest.raises(DegenerateInputError):
-            simulate_state_prep(0.0, 0.0, np.array([1.0]), np.array([1.0]), params)
-
-    def test_non_unit_state_rejected(self):
-        params = TaylorParams(m=1, k=3, p=1, h=1.0)
-        with pytest.raises(ParameterError):
-            simulate_state_prep(1.0, 0.0, np.array([2.0]), np.array([1.0]), params)

@@ -16,9 +16,10 @@ def _count_work(monkeypatch):
 
     Every binding of lanczos_norm is wrapped, and each run is filed by its
     argument: the assembled C (unit diagonal), its inverse (an operator) or
-    a Lemma 3 component (C2, C3); norm2 in analysis takes only ||Ah||.
+    anything else, such as a Lemma 3 component; norm2 in analysis takes
+    only ||A||.
     """
-    calls = {"encode": 0, "solve": 0, "norm_Ah": 0,
+    calls = {"encode": 0, "solve": 0, "norm_A": 0,
              "norm_C": [], "inverse_norm": [], "component": []}
     lanczos, encode = numerics.lanczos_norm, suites.encode
     solve, norm2 = suites.forward_substitute, analysis.norm2
@@ -40,7 +41,7 @@ def _count_work(monkeypatch):
 
     monkeypatch.setattr(suites, "encode", counted("encode", encode))
     monkeypatch.setattr(suites, "forward_substitute", counted("solve", solve))
-    monkeypatch.setattr(analysis, "norm2", counted("norm_Ah", norm2))
+    monkeypatch.setattr(analysis, "norm2", counted("norm_A", norm2))
     for module in (numerics, encoder, analysis):
         if getattr(module, "lanczos_norm", None) is lanczos:
             monkeypatch.setattr(module, "lanczos_norm", counted_lanczos)
@@ -127,8 +128,8 @@ def test_all_encodes_solves_and_measures_each_member_once(monkeypatch):
     # 52 members: one encode, one solve, one ||C|| and one ||C^-1|| each
     assert calls["encode"] == calls["solve"] == 52
     assert len(calls["norm_C"]) == len(calls["inverse_norm"]) == 52
-    # lemma3 alone measures the components: C2 and C3 by Lanczos, and ||Ah||
-    assert len(calls["component"]) == 2 * 52 and calls["norm_Ah"] == 52
+    # lemma3 proves the components from the layout and measures only ||A||
+    assert calls["component"] == [] and calls["norm_A"] == 52
 
 
 def test_lone_thm1_measures_only_the_two_norms(monkeypatch):
@@ -138,7 +139,7 @@ def test_lone_thm1_measures_only_the_two_norms(monkeypatch):
     systems = [member.system for member in built[0]]
     assert len(calls["norm_C"]) == len(calls["inverse_norm"]) == len(systems)
     assert all(C is system.matrix for C, system in zip(calls["norm_C"], systems))
-    assert calls["component"] == [] and calls["norm_Ah"] == 0
+    assert calls["component"] == [] and calls["norm_A"] == 0
     assert calls["encode"] == len(systems) and calls["solve"] == 0
 
 
