@@ -119,7 +119,7 @@ def _resolve_params(args, A, x_in, b, inst) -> TaylorParams:
         raise OdeqlError("give either --m/--k/--p/--h or --T/--epsilon")
     if inst is None:
         inst = _instance_from_matrix(A, x_in, b)
-    return pipeline.plan(inst, args.T, args.epsilon)[0].params
+    return pipeline.plan(inst, pipeline.grid(inst, args.T), args.T, args.epsilon).params
 
 
 def _add_problem_flags(sub, with_gen=False):
@@ -213,18 +213,19 @@ def _cmd_verify(args, argv) -> int:
     return 0 if report["passed"] else 1
 
 
+def _injection(text: str) -> float | str | None:
+    """--inject-delta, for run and sweep alike; RunConfig checks a number's range."""
+    if text in ("off", "auto"):
+        return None if text == "off" else text
+    return float(text)
+
+
 def _cmd_run(args, argv) -> int:
     _, _, _, inst = _load_problem(args)
     if inst is None:
         raise OdeqlError("run needs --instance or --gen")
-    if args.inject_delta == "off":
-        injection = None
-    elif args.inject_delta == "auto":
-        injection = "auto"
-    else:
-        injection = float(args.inject_delta)
     cfg = pipeline.RunConfig(T=args.T, epsilon=args.epsilon, seed=args.seed,
-                             delta_injection=injection)
+                             delta_injection=_injection(args.inject_delta))
     report = pipeline.run(inst, cfg)
     payload = report.to_json_dict()
     payload["instance"] = inst.label
@@ -238,9 +239,8 @@ def _cmd_sweep(args, argv) -> int:
     eps_values = [float(s) for s in args.epsilon.split(",")]
     kappa_values = ([float(s) for s in args.kappa.split(",")]
                     if args.kappa else None)
-    result = pipeline.sweep_grid(base, T_values, eps_values, kappa_values,
-                                 args.seed, delta_injection=args.inject_delta
-                                 if args.inject_delta != "off" else None)
+    result = pipeline.sweep_grid(base, T_values, eps_values, kappa_values, args.seed,
+                                 delta_injection=_injection(args.inject_delta))
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=[
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--epsilon", required=True, help="comma list of targets")
     swp.add_argument("--kappa", help="comma list of condition numbers")
     swp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    swp.add_argument("--inject-delta", dest="inject_delta", default="auto")
+    swp.add_argument("--inject-delta", dest="inject_delta", default="auto", help="as for run")
     swp.add_argument("--csv")
     swp.add_argument("--report")
     swp.set_defaults(func=_cmd_sweep)

@@ -314,9 +314,9 @@ def build_rhs(x_in, b, params: TaylorParams) -> np.ndarray:
 def encode(A, x_in, b, params: TaylorParams) -> EncodedSystem:
     """Build matrix and right-hand side together as one EncodedSystem."""
     A = _as_csr(A)
-    matrix = build_matrix(A, params)
     rhs = build_rhs(x_in, b, params)
-    if rhs.size != matrix.shape[0]:
+    if rhs.size != (params.d + 1) * A.shape[0]:  # before the gate and the assembly
         raise DimensionError("state dimension does not match the matrix block size")
+    matrix = build_matrix(A, params)
     return EncodedSystem(matrix=matrix, rhs=rhs, params=params, N=A.shape[0], A=A)
 

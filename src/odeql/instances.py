@@ -29,6 +29,10 @@ EIG_PROFILES = ("uniform-half-disk", "boundary", "pure-imaginary", "scalar")
 # Margin pushed between the spectrum and the imaginary axis in sparse mode.
 SHIFT_MARGIN = 1e-6
 
+# Relative margin of the unit-norm rescale: ||A|| lands just under 1 even when the
+# norm estimate is a hair low, so ceil(T ||A||) = T at integer T (emulate's m = 5/10/20).
+UNIT_NORM_MARGIN = 1e-7
+
 # Largest kappa_V of dense mode: above it V V_inv can miss I by more than
 # validate's N kappa eps bar (over 300 seeds at N in {2, 4, 8}, none fails at
 # 1e9 or 1e10; seed 122 at N=2 fails at 1e11 and 1e12).
@@ -134,6 +138,14 @@ def _sparse_pattern(n: int, s: int, rng) -> sp.csr_matrix:
     return M
 
 
+def _unit_rescale(M, *arrays) -> tuple:
+    """The arrays divided by ||M|| (1 + UNIT_NORM_MARGIN) if ||M|| > 1."""
+    norm = spectral_norm(M, tol=1e-8)
+    if not norm > 1.0:
+        return arrays
+    return tuple(a / (norm * (1.0 + UNIT_NORM_MARGIN)) for a in arrays)
+
+
 def generate(spec: GenSpec) -> Instance:
     """Build a validated Instance from a GenSpec (deterministic per seed)."""
     rng = np.random.default_rng(spec.seed)
@@ -145,13 +157,7 @@ def generate(spec: GenSpec) -> Instance:
         shift = float(eigvals.real.max()) + SHIFT_MARGIN
         dense -= shift * np.eye(spec.N)
         eigvals -= shift
-        scale = spectral_norm(dense, tol=1e-8)
-        if scale > 1.0:
-            # extra margin so a slightly low norm estimate cannot leave
-            # ||A|| a hair above 1
-            scale *= 1.0 + 1e-7
-            dense /= scale
-            eigvals /= scale
+        dense, eigvals = _unit_rescale(dense, dense, eigvals)
         A = sp.csr_matrix(dense)
         x_in, b = _states(spec, rng)
         label = f"gen(N={spec.N},s={spec.sparsity},seed={spec.seed})"
@@ -172,10 +178,7 @@ def generate(spec: GenSpec) -> Instance:
         kappa = float(spec.kappa_V)
 
     if spec.unit_norm:
-        A_dense = (V * eigvals) @ V_inv
-        norm = spectral_norm(A_dense, tol=1e-8)
-        if norm > 1.0:
-            eigvals = eigvals / (norm * (1.0 + 1e-7))
+        (eigvals,) = _unit_rescale((V * eigvals) @ V_inv, eigvals)
 
     x_in, b = _states(spec, rng)
     label = (f"gen(N={spec.N},kappa={spec.kappa_V:g},profile={spec.eig_profile},"

@@ -2,9 +2,9 @@
 
 Given an evolution time T and a target accuracy epsilon <= 1/2, the driver
 
-1. picks the step count m = p = ceil(T ||A||) and truncation order k from
-   the accuracy budget (k = floor(2 ln Omega / ln ln Omega), then bumped
-   until (k+1)! >= Omega, the condition the error analysis actually uses);
+1. integrates the ODE on the grid m = p = ceil(T ||A||), per (instance, T)
+   (:func:`grid`), and picks k for epsilon (:func:`plan`): k = floor(2 ln
+   Omega / ln ln Omega), bumped until (k+1)! >= Omega, as the error analysis needs;
 2. solves the encoded system exactly by block forward substitution;
 3. optionally perturbs the normalized solution by a seeded direction of
    norm exactly delta, emulating an inexact linear-systems subroutine that
@@ -36,6 +36,7 @@ from .errors import (
     DimensionError,
     ParameterError,
 )
+from .instances import generate
 from .numerics import Instance, as_state, reference_solution
 from .solver import forward_substitute
 
@@ -193,15 +194,16 @@ def choose_parameters(T: float, normA: float, epsilon: float, g: float,
     )
 
 
-def plan(inst: Instance, T: float, epsilon: float) -> tuple[ChosenParameters, DecayProfile]:
-    """(chosen, decay): m = step_count(T, inst.norm_A), the decay profile on
-    that grid, and the parameters :func:`choose_parameters` picks from it."""
-    m = step_count(T, inst.norm_A)
-    decay = decay_profile(inst, T, m)
-    chosen = choose_parameters(T, inst.norm_A, epsilon, decay.g_grid, inst.kappa_V,
-                               float(np.linalg.norm(inst.x_in)),
-                               float(np.linalg.norm(inst.b)), decay.q)
-    return chosen, decay
+def grid(inst: Instance, T: float) -> DecayProfile:
+    """The decay profile on m = step_count(T, inst.norm_A) steps: a run's epsilon-free half."""
+    return decay_profile(inst, T, step_count(T, inst.norm_A))
+
+
+def plan(inst: Instance, decay: DecayProfile, T: float, epsilon: float) -> ChosenParameters:
+    """A run's epsilon half: :func:`choose_parameters` on ``decay = grid(inst, T)``."""
+    return choose_parameters(T, inst.norm_A, epsilon, decay.g_grid, inst.kappa_V,
+                             float(np.linalg.norm(inst.x_in)),
+                             float(np.linalg.norm(inst.b)), decay.q)
 
 
 def _perturb_on_sphere(unit_vec: np.ndarray, delta: float, rng) -> np.ndarray:
@@ -255,7 +257,6 @@ class MeasurementResult:
     output_state: np.ndarray
     fidelity_error: float
     success_conditioned_error: float
-    injected_delta: float
 
 
 def measure(inst: Instance, params: TaylorParams, seed: int,
@@ -320,21 +321,14 @@ def measure(inst: Instance, params: TaylorParams, seed: int,
         output_state=output,
         fidelity_error=float(np.linalg.norm(output - x_true_unit)),
         success_conditioned_error=conditioned,
-        injected_delta=delta_injection,
     )
 
 
-def run(inst: Instance, cfg: RunConfig) -> PipelineReport:
-    """Full end-to-end emulated run; see the module docstring for the stages."""
-    chosen, decay = plan(inst, cfg.T, cfg.epsilon)
-
-    if cfg.delta_injection == "auto":
-        injected = chosen.delta
-    elif cfg.delta_injection is None:
-        injected = 0.0
-    else:
-        injected = float(cfg.delta_injection)
-
+def _report(inst: Instance, decay: DecayProfile, cfg: RunConfig) -> PipelineReport:
+    """One run on an integrated grid: choose, inject delta, measure, report."""
+    chosen = plan(inst, decay, cfg.T, cfg.epsilon)
+    di = cfg.delta_injection  # None or 0 injects nothing
+    injected = chosen.delta if di == "auto" else float(di or 0.0)
     outcome = measure(inst, chosen.params, cfg.seed, injected, x_T=decay.x_T)
 
     return PipelineReport(
@@ -358,20 +352,23 @@ def run(inst: Instance, cfg: RunConfig) -> PipelineReport:
     )
 
 
+def run(inst: Instance, cfg: RunConfig) -> PipelineReport:
+    """Full end-to-end emulated run; see the module docstring for the stages."""
+    return _report(inst, grid(inst, cfg.T), cfg)
+
+
 def sweep_grid(base_spec, T_values, epsilon_values, kappa_values=None,
                seed: int = 0, delta_injection="auto") -> dict:
     """Grid of end-to-end runs over (kappa_V, T, epsilon).
 
     Generates one instance per kappa_V from base_spec (or just the base
     instance when kappa_values is None, e.g. in sparse mode where kappa is
-    measured), runs every (T, epsilon) cell, and returns rows of (kappa, T,
-    epsilon, k, d, success_prob, fidelity_error, passed) plus an aggregate
-    verdict. A cell passes when the success-conditioned output error is
-    within epsilon; the truncation order column exhibits the
-    ~log(1/eps)/loglog(1/eps) growth.
+    measured), integrates each (kappa_V, T) grid once, builds its epsilon
+    cells as :func:`run` does, and returns rows of (kappa, T, epsilon, k, d,
+    success_prob, fidelity_error, passed) plus an aggregate verdict. A cell
+    passes when the success-conditioned output error is within epsilon; the
+    truncation order column exhibits the ~log(1/eps)/loglog(1/eps) growth.
     """
-    from .instances import generate  # local: avoid import cycle at module load
-
     if kappa_values is None:
         specs = [base_spec]
     else:
@@ -381,15 +378,15 @@ def sweep_grid(base_spec, T_values, epsilon_values, kappa_values=None,
     rows = []
     for spec in specs:
         inst = generate(spec)
-        for T in T_values:
-            for epsilon in epsilon_values:
-                cfg = RunConfig(T=float(T), epsilon=float(epsilon), seed=seed,
-                                delta_injection=delta_injection)
-                report = run(inst, cfg)
+        for T in map(float, T_values):
+            decay = grid(inst, T)
+            for epsilon in map(float, epsilon_values):
+                report = _report(inst, decay, RunConfig(
+                    T=T, epsilon=epsilon, seed=seed, delta_injection=delta_injection))
                 rows.append({
                     "kappa_V": inst.kappa_V,
-                    "T": float(T),
-                    "epsilon": float(epsilon),
+                    "T": T,
+                    "epsilon": epsilon,
                     "k": report.params.k,
                     "d": report.params.d,
                     "success_prob": report.success_prob,

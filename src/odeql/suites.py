@@ -78,7 +78,9 @@ def standard_family(seed: int = 0, N_values=FAMILY_N, kappa_values=FAMILY_KAPPA,
                 spec = GenSpec(N=N, kappa_V=kappa, b_mode=b_mode,
                                seed=seed + 7 * len(members), unit_norm=True)
                 inst = generate(spec)
-                chosen, decay = pipeline.plan(inst, 0.999 * m / inst.norm_A, epsilon)
+                T = 0.999 * m / inst.norm_A
+                decay = pipeline.grid(inst, T)
+                chosen = pipeline.plan(inst, decay, T, epsilon)
                 if chosen.params.m != m:
                     raise ParameterError(
                         f"family step-count rule produced m={chosen.params.m}, wanted {m}")

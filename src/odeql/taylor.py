@@ -55,16 +55,13 @@ def truncated_exp(z, k: int):
 
 
 def truncated_phi(z, k: int):
-    """S_k(z), the degree-(k-1) truncation of (exp(z) - 1)/z; requires k >= 1."""
+    """S_k(z), the degree-(k-1) truncation of (exp(z) - 1)/z; requires k >= 1.
+
+    ``S_k == T_{1,k}`` term by term.
+    """
     if k < 1:
         raise ParameterError(f"truncation order must be >= 1, got {k}")
-    z = np.asarray(z, dtype=complex)
-    acc = np.full_like(z, 1.0 / k)
-    for j in range(k - 1, 0, -1):
-        acc = (1.0 + z * acc) / j
-    if acc.ndim == 0:
-        return complex(acc)
-    return acc
+    return tail_poly(z, 1, k)
 
 
 def tail_poly(z, b: int, k: int):

@@ -353,6 +353,28 @@ def test_sweep_writes_csv(tmp_path):
     assert len(lines) == 1 + 2 * 2  # header + kappa x epsilon grid
 
 
+def test_sweep_numeric_inject_delta_exits_0(tmp_path):
+    # sweep reads --inject-delta as run does: a number is a perturbation norm
+    report_path = tmp_path / "s.json"
+    code = main(["sweep", "--gen", "N=2,kappa=1,seed=3,b=random", "--T", "1",
+                 "--epsilon", "0.1", "--inject-delta", "0.01",
+                 "--report", str(report_path)])
+    assert code == 0
+    assert json.loads(report_path.read_text())["all_passed"]
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "3", "bogus"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_bad_inject_delta_exits_2(command, value, capsys):
+    code = main([command, "--gen", "N=2,kappa=1,seed=3", "--T", "1",
+                 "--epsilon", "0.1", "--inject-delta", value])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "taylor", "--frobnicate"])

@@ -230,6 +230,22 @@ def test_duplicate_entries_in_A_are_summed():
     assert matrix_norm_bounds(system).passed
 
 
+def test_mismatched_state_is_rejected_before_assembly(monkeypatch):
+    # the x_in / A size check comes before the ||A|| gate and the O(nnz) build
+    from odeql import encoder
+
+    calls = []
+    original = encoder.build_matrix
+    monkeypatch.setattr(encoder, "build_matrix",
+                        lambda *args: calls.append(args) or original(*args))
+    A, params = 0.5 * np.eye(3), TaylorParams(m=1, k=5, p=1, h=1.0)
+    with pytest.raises(DimensionError):
+        encode(A, np.ones(2), np.zeros(2), params)
+    assert calls == []
+    encode(A, np.ones(3), np.zeros(3), params)
+    assert len(calls) == 1
+
+
 class TestBuildRhs:
     def test_pattern_2_3_2(self):
         params = TaylorParams(m=2, k=3, p=2, h=0.7)

@@ -317,6 +317,10 @@ class TestRun:
 
 
 class TestSweep:
+    SPEC = GenSpec(N=3, kappa_V=2.0, b_mode="random", seed=4, unit_norm=True)
+    GRID = dict(T_values=[1.0, 2.5], epsilon_values=[1e-2, 1e-5, 1e-8],
+                kappa_values=[1.5, 3.0], seed=6)
+
     def test_truncation_grows_slowly(self):
         spec = GenSpec(N=3, kappa_V=2.0, b_mode="random", seed=1,
                        unit_norm=True)
@@ -328,3 +332,38 @@ class TestSweep:
         assert ks == sorted(ks)  # k grows as epsilon tightens
         for row in rows:
             assert row["success_conditioned_error"] <= row["epsilon"]
+
+    def test_integrates_once_per_kappa_and_T(self, monkeypatch):
+        calls = []
+        original = pipeline.decay_profile
+
+        def counted(inst, T, m):
+            calls.append((inst.kappa_V, T))
+            return original(inst, T, m)
+
+        monkeypatch.setattr(pipeline, "decay_profile", counted)
+        result = sweep_grid(self.SPEC, **self.GRID)
+        assert len(result["rows"]) == 12
+        assert calls == [(1.5, 1.0), (1.5, 2.5), (3.0, 1.0), (3.0, 2.5)]
+
+    def test_rows_equal_standalone_runs(self):
+        # each cell is built as run() builds it, so every field is bitwise equal
+        result = sweep_grid(self.SPEC, **self.GRID)
+        rows = iter(result["rows"])
+        for kappa in self.GRID["kappa_values"]:
+            inst = generate(GenSpec(N=3, kappa_V=kappa, b_mode="random", seed=4,
+                                    unit_norm=True))
+            for T in self.GRID["T_values"]:
+                for epsilon in self.GRID["epsilon_values"]:
+                    report = run(inst, RunConfig(T=T, epsilon=epsilon, seed=6,
+                                                 delta_injection="auto"))
+                    assert next(rows) == {
+                        "kappa_V": kappa, "T": T, "epsilon": epsilon,
+                        "k": report.params.k, "d": report.params.d,
+                        "success_prob": report.success_prob,
+                        "fidelity_error": report.fidelity_error,
+                        "success_conditioned_error": report.success_conditioned_error,
+                        "success_flag": report.success_flag,
+                        "passed": report.success_conditioned_error <= epsilon,
+                    }
+        assert next(rows, None) is None
