@@ -5,7 +5,9 @@ its claimed bound, reporting the worst observed ratio (oriented so that
 ratio <= 1 means the claim holds; a 1e-9 relative slack absorbs the floating
 point evaluation of the bound constants themselves). Hypothesis violations
 raise :class:`~odeql.errors.HypothesisError` instead of producing a verdict,
-so sweeps over invalid corners cannot pollute reports. ||C|| and ||C^{-1}||
+so sweeps over invalid corners cannot pollute reports; every checker but
+Lemma 3's (k >= 5, and the encoder's |A| h <= 1) takes them from one gate,
+:func:`_require_hypotheses`. ||C|| and ||C^{-1}||
 are the encoded system's own norms, measured once per system, so the
 condition-number check measures nothing of its own.
 
@@ -18,7 +20,7 @@ The bounds covered:
 * condition number:   kappa_C = ||C|| ||C^{-1}|| <= 6 kappa_V k (m+p)
 * solution error:     ||x(jh) - x_{j,0}|| <= 2.8 kappa_V j (|x_in| + mh|b|) / (k+1)!
 * measurement:        ||x_{m,j}|| / ||x|| >= 1 / sqrt(p + 77 m g^2)
-* three state-distance inequalities reused by the pipeline error accounting.
+* three state-distance inequalities, checked by the appendixB suite.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .encoder import EncodedSystem, TaylorParams, _check_layout
+from .encoder import STEP_BOUND_SLACK, EncodedSystem, TaylorParams, _check_layout
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -38,6 +40,7 @@ from .errors import (
 )
 from .numerics import Instance, norm2, reference_trajectory
 from .solver import BlockSolution, block_solve
+from .taylor import MIN_TAIL_ORDER
 
 # Relative slack accepted on every bound check; absorbs floating-point
 # evaluation of the bound constants (e, I_0(2), log-space factorials).
@@ -158,6 +161,21 @@ def decay_profile(inst: Instance, T: float, m: int) -> DecayProfile:
                         g_grid=float(step_norms.max() / q))
 
 
+def _require_hypotheses(params: TaylorParams, eigenvalues) -> None:
+    """k >= MIN_TAIL_ORDER and (k+1)! >= 2m, then Re(lambda) <= 0 and
+    |lambda h| <= 1, the latter up to the step gate's STEP_BOUND_SLACK."""
+    if params.k < MIN_TAIL_ORDER:
+        raise HypothesisError(f"bounds require k >= {MIN_TAIL_ORDER}, got k={params.k}")
+    if math.lgamma(params.k + 2) < math.log(2 * params.m):
+        raise HypothesisError(
+            f"bounds require (k+1)! >= 2m, got k={params.k}, m={params.m}")
+    eigenvalues = np.asarray(eigenvalues, dtype=complex)
+    if np.any(eigenvalues.real > 0):
+        raise HypothesisError("Re(lambda) > 0 for some eigenvalue; bound not claimed")
+    if np.any(np.abs(eigenvalues) * params.h > 1.0 + STEP_BOUND_SLACK):
+        raise HypothesisError("|lambda h| > 1 for some eigenvalue; bound not claimed")
+
+
 def _require_grid(decay: DecayProfile, inst: Instance, params: TaylorParams) -> None:
     expected = (params.m + 1, inst.N)
     if decay.states.shape != expected or not math.isclose(decay.h, params.h, rel_tol=1e-12):
@@ -177,17 +195,12 @@ def scalar_inverse_columns(lam: complex, params: TaylorParams) -> BoundReport:
     ||x|| <= sqrt(1.04 e I_0(2) (m+p)) and max_n |x_n| <= sqrt(1.04 e),
     provided |lam| <= 1, Re(lam) <= 0, k >= 5 and (k+1)! >= 2m.
     """
-    lam = complex(lam)
-    if abs(lam) > 1.0 + 1e-12:
-        raise HypothesisError(f"|lambda| = {abs(lam):.6g} > 1; bound not claimed")
-    if lam.real > 0.0:
-        raise HypothesisError(f"Re(lambda) = {lam.real:.6g} > 0; bound not claimed")
-    params.require_bound_hypotheses()
-
-    # Column l of C(lam)^{-1} solves C(lam) x = e_l: the N = 1 system at h = 1
-    # with A = [[lam]], all d+1 columns at once.
+    # C(lam) is the N = 1 system at h = 1 with A = [[lam]]; column l of its
+    # inverse solves C(lam) x = e_l, all d+1 columns at once.
+    lam, unit = complex(lam), replace(params, h=1.0)
+    _require_hypotheses(unit, [lam])
     identity = np.eye(params.d + 1, dtype=complex)[:, None, :]
-    X = block_solve(np.array([[lam]]), replace(params, h=1.0), identity)[:, 0, :]
+    X = block_solve(np.array([[lam]]), unit, identity)[:, 0, :]
     col_norms = np.linalg.norm(X, axis=0)
     norm_bound = column_norm_bound(params.m, params.p)
     entry_max = float(np.abs(X).max())
@@ -230,8 +243,8 @@ def matrix_norm_bounds(system: EncodedSystem) -> BoundReport:
     ||A|| from :func:`norm2`.
     """
     params = system.params
-    if params.k < 5:
-        raise HypothesisError(f"norm bound requires k >= 5, got k={params.k}")
+    if params.k < MIN_TAIL_ORDER:
+        raise HypothesisError(f"norm bound requires k >= {MIN_TAIL_ORDER}, got k={params.k}")
     _check_layout(system.matrix, system.A, params)
     bound = 2.0 * math.sqrt(params.k)
     return BoundReport(
@@ -252,16 +265,6 @@ def matrix_norm_bounds(system: EncodedSystem) -> BoundReport:
 def inverse_norm(system: EncodedSystem) -> float:
     """||C^{-1}||, the system's own ``inverse_norm`` (measured once)."""
     return system.inverse_norm
-
-
-def _require_hypotheses(params: TaylorParams, eigenvalues) -> None:
-    """k >= 5 and (k+1)! >= 2m, then Re(lambda) <= 0 and |lambda h| <= 1."""
-    params.require_bound_hypotheses()
-    eigenvalues = np.asarray(eigenvalues, dtype=complex)
-    if np.any(eigenvalues.real > 0):
-        raise HypothesisError("Re(lambda) > 0 for some eigenvalue; bound not claimed")
-    if np.any(np.abs(eigenvalues) * params.h > 1.0 + 1e-9):
-        raise HypothesisError("|lambda h| > 1 for some eigenvalue; bound not claimed")
 
 
 def inverse_norm_bound(system: EncodedSystem, kappa_V: float,
@@ -351,11 +354,12 @@ def success_probability_report(inst: Instance, params: TaylorParams,
 
     decay is the instance's profile on this layout's grid; it supplies q and
     the step-grid decay ratio g (the proof consumes only grid values), and a
-    profile of another grid raises DimensionError. Requires the truncation
-    condition (k+1)! >= 70 kappa_V m (|x_in|+mh|b|)/q, checked in log space;
+    profile of another grid raises DimensionError. Requires Theorem 2's
+    hypotheses and (k+1)! >= 70 kappa_V m (|x_in|+mh|b|)/q, in log space;
     when p = m the implied squared success probability over the padded
     blocks is at least 1/(78 g^2), recorded in the details.
     """
+    _require_hypotheses(params, inst.eigenvalues)
     _require_grid(decay, inst, params)
     m, p, h = params.m, params.p, params.h
     weight = float(np.linalg.norm(inst.x_in) + m * h * np.linalg.norm(inst.b))
@@ -391,7 +395,7 @@ def success_probability_report(inst: Instance, params: TaylorParams,
 
 
 # ---------------------------------------------------------------------------
-# state-distance predicates (reused by the pipeline error accounting)
+# state-distance predicates (the appendixB suite's inequalities)
 # ---------------------------------------------------------------------------
 
 def normalized_distance_bound(alpha: float, beta: float) -> float:

@@ -173,8 +173,8 @@ def _cmd_encode(args, argv) -> int:
 def _cmd_solve(args, argv) -> int:
     A, x_in, b, inst = _load_problem(args)
     params = _resolve_params(args, A, x_in, b, inst)
+    system = encode(A, x_in, b, params)  # gates |A| h <= 1 before any solve
     sol = forward_substitute(A, params, x_in, b)
-    system = encode(A, x_in, b, params)
     rel = residual(system, sol.vector())
 
     out_dir = Path(args.out_dir)
@@ -253,8 +253,15 @@ def _cmd_sweep(args, argv) -> int:
     return 0 if result["all_passed"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 2 with one ``error:`` line, like the rest."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="odeql",
         description="Encode, solve and verify truncated-Taylor linear-system "
                     "propagation of linear ODEs.")
@@ -333,6 +340,9 @@ def main(argv=None) -> int:
         return 1
     except (OdeqlError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -39,12 +39,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, splu
 
-from .errors import (
-    DimensionError,
-    HypothesisError,
-    IntegrityError,
-    ParameterError,
-)
+from .errors import DimensionError, IntegrityError, ParameterError
 from .numerics import as_state, lanczos_norm, norm2
 
 # Relative rounding bar on the |A|h <= 1 gate: norm2 is exact to rounding, so
@@ -114,15 +109,6 @@ class TaylorParams:
     def success_set(self) -> range:
         """Flat indices of the final-state blocks {m(k+1), ..., m(k+1)+p}."""
         return range(self.m * (self.k + 1), self.d + 1)
-
-    def require_bound_hypotheses(self) -> None:
-        """Enforce k >= 5 and (k+1)! >= 2m, required by the bound suites."""
-        if self.k < 5:
-            raise HypothesisError(f"bounds require k >= 5, got k={self.k}")
-        if math.lgamma(self.k + 2) < math.log(2 * self.m):
-            raise HypothesisError(
-                f"bounds require (k+1)! >= 2m, got k={self.k}, m={self.m}"
-            )
 
 
 def _check_triangular(C: sp.csr_matrix) -> None:
@@ -234,6 +220,7 @@ class EncodedSystem:
 
 
 def _require_step_bound(A: sp.csr_matrix, h: float) -> None:
+    """The one |A|h <= 1 gate, in build_matrix, the one constructor of C."""
     norm = norm2(A)
     if norm * h > 1.0 + STEP_BOUND_SLACK:
         raise ParameterError(
@@ -248,6 +235,8 @@ def _as_csr(A) -> sp.csr_matrix:
         A = sp.csr_matrix(np.asarray(A, dtype=complex))
     if A.shape[0] != A.shape[1]:
         raise DimensionError(f"A must be square, got shape {A.shape}")
+    if not np.all(np.isfinite(A.data)):
+        raise ParameterError("A contains non-finite entries")
     A = A.astype(complex)
     A.sum_duplicates()
     return A

@@ -39,6 +39,7 @@ from .errors import (
 from .instances import generate
 from .numerics import Instance, as_state, reference_solution
 from .solver import forward_substitute
+from .taylor import MIN_TAIL_ORDER
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,7 @@ def choose_parameters(T: float, normA: float, epsilon: float, g: float,
         )
 
     k_formula = math.floor(2.0 * log_omega / math.log(log_omega))
-    k = max(k_formula, 5)
+    k = max(k_formula, MIN_TAIL_ORDER)
     needed = max(log_omega, math.log(2.0 * m))
     while math.lgamma(k + 2) < needed:
         k += 1
@@ -361,10 +362,11 @@ def sweep_grid(base_spec, T_values, epsilon_values, kappa_values=None,
                seed: int = 0, delta_injection="auto") -> dict:
     """Grid of end-to-end runs over (kappa_V, T, epsilon).
 
-    Generates one instance per kappa_V from base_spec (or just the base
-    instance when kappa_values is None, e.g. in sparse mode where kappa is
-    measured), integrates each (kappa_V, T) grid once, builds its epsilon
-    cells as :func:`run` does, and returns rows of (kappa, T, epsilon, k, d,
+    Validates every (T, epsilon) RunConfig, then generates one instance per
+    kappa_V from base_spec (or the base instance when kappa_values is None,
+    e.g. in sparse mode where kappa is measured), integrates each (kappa_V,
+    T) grid once, builds its epsilon cells as :func:`run` does, and returns
+    rows of (kappa, T, epsilon, k, d,
     success_prob, fidelity_error, passed) plus an aggregate verdict. A cell
     passes when the success-conditioned output error is within epsilon; the
     truncation order column exhibits the ~log(1/eps)/loglog(1/eps) growth.
@@ -375,25 +377,26 @@ def sweep_grid(base_spec, T_values, epsilon_values, kappa_values=None,
         specs = [replace(base_spec, kappa_V=float(kappa))
                  for kappa in kappa_values]
 
+    cells = [(T, [RunConfig(T=T, epsilon=eps, seed=seed, delta_injection=delta_injection)
+                  for eps in map(float, epsilon_values)]) for T in map(float, T_values)]
     rows = []
     for spec in specs:
         inst = generate(spec)
-        for T in map(float, T_values):
+        for T, configs in cells:
             decay = grid(inst, T)
-            for epsilon in map(float, epsilon_values):
-                report = _report(inst, decay, RunConfig(
-                    T=T, epsilon=epsilon, seed=seed, delta_injection=delta_injection))
+            for cfg in configs:
+                report = _report(inst, decay, cfg)
                 rows.append({
                     "kappa_V": inst.kappa_V,
                     "T": T,
-                    "epsilon": epsilon,
+                    "epsilon": cfg.epsilon,
                     "k": report.params.k,
                     "d": report.params.d,
                     "success_prob": report.success_prob,
                     "fidelity_error": report.fidelity_error,
                     "success_conditioned_error": report.success_conditioned_error,
                     "success_flag": report.success_flag,
-                    "passed": report.success_conditioned_error <= epsilon,
+                    "passed": report.success_conditioned_error <= cfg.epsilon,
                 })
     return {
         "schema": 1,

@@ -12,7 +12,8 @@ it walks the blocks in flat order and replays the defining recurrences
 at a cost of m*k products with A plus vector additions.
 :func:`block_solve` is the one kernel for these recurrences: it solves C
 (forward only) for any stack of right-hand sides, and backs forward
-substitution and the scalar inverse columns.
+substitution and the scalar inverse columns. The solvers check shapes,
+finiteness and structure, never a hypothesis of the paper.
 
 :func:`generic_solve`, the independent cross-check, solves the assembled
 matrix only once the encoder has proved it canonical CSR and unit lower
@@ -26,14 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import spsolve_triangular
 
-from .encoder import (
-    EncodedSystem,
-    TaylorParams,
-    _as_csr,
-    _check_triangular,
-    _require_step_bound,
-    build_rhs,
-)
+from .encoder import EncodedSystem, TaylorParams, _as_csr, _check_triangular, build_rhs
 from .errors import DegenerateInputError, DimensionError
 from .numerics import DENSE_CUTOFF, as_state
 
@@ -91,13 +85,12 @@ def block_solve(A, params: TaylorParams, rhs: np.ndarray) -> np.ndarray:
 def forward_substitute(A, params: TaylorParams, x_in, b) -> BlockSolution:
     """Solve the encoded system block-by-block without assembling it.
 
-    Requires |A| h <= 1 like the matrix builder. Below DENSE_CUTOFF the
-    kernel applies A as a dense ndarray, from there as CSR. The returned
-    blocks satisfy the recurrences exactly (padding blocks are bitwise copies
-    and block (0,0) is exactly x_in).
+    Any h gives blocks that satisfy the recurrences exactly (padding blocks
+    are bitwise copies, block (0,0) is exactly x_in); |A| h <= 1 is gated by
+    :func:`~odeql.encoder.encode`. Below DENSE_CUTOFF the kernel applies A as a
+    dense ndarray, from there as CSR.
     """
     A = _as_csr(A)
-    _require_step_bound(A, params.h)
     N = A.shape[0]
     rhs = build_rhs(x_in, b, params)
     if rhs.size != (params.d + 1) * N:

@@ -12,6 +12,7 @@ from odeql import encoder, numerics
 from odeql.analysis import (
     COLUMN_ENTRY_BOUND,
     BoundReport,
+    _require_hypotheses,
     bessel_i0_2,
     column_norm_bound,
     condition_number_bound,
@@ -428,6 +429,37 @@ class TestSuccessProbability:
         # (k+1)! = 720 < 70 * 1 * 5 * 1 / e^-5 ~ 51940
         with pytest.raises(HypothesisError):
             success_probability_report(inst, params, sol, grid_decay(inst, params))
+
+
+class TestHypothesisGate:
+    """The one gate behind every checker that rests on Lemmas 1-2."""
+
+    def test_bound_hypotheses(self):
+        # k >= 5 and (k+1)! >= 2m
+        _require_hypotheses(TaylorParams(m=2, k=5, p=2, h=1.0), [])
+        with pytest.raises(HypothesisError):
+            _require_hypotheses(TaylorParams(m=2, k=4, p=2, h=1.0), [])
+        with pytest.raises(HypothesisError):
+            _require_hypotheses(TaylorParams(m=400, k=5, p=2, h=0.001), [])
+
+    def test_success_probability_checks_the_eigenvalues(self):
+        # lambda = -1, h = 2: |lambda h| = 2, although the truncation
+        # condition holds with room to spare at k = 20
+        inst = make_instance(np.eye(1), [-1.0], np.zeros(1), np.ones(1))
+        params = TaylorParams(m=2, k=20, p=2, h=2.0)
+        sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
+        with pytest.raises(HypothesisError, match=r"\|lambda h\| > 1"):
+            success_probability_report(inst, params, sol, grid_decay(inst, params))
+
+    def test_step_bar_is_the_encoders_rounding_bar(self):
+        # |lambda h| may exceed 1 by the step gate's 1e-12, not by 1e-10
+        params = TaylorParams(m=1, k=5, p=1, h=1.0)
+        system = encode(sp.csr_matrix([[-1.0 + 0j]]), [1.0], [0.0], params)
+        assert inverse_norm_bound(system, 1.0, [-1.0 - 1e-13]).passed
+        with pytest.raises(HypothesisError):
+            inverse_norm_bound(system, 1.0, [-1.0 - 1e-10])
+        with pytest.raises(HypothesisError):
+            scalar_inverse_columns(-1.0 - 1e-10, params)
 
 
 class TestReportArguments:

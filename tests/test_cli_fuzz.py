@@ -1,0 +1,183 @@
+"""Hostile input to the command line: every example exits 0, 1 or 2, and an
+exit 2 prints exactly one stderr line and no traceback.
+
+Hypothesis draws flag values, ``--params`` manifests and input files from
+fixed pools of valid and hostile entries. Accepted sizes stay tiny (N <= 4,
+m, k, p <= 8, at most 4 steps), and the huge requests (T >= 1e15, m or k of
+1e15) ask for more memory than any 64-bit address space holds, so they fail
+at once.
+"""
+
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from odeql.cli import main
+from odeql.fileio import save_instance, save_matrix, save_vector
+from odeql.instances import GenSpec, generate
+
+HOSTILE = ["0", "-1", "nan", "inf", "-inf", "seven", ""]
+
+
+def _mostly(valid, hostile=HOSTILE):
+    """One of valid, three times in four; else one of hostile."""
+    return st.integers(0, 3).flatmap(lambda i: st.sampled_from(valid if i else hostile))
+
+
+SIZES = _mostly([str(n) for n in range(1, 9)], HOSTILE + ["1.5", "1000000000000000"])
+STEPS = _mostly(["0.05", "0.5", "1"], HOSTILE + ["50"])
+TIMES = _mostly(["0.5", "1", "2.5"], HOSTILE + ["1e15", "1e300"])
+EPSILONS = _mostly(["0.5", "1e-3", "1e-8"], HOSTILE + ["0.9"])
+
+MANIFESTS = {
+    "good-layout": {"m": 2, "k": 5, "p": 2, "h": 0.5},
+    "good-target": {"T": 1.5, "epsilon": 1e-4},
+    "steep-h": {"m": 1, "k": 5, "p": 1, "h": 50.0},
+    "zero-m": {"m": 0, "k": 5, "p": 1, "h": 0.5},
+    "huge-k": {"m": 1, "k": 10**15, "p": 1, "h": 0.5},
+    "float-k": {"m": 1, "k": 5.5, "p": 1, "h": 0.5},
+    "bool-p": {"m": 1, "k": 5, "p": True, "h": 0.5},
+    "string-h": {"m": 1, "k": 5, "p": 1, "h": "0.5"},
+    "null-T": {"T": None, "epsilon": 1e-3},
+    "huge-T": {"T": 1e15, "epsilon": 1e-3},
+    "negative-epsilon": {"T": 1.0, "epsilon": -1e-3},
+    "partial": {"m": 1, "k": 5},
+    "empty": {},
+}
+RAW_MANIFESTS = {"number": "5", "list": "[1, 2]", "nan-T": '{"T": NaN, "epsilon": 0.1}',
+                 "truncated": '{"m": 1,', "binary": "\x00\x01"}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A valid instance and raw problem, hostile variants of each file, and
+    the manifests; name -> path."""
+    root = tmp_path_factory.mktemp("fuzz")
+    inst = generate(GenSpec(N=3, kappa_V=2.0, b_mode="random", seed=5, unit_norm=True))
+    save_instance(root / "inst", inst)
+    A = inst.A.toarray()
+    paths = {"inst": root / "inst"}
+
+    def matrix(name, M):
+        paths[name] = root / f"{name}.mtx"
+        save_matrix(paths[name], M)
+
+    def vector(name, v):
+        paths[name] = root / f"{name}.txt"
+        save_vector(paths[name], v)
+
+    def text(name, content):
+        paths[name] = root / name
+        paths[name].write_text(content)
+
+    matrix("A", A)
+    matrix("A-sparse", sp.csr_matrix(A))
+    matrix("A-nan", np.where(np.eye(3) > 0, np.nan, A))
+    matrix("A-inf-sparse", sp.csr_matrix(np.where(np.eye(3) > 0, np.inf, A)))
+    matrix("A-wide", A[:, :2])
+    matrix("A-big", np.eye(4) * -0.5)
+    text("A-garbage.mtx", "%%MatrixMarket matrix array complex general\n3 3\nnot a number\n")
+    text("A-empty.mtx", "")
+    vector("x", inst.x_in)
+    vector("b", inst.b)
+    vector("x-short", inst.x_in[:2])
+    text("x-nan.txt", "nan 0\n1 0\n0 1\n")
+    text("x-three-columns.txt", "1 0 0\n0 1 0\n0 0 1\n")
+    text("x-ragged.txt", "1 0\n0\n0 1\n")
+    text("x-empty.txt", "")
+    text("x-words.txt", "one two\n")
+    for name, blob in MANIFESTS.items():
+        text(f"params-{name}.json", json.dumps(blob))
+    for name, raw in RAW_MANIFESTS.items():
+        text(f"params-{name}.json", raw)
+    paths["out"] = root / "out"
+    paths["out"].mkdir()
+    return paths
+
+
+MATRICES = _mostly(["A", "A-sparse"], ["A-nan", "A-inf-sparse", "A-wide", "A-big",
+                                       "A-garbage.mtx", "A-empty.mtx", "missing.mtx"])
+BAD_VECTORS = ["x-short", "x-nan.txt", "x-three-columns.txt", "x-ragged.txt", "x-empty.txt",
+               "x-words.txt", "missing.txt"]
+PARAMS = [f"params-{name}.json" for name in list(MANIFESTS) + list(RAW_MANIFESTS)]
+
+
+def _path(files, name):
+    return str(files.get(name, files["out"] / name))
+
+
+@st.composite
+def problem_flags(draw, files):
+    if draw(st.booleans()):
+        return ["--instance", str(files["inst"])]
+    return ["--matrix", _path(files, draw(MATRICES)),
+            "--x-in", _path(files, draw(_mostly(["x"], BAD_VECTORS))),
+            "--b", _path(files, draw(_mostly(["b"], BAD_VECTORS)))]
+
+
+@st.composite
+def params_flags(draw, files):
+    kind = draw(st.sampled_from(["manifest", "layout", "target"]))
+    if kind == "manifest":
+        return ["--params", _path(files, draw(st.sampled_from(PARAMS)))]
+    flags = ([("--m", SIZES), ("--k", SIZES), ("--p", SIZES), ("--h", STEPS)]
+             if kind == "layout" else [("--T", TIMES), ("--epsilon", EPSILONS)])
+    # --flag=value, so that a value such as -1 is not read as a flag; now
+    # and then a flag is missing
+    return [f"{flag}={draw(values)}" for flag, values in flags if draw(st.integers(0, 7))]
+
+
+def _outcome(argv):
+    """main's exit code and stderr; a raised exception propagates."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _assert_clean(argv):
+    code, err = _outcome(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code == 2:
+        assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_encode_and_solve_survive_hostile_input(files, data):
+    command = data.draw(st.sampled_from(["encode", "solve"]))
+    out = files["out"]
+    outputs = (["--out-matrix", str(out / "C.mtx"), "--out-rhs", str(out / "rhs.txt")]
+               if command == "encode" else ["--out-dir", str(out / "solve")])
+    _assert_clean([command] + data.draw(problem_flags(files))
+                  + data.draw(params_flags(files)) + outputs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_run_survives_hostile_input(files, data):
+    source = data.draw(st.sampled_from([["--instance", str(files["inst"])],
+                                        ["--gen", "N=3,kappa=2,b=random,seed=1"],
+                                        ["--instance", _path(files, "missing")]]))
+    argv = ["run"] + source
+    for flag, values in (("--T", TIMES), ("--epsilon", EPSILONS),
+                         ("--inject-delta", _mostly(["off", "auto", "0.01"]))):
+        argv.append(f"{flag}={data.draw(values)}")
+    _assert_clean(argv)
+
+
+def test_a_run_beyond_any_address_space_exits_2():
+    # m = ceil(T |A|) ~ 8e14 steps: the trajectory asks numpy for 45 PiB
+    code, err = _outcome(["run", "--gen", "N=4", "--T", "1e15", "--epsilon", "0.1"])
+    assert code == 2
+    assert err.startswith("error: out of memory") and err.count("\n") == 1

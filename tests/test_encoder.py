@@ -15,7 +15,6 @@ from odeql.encoder import (
 )
 from odeql.errors import (
     DimensionError,
-    HypothesisError,
     ParameterError,
 )
 from odeql.analysis import matrix_norm_bounds
@@ -78,13 +77,6 @@ class TestTaylorParams:
             TaylorParams(m=1, k=3, p=1, h=-1.0)
         with pytest.raises(DimensionError):
             TaylorParams(m=1, k=3, p=1, h=1.0).flat(0, 4)
-
-    def test_bound_hypotheses(self):
-        TaylorParams(m=2, k=5, p=2, h=1.0).require_bound_hypotheses()
-        with pytest.raises(HypothesisError):
-            TaylorParams(m=2, k=4, p=2, h=1.0).require_bound_hypotheses()
-        with pytest.raises(HypothesisError):
-            TaylorParams(m=400, k=5, p=2, h=0.001).require_bound_hypotheses()
 
 
 class TestBuildMatrix:

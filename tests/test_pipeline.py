@@ -288,6 +288,16 @@ class TestRun:
                                                        seed=2))
         assert report.success_conditioned_error <= 1e-6
 
+    def test_measures_the_norm_once_per_instance(self, norm2_calls):
+        # the emulate task: T = 5, 10, 20 on one N=64 instance; |A| is
+        # measured into inst.norm_A once, and no solver measures it again
+        inst = generate(GenSpec(N=64, kappa_V=3.0, b_mode="random", unit_norm=True))
+        norm2_calls.clear()
+        for _ in range(2):
+            for T in (5.0, 10.0, 20.0):
+                run(inst, RunConfig(T=T, epsilon=1e-8, seed=1, delta_injection="auto"))
+            assert norm2_calls == [(64, 64)]
+
     @pytest.mark.parametrize("b_mode", ["zero", "random"])
     def test_errors_match_a_standalone_measure(self, b_mode):
         # the trajectory's x(T) and the oracle's x(mh) from t = 0 agree to
@@ -345,6 +355,17 @@ class TestSweep:
         result = sweep_grid(self.SPEC, **self.GRID)
         assert len(result["rows"]) == 12
         assert calls == [(1.5, 1.0), (1.5, 2.5), (3.0, 1.0), (3.0, 2.5)]
+
+    @pytest.mark.parametrize("bad", [dict(delta_injection=3.0),
+                                     dict(epsilon_values=[1e-2, 3.0])],
+                             ids=["inject-delta", "later-epsilon"])
+    def test_validates_every_cell_before_generating(self, monkeypatch, bad):
+        calls = []
+        monkeypatch.setattr(pipeline, "generate",
+                            lambda spec: calls.append(spec) or generate(spec))
+        with pytest.raises(ParameterError):
+            sweep_grid(self.SPEC, **{**self.GRID, **bad})
+        assert calls == []
 
     def test_rows_equal_standalone_runs(self):
         # each cell is built as run() builds it, so every field is bitwise equal

@@ -11,7 +11,7 @@ from scipy.sparse.linalg import spsolve_triangular
 
 from odeql.analysis import inverse_norm
 from odeql.encoder import TaylorParams, encode
-from odeql.errors import IntegrityError
+from odeql.errors import IntegrityError, ParameterError
 from odeql import solver
 from odeql.instances import GenSpec, generate
 from odeql.numerics import DENSE_CUTOFF, norm2
@@ -110,6 +110,17 @@ class TestRecurrenceCertificates:
 
     def test_forward_substitution_is_exact(self):
         inst, params = random_problem(3)
+        sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
+        self.assert_certificates(inst.A, params, inst.x_in, inst.b, sol.data,
+                                 rel=1e-15)
+
+    def test_solver_checks_no_step_bound(self):
+        # |A| h = 2: encode refuses this C, but forward substitution checks no
+        # hypothesis of the paper and still replays the recurrences
+        inst, _ = random_problem(5)
+        params = TaylorParams(m=3, k=6, p=2, h=2.0 / inst.norm_A)
+        with pytest.raises(ParameterError, match="shrink the step"):
+            encode(inst.A, inst.x_in, inst.b, params)
         sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
         self.assert_certificates(inst.A, params, inst.x_in, inst.b, sol.data,
                                  rel=1e-15)
@@ -218,6 +229,17 @@ class TestGenericSolve:
         for solve in (generic_solve, inverse_norm):
             with pytest.raises(IntegrityError):
                 solve(bad)
+
+
+def test_one_norm_per_encoded_and_solved_system(norm2_calls):
+    # the solve task: encode gates |A| h <= 1, the solvers measure nothing
+    inst, params = random_problem(6)
+    norm2_calls.clear()
+    system = encode(inst.A, inst.x_in, inst.b, params)
+    sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
+    generic_solve(system)
+    residual(system, sol.vector())
+    assert norm2_calls == [(4, 4)]
 
 
 class TestResidual:
