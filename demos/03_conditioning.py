@@ -11,9 +11,10 @@ Run:  python demos/03_conditioning.py
 
 from odeql import (
     GenSpec,
+    Problem,
     TaylorParams,
     condition_number_bound,
-    encode,
+    decay_profile,
     generate,
     matrix_norm_bounds,
 )
@@ -27,10 +28,9 @@ print(f"{'kappa_V':>8} {'|C|':>8} {'2 sqrt(k)':>10} {'kappa_C':>10} "
 for kappa in (1.0, 3.0, 10.0):
     inst = generate(GenSpec(N=6, kappa_V=kappa, b_mode="random", seed=21,
                             unit_norm=True))
-    system = encode(inst.A, inst.x_in, inst.b, params)
-    norm_report = matrix_norm_bounds(system)
-    cond_report = condition_number_bound(system, inst.kappa_V,
-                                         inst.eigenvalues)
+    problem = Problem(inst, params, decay_profile(inst, params.T, params.m))
+    norm_report = matrix_norm_bounds(problem.system)
+    cond_report = condition_number_bound(problem)
     print(f"{kappa:8.1f} {norm_report.details['norm']:8.3f} "
           f"{norm_report.details['bound']:10.3f} "
           f"{cond_report.details['kappa_C']:10.2f} "

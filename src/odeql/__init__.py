@@ -13,7 +13,7 @@ The package namespace holds the names the demos use and the error classes;
 every other name is imported from its module.
 """
 
-from .analysis import condition_number_bound, matrix_norm_bounds
+from .analysis import Problem, condition_number_bound, decay_profile, matrix_norm_bounds
 from .encoder import TaylorParams, encode
 from .errors import (
     BoundViolationError,

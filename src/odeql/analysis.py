@@ -7,9 +7,12 @@ point evaluation of the bound constants themselves). Hypothesis violations
 raise :class:`~odeql.errors.HypothesisError` instead of producing a verdict,
 so sweeps over invalid corners cannot pollute reports; every checker but
 Lemma 3's (k >= 5, and the encoder's |A| h <= 1) takes them from one gate,
-:func:`_require_hypotheses`. ||C|| and ||C^{-1}||
-are the encoded system's own norms, measured once per system, so the
-condition-number check measures nothing of its own.
+:func:`_require_hypotheses`. The checkers of Lemma 2 and Theorems 1-3 take
+one :class:`Problem`: an instance, a layout and the instance's decay profile
+on that layout's grid, from which each reads kappa_V, the eigenvalues, the
+encoded system and the block solution. ||C|| and ||C^{-1}|| are the encoded
+system's own norms, measured once per system, so the condition-number check
+measures nothing of its own.
 
 The bounds covered:
 
@@ -27,10 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .encoder import STEP_BOUND_SLACK, EncodedSystem, TaylorParams, _check_layout
+from .encoder import STEP_BOUND_SLACK, EncodedSystem, TaylorParams, _check_layout, encode
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -39,7 +43,7 @@ from .errors import (
     ParameterError,
 )
 from .numerics import Instance, norm2, reference_trajectory
-from .solver import BlockSolution, block_solve
+from .solver import BlockSolution, block_solve, forward_substitute
 from .taylor import MIN_TAIL_ORDER
 
 # Relative slack accepted on every bound check; absorbs floating-point
@@ -74,25 +78,20 @@ class BoundReport:
 
     worst_ratio is observed/bound for upper bounds and bound/observed for
     lower bounds, so a value <= 1 (+ slack) always means the claim holds.
-    hypotheses_ok is False only for reports synthesized from sweeps whose
-    hypotheses failed; such reports carry the verdict "not claimed".
     """
 
     bound_name: str
     instances_checked: int
     worst_ratio: float
     argmax_instance: str
-    hypotheses_ok: bool = True
     details: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
-        return self.hypotheses_ok and self.worst_ratio <= 1.0 + PASS_SLACK
+        return self.worst_ratio <= 1.0 + PASS_SLACK
 
     @property
     def verdict(self) -> str:
-        if not self.hypotheses_ok:
-            return "not claimed"
         return "pass" if self.passed else "fail"
 
     def to_json_dict(self) -> dict:
@@ -101,7 +100,6 @@ class BoundReport:
             "instances_checked": self.instances_checked,
             "worst_ratio": self.worst_ratio,
             "argmax_instance": self.argmax_instance,
-            "hypotheses_ok": self.hypotheses_ok,
             "verdict": self.verdict,
             "details": self.details,
         }
@@ -121,7 +119,6 @@ def merge_reports(reports) -> BoundReport:
         instances_checked=sum(r.instances_checked for r in reports),
         worst_ratio=worst.worst_ratio,
         argmax_instance=worst.argmax_instance,
-        hypotheses_ok=all(r.hypotheses_ok for r in reports),
         details={"merged": len(reports)},
     )
 
@@ -176,12 +173,35 @@ def _require_hypotheses(params: TaylorParams, eigenvalues) -> None:
         raise HypothesisError("|lambda h| > 1 for some eigenvalue; bound not claimed")
 
 
-def _require_grid(decay: DecayProfile, inst: Instance, params: TaylorParams) -> None:
-    expected = (params.m + 1, inst.N)
-    if decay.states.shape != expected or not math.isclose(decay.h, params.h, rel_tol=1e-12):
-        raise DimensionError(f"decay profile holds states of shape {decay.states.shape} "
-                             f"at step {decay.h:.6g}, expected {expected} at step "
-                             f"{params.h:.6g} for m={params.m}, N={inst.N}")
+@dataclass(frozen=True)
+class Problem:
+    """One instance, one layout and the instance's decay profile on that
+    layout's grid (whose trajectory is the problem's one ODE integration),
+    with its encoded system and block solution, each built once, on first use.
+
+    A profile of another grid is a DimensionError here, so no checker can pair
+    a layout with states taken at other times.
+    """
+
+    inst: Instance
+    params: TaylorParams
+    decay: DecayProfile
+
+    def __post_init__(self):
+        decay, params = self.decay, self.params
+        expected = (params.m + 1, self.inst.N)
+        if decay.states.shape != expected or not math.isclose(decay.h, params.h, rel_tol=1e-12):
+            raise DimensionError(f"decay profile holds states of shape {decay.states.shape} "
+                                 f"at step {decay.h:.6g}, expected {expected} at step "
+                                 f"{params.h:.6g} for m={params.m}, N={self.inst.N}")
+
+    @cached_property
+    def system(self) -> EncodedSystem:
+        return encode(self.inst.A, self.inst.x_in, self.inst.b, self.params)
+
+    @cached_property
+    def solution(self) -> BlockSolution:
+        return forward_substitute(self.inst.A, self.params, self.inst.x_in, self.inst.b)
 
 
 # ---------------------------------------------------------------------------
@@ -267,29 +287,29 @@ def inverse_norm(system: EncodedSystem) -> float:
     return system.inverse_norm
 
 
-def inverse_norm_bound(system: EncodedSystem, kappa_V: float,
-                       eigenvalues) -> BoundReport:
+def inverse_norm_bound(problem: Problem) -> BoundReport:
     """Check ||C^{-1}|| <= 3 kappa_V sqrt(k) (m+p); the hypotheses
-    Re(lambda) <= 0 and |lambda h| <= 1 are verified on the given eigenvalues."""
-    params = system.params
-    _require_hypotheses(params, eigenvalues)
-    measured = inverse_norm(system)
+    Re(lambda) <= 0 and |lambda h| <= 1 are verified on the instance's
+    eigenvalues before the system is built."""
+    params, kappa_V = problem.params, problem.inst.kappa_V
+    _require_hypotheses(params, problem.inst.eigenvalues)
+    measured = inverse_norm(problem.system)
     bound = 3.0 * kappa_V * math.sqrt(params.k) * (params.m + params.p)
     return BoundReport(
         bound_name="inverse-norm",
         instances_checked=1,
         worst_ratio=float(measured / bound),
-        argmax_instance=f"{_system_label(system)}, kappa_V={kappa_V:.4g}",
+        argmax_instance=f"{_system_label(problem.system)}, kappa_V={kappa_V:.4g}",
         details={"norm": measured, "bound": bound},
     )
 
 
-def condition_number_bound(system: EncodedSystem, kappa_V: float,
-                           eigenvalues) -> BoundReport:
+def condition_number_bound(problem: Problem) -> BoundReport:
     """Check kappa_C = ||C|| ||C^{-1}|| <= 6 kappa_V k (m+p), the product of
     the system's two cached norms, under the hypotheses of Lemma 2."""
-    params = system.params
-    _require_hypotheses(params, eigenvalues)
+    params, kappa_V = problem.params, problem.inst.kappa_V
+    _require_hypotheses(params, problem.inst.eigenvalues)
+    system = problem.system
     kappa_C = system.norm * system.inverse_norm
     bound = 6.0 * kappa_V * params.k * (params.m + params.p)
     return BoundReport(
@@ -306,19 +326,16 @@ def condition_number_bound(system: EncodedSystem, kappa_V: float,
 # solution error and measurement probability
 # ---------------------------------------------------------------------------
 
-def solution_error_report(inst: Instance, params: TaylorParams,
-                          sol: BlockSolution, decay: DecayProfile) -> BoundReport:
+def solution_error_report(problem: Problem) -> BoundReport:
     """Check ||x(jh) - x_{j,0}|| <= 2.8 kappa_V j (|x_in| + mh|b|)/(k+1)! for all j.
 
-    decay is the instance's profile on this layout's grid (from
-    ``decay_profile(inst, params.T, params.m)``); its trajectory supplies
-    every x(jh), so no ODE is integrated here. (k+1)! enters in log space.
-    j = 0 shares the initial condition exactly and is checked for literal
-    equality. Raises DimensionError when decay holds another grid's states
-    and IntegrityError when block (0,0) is not x_in.
+    The problem's decay trajectory supplies every x(jh), so no ODE is
+    integrated here. (k+1)! enters in log space. j = 0 shares the initial
+    condition exactly and is checked for literal equality. Raises
+    IntegrityError when block (0,0) is not x_in.
     """
+    inst, params = problem.inst, problem.params
     _require_hypotheses(params, inst.eigenvalues)
-    _require_grid(decay, inst, params)
 
     m, h = params.m, params.h
     weight = float(np.linalg.norm(inst.x_in) + m * h * np.linalg.norm(inst.b))
@@ -326,7 +343,7 @@ def solution_error_report(inst: Instance, params: TaylorParams,
         raise DegenerateInputError("x_in and b both vanish; the bound degenerates")
     log_scale = math.log(2.8 * inst.kappa_V * weight) - math.lgamma(params.k + 2)
 
-    errors = np.linalg.norm(decay.states - sol.step_states(), axis=1)
+    errors = np.linalg.norm(problem.decay.states - problem.solution.step_states(), axis=1)
     if errors[0] != 0.0:
         raise IntegrityError("block (0,0) does not equal x_in; solver integrity broken")
 
@@ -348,19 +365,17 @@ def solution_error_report(inst: Instance, params: TaylorParams,
     )
 
 
-def success_probability_report(inst: Instance, params: TaylorParams,
-                               sol: BlockSolution, decay: DecayProfile) -> BoundReport:
+def success_probability_report(problem: Problem) -> BoundReport:
     """Check the measurement bound ||x_{m,0}|| / ||x|| >= 1/sqrt(p + 77 m g^2).
 
-    decay is the instance's profile on this layout's grid; it supplies q and
-    the step-grid decay ratio g (the proof consumes only grid values), and a
-    profile of another grid raises DimensionError. Requires Theorem 2's
-    hypotheses and (k+1)! >= 70 kappa_V m (|x_in|+mh|b|)/q, in log space;
-    when p = m the implied squared success probability over the padded
-    blocks is at least 1/(78 g^2), recorded in the details.
+    The problem's decay profile supplies q and the step-grid decay ratio g
+    (the proof consumes only grid values). Requires Theorem 2's hypotheses
+    and (k+1)! >= 70 kappa_V m (|x_in|+mh|b|)/q, in log space; when p = m
+    the implied squared success probability over the padded blocks is at
+    least 1/(78 g^2), recorded in the details.
     """
+    inst, params, decay = problem.inst, problem.params, problem.decay
     _require_hypotheses(params, inst.eigenvalues)
-    _require_grid(decay, inst, params)
     m, p, h = params.m, params.p, params.h
     weight = float(np.linalg.norm(inst.x_in) + m * h * np.linalg.norm(inst.b))
     log_needed = math.log(70.0 * inst.kappa_V * m * weight) - math.log(decay.q)
@@ -371,8 +386,8 @@ def success_probability_report(inst: Instance, params: TaylorParams,
         )
 
     g = decay.g_grid
-    block_ratio = float(np.linalg.norm(sol.final_state())
-                        / np.linalg.norm(sol.vector()))
+    sol = problem.solution
+    block_ratio = float(np.linalg.norm(sol.final_state()) / np.linalg.norm(sol.vector()))
     bound = 1.0 / math.sqrt(p + 77.0 * m * g * g)
     success_prob = (p + 1) * block_ratio**2
 

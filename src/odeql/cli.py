@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a claimed bound was violated, 2 usage or hypothesis
 error. Every JSON report carries the schema version and the exact command
-line that reproduces it. ODEQL_SEED provides the default seed.
+line that reproduces it. ODEQL_SEED, read when the parser is built, provides
+the default seed; a value that is not an integer is a usage error.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .errors import BoundViolationError, DegenerateInputError, OdeqlError
 from .instances import GenSpec, generate
 from .numerics import make_instance
 from .solver import forward_substitute, residual
-
-DEFAULT_SEED = int(os.environ.get("ODEQL_SEED", "0"))
 
 # kappa_V from which a matrix read from files counts as numerically defective.
 DEFECTIVE_KAPPA_V = np.finfo(float).eps ** -0.5
@@ -59,7 +58,7 @@ def _parse_gen_inline(text: str) -> GenSpec:
         kwargs.setdefault("eig_profile", "scalar")
     if "s" in fields:
         kwargs["sparsity"] = int(fields.pop("s"))
-        kwargs["kappa_V"] = None
+        kwargs.setdefault("kappa_V", None)
     if "b" in fields:
         kwargs["b_mode"] = fields.pop("b")
     if "seed" in fields:
@@ -144,7 +143,7 @@ def _add_params_flags(sub):
 def _cmd_gen(args, argv) -> int:
     spec = GenSpec(
         N=args.N,
-        kappa_V=None if args.sparsity else args.kappa,
+        kappa_V=1.0 if args.kappa is None and args.sparsity is None else args.kappa,
         eig_profile="scalar" if args.eig_value else args.profile,
         eig_value=complex(args.eig_value) if args.eig_value else None,
         sparsity=args.sparsity,
@@ -266,17 +265,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Encode, solve and verify truncated-Taylor linear-system "
                     "propagation of linear ODEs.")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    # a string default goes through type=int, so a bad ODEQL_SEED is a usage error
+    seed = os.environ.get("ODEQL_SEED", "0")
 
     gen = sub.add_parser("gen", help="generate a seeded test instance")
     gen.add_argument("--out", required=True)
     gen.add_argument("--N", type=int, default=4)
-    gen.add_argument("--kappa", type=float, default=1.0)
+    gen.add_argument("--kappa", type=float, help="dense mode only; default 1")
     gen.add_argument("--profile", default="uniform-half-disk")
     gen.add_argument("--eig-value", dest="eig_value")
     gen.add_argument("--sparsity", type=int)
     gen.add_argument("--b-mode", dest="b_mode", default="zero",
                      choices=("zero", "random"))
-    gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    gen.add_argument("--seed", type=int, default=seed)
     gen.add_argument("--unit-norm", dest="unit_norm", action="store_true")
     gen.set_defaults(func=_cmd_gen)
 
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run a bound-verification suite")
     ver.add_argument("--suite", required=True, choices=suites.SUITE_NAMES)
     ver.add_argument("--trials", type=int)
-    ver.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    ver.add_argument("--seed", type=int, default=seed)
     ver.add_argument("--report")
     ver.set_defaults(func=_cmd_verify)
 
@@ -309,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(run, with_gen=True)
     run.add_argument("--T", type=float, required=True)
     run.add_argument("--epsilon", type=float, required=True)
-    run.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    run.add_argument("--seed", type=int, default=seed)
     run.add_argument("--inject-delta", dest="inject_delta", default="off",
                      help="'auto', 'off', or an explicit perturbation norm")
     run.add_argument("--report")
@@ -320,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--T", required=True, help="comma list of times")
     swp.add_argument("--epsilon", required=True, help="comma list of targets")
     swp.add_argument("--kappa", help="comma list of condition numbers")
-    swp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    swp.add_argument("--seed", type=int, default=seed)
     swp.add_argument("--inject-delta", dest="inject_delta", default="auto", help="as for run")
     swp.add_argument("--csv")
     swp.add_argument("--report")

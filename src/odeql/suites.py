@@ -3,28 +3,25 @@
 Each suite runs the matching checker from :mod:`odeql.analysis` over seeded
 test problems satisfying the relevant hypotheses, and folds the outcomes
 into one JSON-ready report. The five family suites (lemma2, lemma3, thm1,
-thm2, thm3) take one family built by :func:`standard_family`, which follows
-a fixed recipe: dimensions {1, 2, 4, 8, 16}, condition numbers {1, 3, 10},
-eigenvalues in the closed left half-disk, homogeneous and inhomogeneous
-right-hand sides, m = p in {1, 2, 4, 8}, and the truncation order chosen by
-the same rule the end-to-end driver uses (clipped to k >= 5). A member
-encodes and solves its problem once each, on first use, and its system
-measures ||C|| and ||C^{-1}|| once each: lemma3, lemma2 and thm1 share one
-system and its norms, thm2 and thm3 one solution.
+thm2, thm3) take one family of :class:`~odeql.analysis.Problem` members
+built by :func:`standard_family`, which follows a fixed recipe: dimensions
+{1, 2, 4, 8, 16}, condition numbers {1, 3, 10}, eigenvalues in the closed
+left half-disk, homogeneous and inhomogeneous right-hand sides, m = p in
+{1, 2, 4, 8}, and the truncation order chosen by the same rule the
+end-to-end driver uses (clipped to k >= 5). A member encodes and solves its
+problem once each, on first use, and its system measures ||C|| and
+||C^{-1}|| once each: lemma3, lemma2 and thm1 share one system and its
+norms, thm2 and thm3 one solution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 from . import analysis, pipeline
-from .encoder import EncodedSystem, TaylorParams, encode
+from .encoder import TaylorParams
 from .errors import HypothesisError, ParameterError
 from .instances import GenSpec, generate
-from .numerics import Instance
-from .solver import BlockSolution, forward_substitute
 from .taylor import half_disk_samples, verify_remainder_bounds
 
 SUITE_NAMES = ("taylor", "lemma1", "lemma2", "lemma3", "thm1", "thm2", "thm3",
@@ -38,29 +35,9 @@ FAMILY_M = (1, 2, 4, 8)
 FAMILY_EPSILON = 1e-3
 
 
-@dataclass(frozen=True)
-class FamilyMember:
-    """One standard-family problem, its chosen layout, its decay profile
-    (whose trajectory is the member's one ODE integration), and its encoded
-    system and block solution, each built once, on first use."""
-
-    inst: Instance
-    params: TaylorParams
-    decay: analysis.DecayProfile
-
-    @cached_property
-    def system(self) -> EncodedSystem:
-        return encode(self.inst.A, self.inst.x_in, self.inst.b, self.params)
-
-    @cached_property
-    def solution(self) -> BlockSolution:
-        return forward_substitute(self.inst.A, self.params, self.inst.x_in,
-                                  self.inst.b)
-
-
 def standard_family(seed: int = 0, N_values=FAMILY_N, kappa_values=FAMILY_KAPPA,
                     m_values=FAMILY_M, epsilon: float = FAMILY_EPSILON):
-    """Return the tuple of FamilyMember problems covering the standard box.
+    """Return the tuple of analysis.Problem members covering the standard box.
 
     Each member is generated, and its ODE integrated on its step grid, once
     here; the family suites all read the same tuple, so one family serves a
@@ -84,7 +61,7 @@ def standard_family(seed: int = 0, N_values=FAMILY_N, kappa_values=FAMILY_KAPPA,
                 if chosen.params.m != m:
                     raise ParameterError(
                         f"family step-count rule produced m={chosen.params.m}, wanted {m}")
-                members.append(FamilyMember(inst=inst, params=chosen.params, decay=decay))
+                members.append(analysis.Problem(inst, chosen.params, decay))
     return tuple(members)
 
 
@@ -125,37 +102,27 @@ def lemma1_suite(trials: int = 4, seed: int = 0,
 
 def lemma3_suite(family) -> dict:
     return _suite_from_reports(
-        "lemma3", [analysis.matrix_norm_bounds(member.system) for member in family])
-
-
-def _kappa_suite(name: str, check, family) -> dict:
-    reports = [check(member.system, member.inst.kappa_V, member.inst.eigenvalues)
-               for member in family]
-    return _suite_from_reports(name, reports)
+        "lemma3", [analysis.matrix_norm_bounds(p.system) for p in family])
 
 
 def lemma2_suite(family) -> dict:
-    return _kappa_suite("lemma2", analysis.inverse_norm_bound, family)
+    return _suite_from_reports("lemma2", [analysis.inverse_norm_bound(p) for p in family])
 
 
 def thm1_suite(family) -> dict:
-    return _kappa_suite("thm1", analysis.condition_number_bound, family)
+    return _suite_from_reports("thm1", [analysis.condition_number_bound(p) for p in family])
 
 
 def thm2_suite(family) -> dict:
-    reports = [analysis.solution_error_report(member.inst, member.params,
-                                              member.solution, member.decay)
-               for member in family]
-    return _suite_from_reports("thm2", reports)
+    return _suite_from_reports("thm2", [analysis.solution_error_report(p) for p in family])
 
 
 def thm3_suite(family) -> dict:
     reports = []
     skipped = 0
-    for member in family:
+    for problem in family:
         try:
-            reports.append(analysis.success_probability_report(
-                member.inst, member.params, member.solution, member.decay))
+            reports.append(analysis.success_probability_report(problem))
         except HypothesisError:
             skipped += 1
     out = _suite_from_reports("thm3", reports)

@@ -127,9 +127,8 @@ def test_criterion_6_solution_error():
     inst = make_instance(np.eye(1), [-1.0], np.zeros(1), np.ones(1),
                          label="scalar")
     params = TaylorParams(m=1, k=5, p=1, h=1.0)
-    sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
     scalar = analysis.solution_error_report(
-        inst, params, sol, analysis.decay_profile(inst, params.T, params.m))
+        analysis.Problem(inst, params, analysis.decay_profile(inst, params.T, params.m)))
     eps_1 = scalar.details["errors"][1]
     scalar_ok = (abs(eps_1 - 0.0012127745047756378) <= 1e-14
                  and abs(scalar.worst_ratio - 0.31185630122802116) <= 1e-9
@@ -147,8 +146,7 @@ def test_criterion_7_success_probability():
     details = []
     for member in suites.standard_family(seed=12):
         inst, params, decay = member.inst, member.params, member.decay
-        sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
-        report = analysis.success_probability_report(inst, params, sol, decay)
+        report = analysis.success_probability_report(member)
         family_ok &= report.passed
         # p = m on the whole family: squared success probability floor
         floors_ok &= (report.details["success_prob"]

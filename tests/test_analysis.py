@@ -1,5 +1,6 @@
 """Tests for the bound checkers: inverse columns, norms, error, probability."""
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -8,10 +9,11 @@ import pytest
 import scipy.sparse as sp
 from scipy.linalg import svdvals
 
-from odeql import encoder, numerics
+from odeql import analysis, encoder, numerics
 from odeql.analysis import (
     COLUMN_ENTRY_BOUND,
     BoundReport,
+    Problem,
     _require_hypotheses,
     bessel_i0_2,
     column_norm_bound,
@@ -46,9 +48,9 @@ from odeql.suites import standard_family
 from oracles import component_split
 
 
-def grid_decay(inst, params):
-    """The decay profile on params' step grid, as the reports require."""
-    return decay_profile(inst, params.T, params.m)
+def problem(inst, params):
+    """inst under the layout params, with its decay profile on their grid."""
+    return Problem(inst, params, decay_profile(inst, params.T, params.m))
 
 
 class TestConstants:
@@ -221,14 +223,16 @@ class TestInverseNorm:
 
     def test_bound_normal_and_conditioned(self):
         for kappa in (1.0, 10.0):
-            inst, params, system = small_system(seed=3, N=4, kappa=kappa)
-            report = inverse_norm_bound(system, inst.kappa_V, inst.eigenvalues)
+            inst, params, _ = small_system(seed=3, N=4, kappa=kappa)
+            report = inverse_norm_bound(problem(inst, params))
             assert report.passed, report.to_json_dict()
 
     def test_eigenvalue_hypothesis_checked(self):
-        inst, params, system = small_system(seed=4)
+        # make_instance refuses Re(lambda) > 0, so bypass its validation
+        inst = replace(make_instance(np.eye(1), [-0.5], np.zeros(1), np.ones(1)),
+                       eigenvalues=np.array([0.5 + 0j]))
         with pytest.raises(HypothesisError):
-            inverse_norm_bound(system, inst.kappa_V, np.array([0.5 + 0j]))
+            inverse_norm_bound(problem(inst, TaylorParams(m=2, k=5, p=2, h=0.95)))
 
     def test_factor_is_the_matrix_itself(self):
         # the family's largest member: in the natural order with diagonal
@@ -267,10 +271,10 @@ def test_inverse_norm_and_condition_bounds_at_large_kappa(N, kappa, m):
                                float(np.linalg.norm(inst.x_in)),
                                float(np.linalg.norm(inst.b)), decay.q).params
     assert params.m == m
-    system = encode(inst.A, inst.x_in, inst.b, params)
-    for report in (inverse_norm_bound(system, inst.kappa_V, inst.eigenvalues),
-                   condition_number_bound(system, inst.kappa_V, inst.eigenvalues)):
+    large = Problem(inst, params, decay)
+    for report in (inverse_norm_bound(large), condition_number_bound(large)):
         assert report.passed, report.to_json_dict()
+    system = large.system
     # the dense reference is itself only accurate to ~eps kappa_C
     singular = svdvals(system.matrix.toarray())
     kappa_C = singular[0] / singular[-1]
@@ -338,19 +342,16 @@ class TestLanczosNorms:
 class TestConditionNumber:
     def test_product_bound_sweep(self):
         for seed, kappa, m in ((0, 1.0, 1), (1, 3.0, 2), (2, 10.0, 4)):
-            inst, params, system = small_system(seed=seed, N=3, kappa=kappa,
-                                                m=m, p=m)
-            report = condition_number_bound(system, inst.kappa_V,
-                                            inst.eigenvalues)
+            inst, params, _ = small_system(seed=seed, N=3, kappa=kappa, m=m, p=m)
+            report = condition_number_bound(problem(inst, params))
             assert report.passed
             assert report.details["bound"] == pytest.approx(
                 6.0 * kappa * params.k * (m + m))
 
     def test_zero_generator(self):
-        params = TaylorParams(m=2, k=5, p=2, h=1.0)
-        A = sp.csr_matrix((1, 1), dtype=complex)
-        system = encode(A, np.array([1.0 + 0j]), np.array([0.5 + 0j]), params)
-        report = condition_number_bound(system, 1.0, np.array([0.0 + 0j]))
+        inst = make_instance(np.eye(1), [0.0], np.array([0.5]), np.ones(1))
+        assert inst.A.nnz == 0
+        report = condition_number_bound(problem(inst, TaylorParams(m=2, k=5, p=2, h=1.0)))
         assert report.passed
         assert math.isfinite(report.details["kappa_C"])
 
@@ -361,8 +362,7 @@ class TestSolutionError:
         inst = make_instance(np.eye(1), [-1.0], np.zeros(1), np.ones(1),
                              label="scalar")
         params = TaylorParams(m=1, k=5, p=1, h=1.0)
-        sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
-        report = solution_error_report(inst, params, sol, grid_decay(inst, params))
+        report = solution_error_report(problem(inst, params))
         assert report.details["errors"][1] == pytest.approx(
             0.0012127745047756378, abs=1e-14)
         assert report.worst_ratio == pytest.approx(0.31185630122802116, rel=1e-10)
@@ -373,25 +373,22 @@ class TestSolutionError:
             inst = generate(GenSpec(N=4, kappa_V=5.0, b_mode="random",
                                     seed=seed, unit_norm=True))
             params = TaylorParams(m=10, k=7, p=10, h=0.8)
-            sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
-            report = solution_error_report(inst, params, sol, grid_decay(inst, params))
+            report = solution_error_report(problem(inst, params))
             assert report.passed, report.to_json_dict()
 
     def test_monotone_error_growth_homogeneous_normal(self):
         inst = generate(GenSpec(N=4, kappa_V=1.0, b_mode="zero", seed=7,
                                 unit_norm=True))
         params = TaylorParams(m=6, k=6, p=2, h=0.9)
-        sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
-        errors = solution_error_report(inst, params, sol, grid_decay(inst, params)).details["errors"]
+        errors = solution_error_report(problem(inst, params)).details["errors"]
         for j in range(len(errors) - 1):
             assert errors[j + 1] >= errors[j] - 1e-10
 
     def test_hypothesis_rejected(self):
         inst = make_instance(np.eye(1), [-1.0], np.zeros(1), np.ones(1))
         params = TaylorParams(m=1, k=4, p=1, h=1.0)
-        sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
         with pytest.raises(HypothesisError):
-            solution_error_report(inst, params, sol, grid_decay(inst, params))
+            solution_error_report(problem(inst, params))
 
 
 class TestSuccessProbability:
@@ -400,11 +397,9 @@ class TestSuccessProbability:
         inst = make_instance(np.eye(2), [0.0, 0.0], np.zeros(2),
                              np.array([0.6, 0.8j]), label="flat")
         m = p = 3
-        params = TaylorParams(m=m, k=5, p=p, h=1.0)
-        sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
-        decay = decay_profile(inst, params.T, m)
-        assert decay.g_grid == 1.0
-        report = success_probability_report(inst, params, sol, decay)
+        flat = problem(inst, TaylorParams(m=m, k=5, p=p, h=1.0))
+        assert flat.decay.g_grid == 1.0
+        report = success_probability_report(flat)
         assert report.details["block_ratio"] == pytest.approx(
             1.0 / math.sqrt(m + p + 1))
         assert report.details["success_prob"] == pytest.approx(
@@ -415,20 +410,17 @@ class TestSuccessProbability:
 
     def test_decaying_scalar(self):
         inst = make_instance(np.eye(1), [-1.0], np.zeros(1), np.ones(1))
-        params = TaylorParams(m=5, k=9, p=5, h=1.0)
-        sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
-        decay = decay_profile(inst, params.T, params.m)
-        assert decay.g_grid > 1.0
-        report = success_probability_report(inst, params, sol, decay)
+        decaying = problem(inst, TaylorParams(m=5, k=9, p=5, h=1.0))
+        assert decaying.decay.g_grid > 1.0
+        report = success_probability_report(decaying)
         assert report.passed, report.to_json_dict()
 
     def test_k_condition_enforced(self):
         inst = make_instance(np.eye(1), [-1.0], np.zeros(1), np.ones(1))
         params = TaylorParams(m=5, k=5, p=5, h=1.0)
-        sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
         # (k+1)! = 720 < 70 * 1 * 5 * 1 / e^-5 ~ 51940
         with pytest.raises(HypothesisError):
-            success_probability_report(inst, params, sol, grid_decay(inst, params))
+            success_probability_report(problem(inst, params))
 
 
 class TestHypothesisGate:
@@ -446,54 +438,80 @@ class TestHypothesisGate:
         # lambda = -1, h = 2: |lambda h| = 2, although the truncation
         # condition holds with room to spare at k = 20
         inst = make_instance(np.eye(1), [-1.0], np.zeros(1), np.ones(1))
-        params = TaylorParams(m=2, k=20, p=2, h=2.0)
-        sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
         with pytest.raises(HypothesisError, match=r"\|lambda h\| > 1"):
-            success_probability_report(inst, params, sol, grid_decay(inst, params))
+            success_probability_report(problem(inst, TaylorParams(m=2, k=20, p=2, h=2.0)))
 
     def test_step_bar_is_the_encoders_rounding_bar(self):
         # |lambda h| may exceed 1 by the step gate's 1e-12, not by 1e-10
         params = TaylorParams(m=1, k=5, p=1, h=1.0)
-        system = encode(sp.csr_matrix([[-1.0 + 0j]]), [1.0], [0.0], params)
-        assert inverse_norm_bound(system, 1.0, [-1.0 - 1e-13]).passed
-        with pytest.raises(HypothesisError):
-            inverse_norm_bound(system, 1.0, [-1.0 - 1e-10])
+
+        def scalar(lam):
+            return problem(make_instance(np.eye(1), [lam], np.zeros(1), np.ones(1)), params)
+
+        assert inverse_norm_bound(scalar(-1.0 - 1e-13)).passed
         with pytest.raises(HypothesisError):
             scalar_inverse_columns(-1.0 - 1e-10, params)
+        # the gate runs before the system is built, so the encoder's own
+        # step gate (a ParameterError) is never reached
+        for check in (inverse_norm_bound, condition_number_bound):
+            steep = scalar(-1.0 - 1e-10)
+            with pytest.raises(HypothesisError):
+                check(steep)
+            assert "system" not in vars(steep)
+        with pytest.raises(ParameterError):
+            steep.system
 
 
-class TestReportArguments:
-    def _scalar(self, m=2):
-        inst = make_instance(np.eye(1), [-1.0], np.zeros(1), np.ones(1))
-        params = TaylorParams(m=m, k=9, p=m, h=0.5)
-        return inst, params, forward_substitute(inst.A, params, inst.x_in, inst.b)
+class TestProblem:
+    SCALAR = make_instance(np.eye(1), [-1.0], np.zeros(1), np.ones(1))
+    PARAMS = TaylorParams(m=2, k=9, p=2, h=0.5)
 
     def test_decay_of_another_grid_rejected(self):
-        inst, params, sol = self._scalar(m=2)
-        other = decay_profile(inst, params.T, 4)
         with pytest.raises(DimensionError):
-            solution_error_report(inst, params, sol, other)
-        with pytest.raises(DimensionError):
-            success_probability_report(inst, params, sol, other)
+            Problem(self.SCALAR, self.PARAMS, decay_profile(self.SCALAR, self.PARAMS.T, 4))
 
     def test_decay_of_another_time_grid_rejected(self):
         # Same m, twice the T: the states have the right shape but the wrong
-        # times, and read as an error of 3.1e5 times the bound.
-        inst, params, sol = self._scalar(m=2)
-        other = decay_profile(inst, 2 * params.T, params.m)
+        # times, and would read as an error of 3.1e5 times the bound.
+        inst, params = self.SCALAR, self.PARAMS
         with pytest.raises(DimensionError):
-            solution_error_report(inst, params, sol, other)
-        with pytest.raises(DimensionError):
-            success_probability_report(inst, params, sol, other)
-        assert solution_error_report(inst, params, sol, grid_decay(inst, params)).passed
+            Problem(inst, params, decay_profile(inst, 2 * params.T, params.m))
+        assert solution_error_report(problem(inst, params)).passed
 
-    def test_history_not_starting_at_x_in_is_an_integrity_error(self):
-        inst, params, sol = self._scalar()
+    def test_history_not_starting_at_x_in_is_an_integrity_error(self, monkeypatch):
+        inst, params = self.SCALAR, self.PARAMS
+        sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
         data = sol.data.copy()
         data[0] += 1e-3
         broken = BlockSolution(params=params, N=inst.N, data=data)
+        monkeypatch.setattr(analysis, "forward_substitute", lambda *args: broken)
         with pytest.raises(IntegrityError):
-            solution_error_report(inst, params, broken, grid_decay(inst, params))
+            solution_error_report(problem(inst, params))
+
+    def test_system_and_solution_are_built_once(self, monkeypatch):
+        calls = []
+
+        def counted(name, inner):
+            def wrapper(*args):
+                calls.append(name)
+                return inner(*args)
+            return wrapper
+
+        monkeypatch.setattr(analysis, "encode", counted("encode", analysis.encode))
+        monkeypatch.setattr(analysis, "forward_substitute",
+                            counted("solve", analysis.forward_substitute))
+        scalar = problem(self.SCALAR, self.PARAMS)
+        assert calls == []
+        for check in (inverse_norm_bound, condition_number_bound, solution_error_report,
+                      success_probability_report):
+            assert check(scalar).passed
+        assert matrix_norm_bounds(scalar.system).passed
+        assert calls == ["encode", "solve"]
+
+    @pytest.mark.parametrize("check", [inverse_norm_bound, condition_number_bound,
+                                       solution_error_report, success_probability_report])
+    def test_instance_checkers_take_one_problem(self, check):
+        assert list(inspect.signature(check).parameters) == ["problem"]
 
 
 class TestDecayProfile:
@@ -569,5 +587,7 @@ class TestBoundReport:
 
     def test_verdicts(self):
         assert BoundReport("x", 1, 1.5, "a").verdict == "fail"
-        assert BoundReport("x", 1, 0.5, "a", hypotheses_ok=False).verdict == \
-            "not claimed"
+        assert BoundReport("x", 1, 1.0 + 1e-10, "a").verdict == "pass"
+        assert list(BoundReport("x", 1, 0.5, "a").to_json_dict()) == [
+            "bound", "instances_checked", "worst_ratio", "argmax_instance", "verdict",
+            "details"]

@@ -221,6 +221,41 @@ def test_non_finite_kappa_exits_2(command, kappa, tmp_path, capsys):
     assert not (tmp_path / "inst").exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "run", "sweep"])
+def test_kappa_in_sparse_mode_exits_2(command, tmp_path, capsys):
+    # sparse mode measures kappa_V: a requested one is refused, not dropped
+    out = tmp_path / "inst"
+    if command == "gen":
+        args = ["gen", "--out", str(out), "--N", "8", "--kappa", "3", "--sparsity", "2"]
+    else:
+        args = [command, "--gen", "N=8,kappa=3,s=2", "--T", "1", "--epsilon", "1e-3"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sparse mode measures kappa_V instead of prescribing it")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_gen_defaults_seed_from_odeql_seed_and_kappa_to_1(monkeypatch, tmp_path):
+    monkeypatch.setenv("ODEQL_SEED", "7")
+    assert main(["gen", "--out", str(tmp_path / "inst"), "--N", "2"]) == 0
+    assert json.loads((tmp_path / "inst" / "meta.json").read_text())["seed"] == 7
+    assert load_instance(tmp_path / "inst").kappa_V == pytest.approx(1.0, rel=1e-12)
+
+
+def test_bad_odeql_seed_exits_2(monkeypatch, tmp_path, capsys):
+    # read when the parser is built, not at import, and parsed like --seed
+    monkeypatch.setenv("ODEQL_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "lemma1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "error: odeql verify: argument --seed: invalid int value: 'abc'\n"
+    # an explicit --seed never reads the variable
+    assert main(["verify", "--suite", "taylor", "--trials", "5", "--seed", "1",
+                 "--report", str(tmp_path / "t.json")]) == 0
+
+
 def test_kappa_above_ceiling_exits_2(tmp_path, capsys):
     out = tmp_path / "inst"
     assert main(["gen", "--out", str(out), "--N", "2", "--kappa", "1e12",

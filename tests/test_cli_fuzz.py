@@ -1,14 +1,18 @@
 """Hostile input to the command line: every example exits 0, 1 or 2, and an
 exit 2 prints exactly one stderr line and no traceback.
 
-Hypothesis draws flag values, ``--params`` manifests and input files from
-fixed pools of valid and hostile entries. Accepted sizes stay tiny (N <= 4,
-m, k, p <= 8, at most 4 steps), and the huge requests (T >= 1e15, m or k of
-1e15) ask for more memory than any 64-bit address space holds, so they fail
-at once.
+Hypothesis draws flag values, ``--gen`` specs, ``--params`` manifests and
+input files from fixed pools of valid and hostile entries, for every
+subcommand. Accepted sizes stay tiny (N <= 8, m, k, p <= 8, at most 4 steps
+at unit norm), and the huge requests (N, T, m or k of 1e15) ask for more
+memory than any 64-bit address space holds, so they fail at once. verify
+runs its family suites on a six-member family and lemma1 on a 2 x 2 (m, p)
+box, and always hands the trial suites a count: their defaults run
+thousands of trials.
 """
 
 import contextlib
+import functools
 import io
 import json
 
@@ -18,9 +22,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odeql import suites
 from odeql.cli import main
 from odeql.fileio import save_instance, save_matrix, save_vector
-from odeql.instances import GenSpec, generate
+from odeql.instances import EIG_PROFILES, GenSpec, generate
 
 HOSTILE = ["0", "-1", "nan", "inf", "-inf", "seven", ""]
 
@@ -34,6 +39,14 @@ SIZES = _mostly([str(n) for n in range(1, 9)], HOSTILE + ["1.5", "10000000000000
 STEPS = _mostly(["0.05", "0.5", "1"], HOSTILE + ["50"])
 TIMES = _mostly(["0.5", "1", "2.5"], HOSTILE + ["1e15", "1e300"])
 EPSILONS = _mostly(["0.5", "1e-3", "1e-8"], HOSTILE + ["0.9"])
+KAPPAS = _mostly(["1", "3", "10"], HOSTILE + ["1e12"])
+SEEDS = _mostly(["0", "1", "5"], HOSTILE + ["1.5"])
+INJECTIONS = _mostly(["off", "auto", "0.01"])
+GEN_SPECS = _mostly(
+    ["N=3,kappa=2,b=random,seed=1", "N=4,s=2,seed=3", "N=2,profile=boundary,unit=0",
+     "N=2,eig=-0.5+0.5j", "N=8,kappa=10,profile=pure-imaginary"],
+    ["foo=1", "N=0", "N=1.5", "kappa=nan", "eig=1", "s=0", "seed=-1", "b=maybe",
+     "N=3,kappa=3,s=2", "N=1,kappa=3", "N", "=,=", "profile=bogus", "N=1000000000000000"])
 
 MANIFESTS = {
     "good-layout": {"m": 2, "k": 5, "p": 2, "h": 0.5},
@@ -167,12 +180,69 @@ def test_encode_and_solve_survive_hostile_input(files, data):
 @given(data=st.data())
 def test_run_survives_hostile_input(files, data):
     source = data.draw(st.sampled_from([["--instance", str(files["inst"])],
-                                        ["--gen", "N=3,kappa=2,b=random,seed=1"],
+                                        ["--gen", data.draw(GEN_SPECS)],
                                         ["--instance", _path(files, "missing")]]))
     argv = ["run"] + source
     for flag, values in (("--T", TIMES), ("--epsilon", EPSILONS),
-                         ("--inject-delta", _mostly(["off", "auto", "0.01"]))):
+                         ("--inject-delta", INJECTIONS)):
         argv.append(f"{flag}={data.draw(values)}")
+    _assert_clean(argv)
+
+
+def _comma_list(values):
+    return st.lists(values, min_size=1, max_size=2).map(",".join)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_gen_survives_hostile_input(files, data):
+    argv = ["gen", "--out", str(files["out"] / "gen")]
+    for flag, values in (("--N", SIZES), ("--kappa", KAPPAS),
+                         ("--profile", _mostly(list(EIG_PROFILES), ["bogus"])),
+                         ("--eig-value", _mostly(["-0.5", "-1+0.5j", "0"], HOSTILE + ["1"])),
+                         ("--sparsity", _mostly(["1", "2", "3"], HOSTILE + ["9"])),
+                         ("--b-mode", _mostly(["zero", "random"], ["maybe"])),
+                         ("--seed", SEEDS)):
+        if data.draw(st.integers(0, 2)):  # each flag present two times in three
+            argv.append(f"{flag}={data.draw(values)}")
+    if data.draw(st.booleans()):
+        argv.append("--unit-norm")
+    _assert_clean(argv)
+
+
+TRIAL_SUITES = suites.TRIAL_SUITES + ("all",)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_verify_survives_hostile_input(files, data):
+    suite = data.draw(_mostly(list(suites.SUITE_NAMES), ["lemma99", "ALL"]))
+    argv = ["verify", f"--suite={suite}", "--report", str(files["out"] / "verify.json")]
+    if data.draw(st.booleans()):
+        argv.append(f"--seed={data.draw(SEEDS)}")
+    # a family suite given a trial count exits 2
+    if suite in TRIAL_SUITES or data.draw(st.booleans()):
+        argv.append(f"--trials={data.draw(_mostly(['1', '2', '3'], HOSTILE + ['1.5']))}")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(suites, "standard_family", functools.partial(
+            suites.standard_family, N_values=(1, 2), kappa_values=(1.0, 3.0), m_values=(1, 2)))
+        patch.setattr(suites, "lemma1_suite",
+                      functools.partial(suites.lemma1_suite, mp_values=(1, 2)))
+        _assert_clean(argv)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_sweep_survives_hostile_input(files, data):
+    argv = ["sweep", f"--gen={data.draw(GEN_SPECS)}",
+            f"--T={data.draw(_comma_list(TIMES))}",
+            f"--epsilon={data.draw(_comma_list(EPSILONS))}",
+            f"--inject-delta={data.draw(INJECTIONS)}",
+            "--csv", str(files["out"] / "sweep.csv"),
+            "--report", str(files["out"] / "sweep.json")]
+    for flag, values in (("--kappa", _comma_list(KAPPAS)), ("--seed", SEEDS)):
+        if data.draw(st.booleans()):
+            argv.append(f"{flag}={data.draw(values)}")
     _assert_clean(argv)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from odeql.analysis import (
+    Problem,
     conditional_distance_bound,
     decay_profile,
     normalized_distance_bound,
@@ -253,9 +254,8 @@ class TestRun:
         inst = self._instance(seed=3, b_mode="zero")
         cfg = RunConfig(T=2.0, epsilon=1e-5, seed=11, delta_injection=None)
         report = run(inst, cfg)
-        sol = forward_substitute(inst.A, report.params, inst.x_in, inst.b)
         decay = decay_profile(inst, report.params.T, report.params.m)
-        err_report = solution_error_report(inst, report.params, sol, decay)
+        err_report = solution_error_report(Problem(inst, report.params, decay))
         eps_m = err_report.details["errors"][-1]
         x_T = reference_solution(inst, cfg.T)
         alpha = float(np.linalg.norm(x_T))

@@ -21,8 +21,8 @@ def _count_work(monkeypatch):
     """
     calls = {"encode": 0, "solve": 0, "norm_A": 0,
              "norm_C": [], "inverse_norm": [], "component": []}
-    lanczos, encode = numerics.lanczos_norm, suites.encode
-    solve, norm2 = suites.forward_substitute, analysis.norm2
+    lanczos, encode = numerics.lanczos_norm, analysis.encode
+    solve, norm2 = analysis.forward_substitute, analysis.norm2
 
     def counted(key, inner):
         def wrapper(*args):
@@ -39,8 +39,8 @@ def _count_work(monkeypatch):
             calls["component"].append(M)
         return lanczos(M)
 
-    monkeypatch.setattr(suites, "encode", counted("encode", encode))
-    monkeypatch.setattr(suites, "forward_substitute", counted("solve", solve))
+    monkeypatch.setattr(analysis, "encode", counted("encode", encode))
+    monkeypatch.setattr(analysis, "forward_substitute", counted("solve", solve))
     monkeypatch.setattr(analysis, "norm2", counted("norm_A", norm2))
     for module in (numerics, encoder, analysis):
         if getattr(module, "lanczos_norm", None) is lanczos:
@@ -66,6 +66,7 @@ def test_family_members_have_requested_layout():
     # N=1 occurs only with kappa=1, so 3 (N, kappa) pairs x 2 m values
     assert len(members) == 6
     for member in members:
+        assert isinstance(member, analysis.Problem)
         assert member.params.m == member.params.p
         assert member.params.k >= 5
         assert member.decay.g_grid >= 1.0
