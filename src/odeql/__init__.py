@@ -16,7 +16,6 @@ every other name is imported from its module.
 from .analysis import Problem, condition_number_bound, decay_profile, matrix_norm_bounds
 from .encoder import TaylorParams, encode
 from .errors import (
-    BoundViolationError,
     ConvergenceError,
     DegenerateInputError,
     DimensionError,

@@ -177,7 +177,9 @@ def _require_hypotheses(params: TaylorParams, eigenvalues) -> None:
 class Problem:
     """One instance, one layout and the instance's decay profile on that
     layout's grid (whose trajectory is the problem's one ODE integration),
-    with its encoded system and block solution, each built once, on first use.
+    with its encoded system, block solution and weight |x_in| + m h |b|,
+    each computed once, on first use. :func:`~odeql.pipeline.measure` reads
+    the same solution and x(T) as the checkers.
 
     A profile of another grid is a DimensionError here, so no checker can pair
     a layout with states taken at other times.
@@ -202,6 +204,13 @@ class Problem:
     @cached_property
     def solution(self) -> BlockSolution:
         return forward_substitute(self.inst.A, self.params, self.inst.x_in, self.inst.b)
+
+    @cached_property
+    def weight(self) -> float:
+        """|x_in| + m h |b|, the scale of the Theorem 2 and 3 bounds."""
+        params = self.params
+        return float(np.linalg.norm(self.inst.x_in)
+                     + params.m * params.h * np.linalg.norm(self.inst.b))
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +346,10 @@ def solution_error_report(problem: Problem) -> BoundReport:
     inst, params = problem.inst, problem.params
     _require_hypotheses(params, inst.eigenvalues)
 
-    m, h = params.m, params.h
-    weight = float(np.linalg.norm(inst.x_in) + m * h * np.linalg.norm(inst.b))
-    if weight == 0.0:
+    m = params.m
+    if problem.weight == 0.0:
         raise DegenerateInputError("x_in and b both vanish; the bound degenerates")
-    log_scale = math.log(2.8 * inst.kappa_V * weight) - math.lgamma(params.k + 2)
+    log_scale = math.log(2.8 * inst.kappa_V * problem.weight) - math.lgamma(params.k + 2)
 
     errors = np.linalg.norm(problem.decay.states - problem.solution.step_states(), axis=1)
     if errors[0] != 0.0:
@@ -376,9 +384,8 @@ def success_probability_report(problem: Problem) -> BoundReport:
     """
     inst, params, decay = problem.inst, problem.params, problem.decay
     _require_hypotheses(params, inst.eigenvalues)
-    m, p, h = params.m, params.p, params.h
-    weight = float(np.linalg.norm(inst.x_in) + m * h * np.linalg.norm(inst.b))
-    log_needed = math.log(70.0 * inst.kappa_V * m * weight) - math.log(decay.q)
+    m, p = params.m, params.p
+    log_needed = math.log(70.0 * inst.kappa_V * m * problem.weight) - math.log(decay.q)
     if math.lgamma(params.k + 2) < log_needed:
         raise HypothesisError(
             f"(k+1)! < 70 kappa_V m (|x_in|+mh|b|)/||x(T)|| at k={params.k}; "

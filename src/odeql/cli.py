@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fileio, pipeline, suites
 from .encoder import TaylorParams, encode
-from .errors import BoundViolationError, DegenerateInputError, OdeqlError
+from .errors import DegenerateInputError, OdeqlError
 from .instances import GenSpec, generate
 from .numerics import make_instance
 from .solver import forward_substitute, residual
@@ -38,6 +38,9 @@ def _write_report(path, payload: dict, argv) -> None:
         Path(path).write_text(text)
     else:
         print(text, end="")
+
+
+_TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
 
 
 def _parse_gen_inline(text: str) -> GenSpec:
@@ -64,7 +67,11 @@ def _parse_gen_inline(text: str) -> GenSpec:
     if "seed" in fields:
         kwargs["seed"] = int(fields.pop("seed"))
     if "unit" in fields:
-        kwargs["unit_norm"] = fields.pop("unit") not in ("0", "false", "no")
+        unit = fields.pop("unit")
+        if unit not in _TRUE + _FALSE:
+            raise OdeqlError(f"unit must be one of {'/'.join(_TRUE)} or "
+                             f"{'/'.join(_FALSE)}, got {unit!r}")
+        kwargs["unit_norm"] = unit in _TRUE
     if fields:
         raise OdeqlError(f"unknown generation keys: {sorted(fields)}")
     kwargs.setdefault("unit_norm", True)
@@ -144,8 +151,8 @@ def _cmd_gen(args, argv) -> int:
     spec = GenSpec(
         N=args.N,
         kappa_V=1.0 if args.kappa is None and args.sparsity is None else args.kappa,
-        eig_profile="scalar" if args.eig_value else args.profile,
-        eig_value=complex(args.eig_value) if args.eig_value else None,
+        eig_profile="scalar" if args.eig_value is not None else args.profile,
+        eig_value=None if args.eig_value is None else complex(args.eig_value),
         sparsity=args.sparsity,
         b_mode=args.b_mode,
         seed=args.seed,
@@ -336,9 +343,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except BoundViolationError as exc:
-        print(f"bound violation: {exc}", file=sys.stderr)
-        return 1
     except (OdeqlError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

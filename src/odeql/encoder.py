@@ -178,19 +178,18 @@ def unit_lower_factor(C: sp.csr_matrix):
 
 @dataclass(frozen=True)
 class EncodedSystem:
-    """Assembled system: matrix, right-hand side, layout, block size and the
-    CSR generator A that the structured solves apply; ``norm`` and
-    ``inverse_norm`` are measured once each, on first use."""
+    """Assembled system: matrix, right-hand side, layout and the CSR generator
+    A that the structured solves apply, whose size is the block size N;
+    ``norm`` and ``inverse_norm`` are measured once each, on first use."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     params: TaylorParams
-    N: int
     A: sp.csr_matrix
 
     @property
-    def nnz_A(self) -> int:
-        return self.A.nnz
+    def N(self) -> int:
+        return self.A.shape[0]
 
     @property
     def dim(self) -> int:
@@ -201,7 +200,7 @@ class EncodedSystem:
         """Closed-form structural nonzero count of the encoded matrix."""
         m, k, p = self.params.m, self.params.k, self.params.p
         d = self.params.d
-        return (d + 1) * self.N + m * k * self.nnz_A + m * (k + 1) * self.N + p * self.N
+        return (d + 1) * self.N + m * k * self.A.nnz + m * (k + 1) * self.N + p * self.N
 
     @cached_property
     def norm(self) -> float:
@@ -307,5 +306,5 @@ def encode(A, x_in, b, params: TaylorParams) -> EncodedSystem:
     if rhs.size != (params.d + 1) * A.shape[0]:  # before the gate and the assembly
         raise DimensionError("state dimension does not match the matrix block size")
     matrix = build_matrix(A, params)
-    return EncodedSystem(matrix=matrix, rhs=rhs, params=params, N=A.shape[0], A=A)
+    return EncodedSystem(matrix=matrix, rhs=rhs, params=params, A=A)
 

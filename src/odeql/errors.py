@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-The split matters for the command line front end: usage and hypothesis
-problems map to exit code 2, while bound violations (reported, not raised)
-map to exit code 1.
+At the command line every one of them maps to exit code 2. A violated bound
+is no exception: it is reported in a verdict (a failed suite, or a run or
+sweep whose output error exceeds epsilon), which maps to exit code 1.
 """
 
 
@@ -34,10 +34,6 @@ class DegenerateInputError(OdeqlError, ValueError):
 
 class IntegrityError(OdeqlError, ValueError):
     """A structural invariant of an encoded system is violated."""
-
-
-class BoundViolationError(OdeqlError, ArithmeticError):
-    """A claimed inequality failed on a hypothesis-satisfying input."""
 
 
 class ConvergenceError(OdeqlError, RuntimeError):

@@ -28,17 +28,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import DecayProfile, decay_profile
+from .analysis import DecayProfile, Problem, decay_profile
 from .encoder import BlockIndex, TaylorParams
-from .errors import (
-    BoundViolationError,
-    DegenerateInputError,
-    DimensionError,
-    ParameterError,
-)
+from .errors import DegenerateInputError, ParameterError
 from .instances import generate
-from .numerics import Instance, as_state, reference_solution
-from .solver import forward_substitute
+from .numerics import Instance
+# Uncalled; bench/tests/test_tracing.py pins this binding until the benchmark revision.
+from .numerics import reference_solution
 from .taylor import MIN_TAIL_ORDER
 
 
@@ -77,8 +73,6 @@ class ChosenParameters:
     params: TaylorParams
     log_omega: float
     delta: float
-    k_formula: int
-    factorial_log_slack: float
 
 
 @dataclass
@@ -181,8 +175,7 @@ def choose_parameters(T: float, normA: float, epsilon: float, g: float,
             "applicable at these scales"
         )
 
-    k_formula = math.floor(2.0 * log_omega / math.log(log_omega))
-    k = max(k_formula, MIN_TAIL_ORDER)
+    k = max(math.floor(2.0 * log_omega / math.log(log_omega)), MIN_TAIL_ORDER)
     needed = max(log_omega, math.log(2.0 * m))
     while math.lgamma(k + 2) < needed:
         k += 1
@@ -190,8 +183,6 @@ def choose_parameters(T: float, normA: float, epsilon: float, g: float,
         params=TaylorParams(m=m, k=k, p=m, h=h),
         log_omega=log_omega,
         delta=delta,
-        k_formula=k_formula,
-        factorial_log_slack=math.lgamma(k + 2) - log_omega,
     )
 
 
@@ -225,12 +216,8 @@ def _perturb_on_sphere(unit_vec: np.ndarray, delta: float, rng) -> np.ndarray:
     return math.cos(theta) * unit_vec + math.sin(theta) * direction
 
 
-def amplification_estimate(success_prob: float, g_grid: float | None = None) -> int:
-    """Amplification rounds ceil(1/sqrt(success_prob)).
-
-    When g_grid is supplied the caller asserts the measurement-bound
-    hypotheses hold, and the estimate must not exceed ceil(12 g_grid).
-    """
+def amplification_estimate(success_prob: float) -> int:
+    """Amplification rounds ceil(1/sqrt(success_prob))."""
     if not (isinstance(success_prob, (int, float)) and math.isfinite(success_prob)):
         raise ParameterError(f"success_prob must be finite, got {success_prob!r}")
     if success_prob <= 0.0:
@@ -238,13 +225,7 @@ def amplification_estimate(success_prob: float, g_grid: float | None = None) -> 
     if success_prob > 1.0 + 1e-12:
         raise ParameterError(f"success_prob must lie in (0, 1], got {success_prob}")
     ratio = 1.0 / math.sqrt(min(success_prob, 1.0))
-    rounds = math.ceil(ratio * (1.0 - 1e-12))
-    if g_grid is not None and rounds > math.ceil(12.0 * g_grid):
-        raise BoundViolationError(
-            f"{rounds} amplification rounds exceed the ceil(12 g) = "
-            f"{math.ceil(12.0 * g_grid)} budget at g = {g_grid:.4g}"
-        )
-    return rounds
+    return math.ceil(ratio * (1.0 - 1e-12))
 
 
 @dataclass
@@ -260,20 +241,17 @@ class MeasurementResult:
     success_conditioned_error: float
 
 
-def measure(inst: Instance, params: TaylorParams, seed: int,
-            delta_injection: float = 0.0,
-            x_T: np.ndarray | None = None) -> MeasurementResult:
-    """Stages 2-6 of the emulation with the layout already fixed.
+def measure(problem: Problem, seed: int, delta_injection: float = 0.0) -> MeasurementResult:
+    """Stages 2-6 of the emulation on one checked (instance, layout, grid).
 
-    Solves the encoded system, optionally injects the norm-delta error on
-    the normalized solution, computes exact block probabilities, samples one
-    block index by inverse CDF, and evaluates the sampled (and worst
-    success-set) output distance to the true normalized final state. That
-    state is x_T when given (x(m h), as :func:`run` passes it from the decay
-    profile's trajectory); otherwise the oracle integrates x(m h) from t = 0.
+    Reads the problem's block solution, optionally injects the norm-delta
+    error on the normalized solution, computes exact block probabilities,
+    samples one block index by inverse CDF, and evaluates the sampled (and
+    worst success-set) output distance to the true normalized final state,
+    x(T) = x(m h) from the problem's decay trajectory.
     """
-    sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
-    flat = sol.vector()
+    params = problem.params
+    flat = problem.solution.vector()
     unit = flat / np.linalg.norm(flat)
 
     rng = np.random.default_rng(seed)
@@ -282,7 +260,7 @@ def measure(inst: Instance, params: TaylorParams, seed: int,
     else:
         state = unit
 
-    blocks = state.reshape(params.d + 1, inst.N)
+    blocks = state.reshape(params.d + 1, problem.inst.N)
     block_norms = np.linalg.norm(blocks, axis=1)
     probs = block_norms**2
     cdf = np.cumsum(probs)
@@ -295,12 +273,7 @@ def measure(inst: Instance, params: TaylorParams, seed: int,
 
     block = blocks[sampled_flat]
     output = block / np.linalg.norm(block)
-    if x_T is None:
-        x_true = reference_solution(inst, params.T)
-    else:
-        x_true = as_state(x_T, "x_T")
-        if x_true.size != inst.N:
-            raise DimensionError(f"x_T has length {x_true.size}, expected {inst.N}")
+    x_true = problem.decay.x_T
     x_true_unit = x_true / np.linalg.norm(x_true)
 
     # Worst output error over the whole success set: the quantity the
@@ -330,7 +303,7 @@ def _report(inst: Instance, decay: DecayProfile, cfg: RunConfig) -> PipelineRepo
     chosen = plan(inst, decay, cfg.T, cfg.epsilon)
     di = cfg.delta_injection  # None or 0 injects nothing
     injected = chosen.delta if di == "auto" else float(di or 0.0)
-    outcome = measure(inst, chosen.params, cfg.seed, injected, x_T=decay.x_T)
+    outcome = measure(Problem(inst, chosen.params, decay), cfg.seed, injected)
 
     return PipelineReport(
         params=chosen.params,

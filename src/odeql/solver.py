@@ -41,7 +41,6 @@ class BlockSolution:
     """
 
     params: TaylorParams
-    N: int
     data: np.ndarray
 
     def block(self, i: int, j: int) -> np.ndarray:
@@ -98,7 +97,7 @@ def forward_substitute(A, params: TaylorParams, x_in, b) -> BlockSolution:
     data = block_solve(A.toarray() if N < DENSE_CUTOFF else A, params,
                        rhs.reshape(params.d + 1, N))
     data.flags.writeable = False
-    return BlockSolution(params=params, N=N, data=data)
+    return BlockSolution(params=params, data=data)
 
 
 def generic_solve(system: EncodedSystem) -> np.ndarray:

@@ -143,9 +143,8 @@ def test_criterion_7_success_probability():
     family_ok = True
     floors_ok = True
     injected_ok = True
-    details = []
     for member in suites.standard_family(seed=12):
-        inst, params, decay = member.inst, member.params, member.decay
+        params, decay = member.params, member.decay
         report = analysis.success_probability_report(member)
         family_ok &= report.passed
         # p = m on the whole family: squared success probability floor
@@ -154,7 +153,7 @@ def test_criterion_7_success_probability():
         # inject the budgeted delta and re-check the weakened floor
         delta = suites.FAMILY_EPSILON / (25.0 * math.sqrt(params.m)
                                          * decay.g_grid)
-        outcome = pipeline.measure(inst, params, seed=99, delta_injection=delta)
+        outcome = pipeline.measure(member, seed=99, delta_injection=delta)
         injected_ok &= (outcome.success_prob
                         >= 1.0 / (121.0 * decay.g_grid**2) - 1e-12)
     verdict(7, "measurement success-probability bounds",

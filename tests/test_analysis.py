@@ -483,7 +483,7 @@ class TestProblem:
         sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
         data = sol.data.copy()
         data[0] += 1e-3
-        broken = BlockSolution(params=params, N=inst.N, data=data)
+        broken = BlockSolution(params=params, data=data)
         monkeypatch.setattr(analysis, "forward_substitute", lambda *args: broken)
         with pytest.raises(IntegrityError):
             solution_error_report(problem(inst, params))
@@ -507,6 +507,21 @@ class TestProblem:
             assert check(scalar).passed
         assert matrix_norm_bounds(scalar.system).passed
         assert calls == ["encode", "solve"]
+
+    def test_theorems_2_and_3_read_one_weight(self):
+        inst = generate(GenSpec(N=3, kappa_V=2.0, b_mode="random", seed=5, unit_norm=True))
+        member = problem(inst, TaylorParams(m=2, k=9, p=2, h=0.5))
+        assert member.weight == float(np.linalg.norm(inst.x_in)
+                                      + 2 * 0.5 * np.linalg.norm(inst.b))
+        assert solution_error_report(member).passed
+        assert success_probability_report(member).passed
+        # both checkers read the cached value, not their own copy of the formula
+        vars(member)["weight"] = 0.0
+        with pytest.raises(DegenerateInputError):
+            solution_error_report(member)
+        vars(member)["weight"] = 1e300
+        with pytest.raises(HypothesisError, match=r"\(k\+1\)! < 70"):
+            success_probability_report(member)
 
     @pytest.mark.parametrize("check", [inverse_norm_bound, condition_number_bound,
                                        solution_error_report, success_probability_report])

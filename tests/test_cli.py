@@ -434,3 +434,34 @@ def test_gen_sparse_mode(tmp_path):
     inst = load_instance(out)
     dense = inst.A.toarray()
     assert (dense != 0).sum(axis=1).max() <= 2
+
+
+@pytest.mark.parametrize("value", ["maybe", "", "True", "2"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_bad_unit_flag_exits_2(command, value, capsys):
+    # only 1/true/yes and 0/false/no name a unit-norm choice; nothing falls back
+    code = main([command, "--gen", f"N=2,kappa=1,seed=3,unit={value}", "--T", "1",
+                 "--epsilon", "0.1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: unit must be one of 1/true/yes or 0/false/no")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value, unit_norm", [("1", True), ("true", True), ("yes", True),
+                                              ("0", False), ("false", False), ("no", False)])
+def test_unit_flag_values(value, unit_norm):
+    from odeql.cli import _parse_gen_inline
+
+    assert _parse_gen_inline(f"N=2,unit={value}").unit_norm is unit_norm
+
+
+def test_gen_empty_eig_value_exits_2(tmp_path, capsys):
+    # an empty --eig-value is malformed, like --gen "eig=", not the uniform profile
+    out = tmp_path / "inst"
+    assert main(["gen", "--out", str(out), "--N", "2", "--eig-value="]) == 2
+    assert main(["run", "--gen", "N=2,eig=", "--T", "1", "--epsilon", "0.1"]) == 2
+    errs = capsys.readouterr().err.splitlines()
+    assert len(errs) == 2 and all(e.startswith("error:") for e in errs)
+    assert not out.exists()

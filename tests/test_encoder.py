@@ -215,7 +215,8 @@ def test_duplicate_entries_in_A_are_summed():
     system = encode(A, x_in, b, params)
     np.testing.assert_array_equal(A.indices, before)
     assert system.matrix.has_canonical_format
-    assert system.nnz_A == 5 and system.matrix.nnz == system.expected_nnz
+    assert system.N == 3  # read from A, so the two cannot disagree
+    assert system.A.nnz == 5 and system.matrix.nnz == system.expected_nnz
     np.testing.assert_allclose(
         generic_solve(system), forward_substitute(A, params, x_in, b).vector(),
         rtol=0, atol=1e-12)

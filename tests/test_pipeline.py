@@ -1,5 +1,6 @@
 """Tests for parameter selection, decay estimation and the end-to-end driver."""
 
+import inspect
 import math
 
 import numpy as np
@@ -14,13 +15,8 @@ from odeql.analysis import (
     solution_error_report,
 )
 from odeql.encoder import TaylorParams
-from odeql.errors import (
-    BoundViolationError,
-    DegenerateInputError,
-    DimensionError,
-    ParameterError,
-)
-from odeql import pipeline
+from odeql import analysis, pipeline
+from odeql.errors import DegenerateInputError, ParameterError
 from odeql.instances import GenSpec, generate
 from odeql.numerics import make_instance, reference_solution
 from odeql.pipeline import (
@@ -32,7 +28,6 @@ from odeql.pipeline import (
     step_count,
     sweep_grid,
 )
-from odeql.solver import forward_substitute
 
 
 # (constructor, arguments with one bool, the field the error names), by id
@@ -75,18 +70,14 @@ class TestChooseParameters:
                                    kappa_V=1.0, x_in_norm=1.0, b_norm=0.0,
                                    xT_norm=2.0)
         assert chosen.log_omega == pytest.approx(math.log(70.0))
-        assert chosen.k_formula == 5
+        # the closed form gives floor(2 ln 70 / ln ln 70) = 5, and 6! = 720 >= 70
         assert chosen.params.k == 5
-        # (k+1)! = 720 >= 70 with the slack recorded in log space
-        assert chosen.factorial_log_slack == pytest.approx(
-            math.lgamma(7) - math.log(70.0))
 
     def test_omega_1e6_selects_k10(self):
         chosen = choose_parameters(T=1.0, normA=0.5, epsilon=0.5, g=1.0,
                                    kappa_V=1.0, x_in_norm=1.0, b_norm=0.0,
                                    xT_norm=1.4e-4)
         assert chosen.log_omega == pytest.approx(math.log(1e6), abs=1e-12)
-        assert chosen.k_formula == 10
         assert chosen.params.k == 10
         assert math.lgamma(12) >= chosen.log_omega  # 11! >= 1e6
 
@@ -146,11 +137,6 @@ class TestAmplificationEstimate:
     def test_exact_square(self):
         assert amplification_estimate(1.0 / 121.0) == 11
 
-    def test_budget_assertion(self):
-        assert amplification_estimate(1.0 / 121.0, g_grid=1.0) == 11
-        with pytest.raises(BoundViolationError):
-            amplification_estimate(1e-6, g_grid=1.0)
-
     def test_zero_probability(self):
         with pytest.raises(DegenerateInputError):
             amplification_estimate(0.0)
@@ -161,43 +147,59 @@ class TestAmplificationEstimate:
         report = run(inst, RunConfig(T=math.log(2.0), epsilon=1e-3, seed=3,
                                      delta_injection="auto"))
         assert report.g_grid == pytest.approx(2.0, rel=1e-10)
-        rounds = amplification_estimate(report.success_prob, report.g_grid)
-        assert rounds <= math.ceil(12.0 * report.g_grid) == 24
+        assert report.est_amplification_rounds == amplification_estimate(report.success_prob)
+        assert report.est_amplification_rounds <= math.ceil(12.0 * report.g_grid) == 24
+
+
+def _problem(inst, params):
+    return Problem(inst, params, decay_profile(inst, params.T, params.m))
 
 
 class TestMeasure:
+    def test_takes_one_problem(self):
+        assert list(inspect.signature(measure).parameters) == [
+            "problem", "seed", "delta_injection"]
+
     def test_identity_flow_distribution(self):
         # A = 0, b = 0, p = m: success probability (p+1)/(m+p+1), seeded draw.
         inst = make_instance(np.eye(2), [0.0, 0.0], np.zeros(2),
                              np.array([1.0, 1j]) / math.sqrt(2), label="flat")
         m = p = 3
-        params = TaylorParams(m=m, k=5, p=p, h=1.0)
-        outcome = measure(inst, params, seed=42)
+        problem = _problem(inst, TaylorParams(m=m, k=5, p=p, h=1.0))
+        outcome = measure(problem, seed=42)
         assert outcome.success_prob == pytest.approx((p + 1) / (m + p + 1))
-        again = measure(inst, params, seed=42)
+        again = measure(problem, seed=42)
         assert outcome.sampled_index == again.sampled_index
         assert np.array_equal(outcome.probabilities, again.probabilities)
 
-    def test_given_final_state_must_match_the_dimension(self):
-        # a length-1 x_T would broadcast against every block without a check
+    def test_reads_the_problems_solution_and_final_state(self, monkeypatch):
+        # no solve of its own: the cached block solution and the trajectory's
+        # x(T) are the ones the checkers read
         inst = generate(GenSpec(N=3, kappa_V=2.0, b_mode="random", seed=5,
                                 unit_norm=True))
-        params = TaylorParams(m=2, k=6, p=2, h=0.9)
-        with pytest.raises(DimensionError):
-            measure(inst, params, seed=1, x_T=np.ones(1))
+        problem = _problem(inst, TaylorParams(m=2, k=6, p=2, h=0.9))
+        exact = analysis.success_probability_report(problem)
+        monkeypatch.setattr(analysis, "forward_substitute", None)
+        outcome = measure(problem, seed=1)
+        assert outcome.success_prob == pytest.approx(exact.details["success_prob"],
+                                                     rel=1e-12)
+        final = problem.solution.final_state()
+        x_T = problem.decay.x_T
+        assert outcome.success_conditioned_error == pytest.approx(np.linalg.norm(
+            final / np.linalg.norm(final) - x_T / np.linalg.norm(x_T)), rel=1e-12)
 
     def test_probabilities_sum_to_one(self):
         inst = generate(GenSpec(N=3, kappa_V=2.0, b_mode="random", seed=5,
                                 unit_norm=True))
-        params = TaylorParams(m=3, k=6, p=3, h=0.9)
-        outcome = measure(inst, params, seed=7, delta_injection=0.05)
+        problem = _problem(inst, TaylorParams(m=3, k=6, p=3, h=0.9))
+        outcome = measure(problem, seed=7, delta_injection=0.05)
         assert abs(outcome.probabilities.sum() - 1.0) <= 1e-12
 
     def test_injection_norm_is_exact_and_lemmas_hold(self):
         inst = generate(GenSpec(N=3, kappa_V=2.0, b_mode="random", seed=9,
                                 unit_norm=True))
         params = TaylorParams(m=2, k=6, p=2, h=0.9)
-        sol = forward_substitute(inst.A, params, inst.x_in, inst.b)
+        sol = _problem(inst, params).solution
         unit = sol.vector() / np.linalg.norm(sol.vector())
         delta = 0.01
 
@@ -279,14 +281,23 @@ class TestRun:
         assert report.success_flag == in_set
 
     def test_integrates_the_ode_once(self, monkeypatch):
-        # x(T) comes from the decay profile's trajectory, not a second pass
-        def second_pass(*args, **kwargs):
-            raise AssertionError("run() called reference_solution")
+        # one Problem per run: one trajectory, one block solve, and x(T) from
+        # that trajectory, never from a second pass of the oracle
+        calls = []
 
-        monkeypatch.setattr(pipeline, "reference_solution", second_pass)
-        report = run(self._instance(seed=7), RunConfig(T=3.0, epsilon=1e-6,
-                                                       seed=2))
+        def counted(name, inner):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((pipeline, "decay_profile"), (analysis, "forward_substitute"),
+                             (pipeline, "reference_solution")):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        report = run(self._instance(seed=7), RunConfig(T=3.0, epsilon=1e-6, seed=2,
+                                                       delta_injection="auto"))
         assert report.success_conditioned_error <= 1e-6
+        assert calls == ["decay_profile", "forward_substitute"]
 
     def test_measures_the_norm_once_per_instance(self, norm2_calls):
         # the emulate task: T = 5, 10, 20 on one N=64 instance; |A| is
@@ -300,16 +311,17 @@ class TestRun:
 
     @pytest.mark.parametrize("b_mode", ["zero", "random"])
     def test_errors_match_a_standalone_measure(self, b_mode):
-        # the trajectory's x(T) and the oracle's x(mh) from t = 0 agree to
-        # rounding, so the reported distances do too
+        # measure on the run's own (instance, layout, grid) reproduces the
+        # reported distances and draw bitwise
         inst = self._instance(seed=8, b_mode=b_mode)
         report = run(inst, RunConfig(T=2.5, epsilon=1e-6, seed=4,
                                      delta_injection="auto"))
-        alone = measure(inst, report.params, 4, report.injected_delta)
-        assert abs(report.fidelity_error - alone.fidelity_error) <= 1e-15
-        assert abs(report.success_conditioned_error
-                   - alone.success_conditioned_error) <= 1e-15
+        problem = Problem(inst, report.params, pipeline.grid(inst, 2.5))
+        alone = measure(problem, 4, report.injected_delta)
+        assert report.fidelity_error == alone.fidelity_error
+        assert report.success_conditioned_error == alone.success_conditioned_error
         assert report.sampled_index == alone.sampled_index
+        assert np.array_equal(report.output_state, alone.output_state)
 
     def test_epsilon_validation(self):
         with pytest.raises(ParameterError):

@@ -225,7 +225,7 @@ class TestGenericSolve:
                 data[[start, start + 1]] = data[swap]
             broken = sp.csr_matrix((data, indices, indptr), shape=C.shape)
         bad = type(system)(matrix=broken, rhs=system.rhs,
-                           params=system.params, N=system.N, A=system.A)
+                           params=system.params, A=system.A)
         for solve in (generic_solve, inverse_norm):
             with pytest.raises(IntegrityError):
                 solve(bad)
