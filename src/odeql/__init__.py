@@ -13,7 +13,13 @@ The package namespace holds the names the demos use and the error classes;
 every other name is imported from its module.
 """
 
-from .analysis import Problem, condition_number_bound, decay_profile, matrix_norm_bounds
+from .analysis import (
+    Problem,
+    condition_number_bound,
+    decay_profile,
+    matrix_norm_bounds,
+    verify_remainder_bounds,
+)
 from .encoder import TaylorParams, encode
 from .errors import (
     ConvergenceError,
@@ -28,6 +34,6 @@ from .instances import GenSpec, generate
 from .numerics import reference_trajectory
 from .pipeline import RunConfig, run, sweep_grid
 from .solver import forward_substitute, residual
-from .taylor import truncated_exp, verify_remainder_bounds
+from .taylor import truncated_exp
 
 __version__ = "0.1.0"

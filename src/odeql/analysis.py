@@ -1,11 +1,13 @@
 """Empirical verification of every norm, error and probability bound.
 
-Each checker measures a quantity on a concrete system and compares it with
-its claimed bound, reporting the worst observed ratio (oriented so that
-ratio <= 1 means the claim holds; a 1e-9 relative slack absorbs the floating
-point evaluation of the bound constants themselves). Hypothesis violations
-raise :class:`~odeql.errors.HypothesisError` instead of producing a verdict,
-so sweeps over invalid corners cannot pollute reports; every checker but
+Each checker measures a quantity on a concrete system, or on a grid of
+points or random draws, and compares it with its claimed bound, returning a
+:class:`BoundReport` of the worst observed ratio (oriented so that ratio <= 1
+means the claim holds; a 1e-9 relative slack absorbs the floating point
+evaluation of the bound constants themselves). No check has an absolute
+tolerance. Hypothesis violations raise
+:class:`~odeql.errors.HypothesisError` instead of producing a verdict, so
+sweeps over invalid corners cannot pollute reports; every checker but
 Lemma 3's (k >= 5, and the encoder's |A| h <= 1) takes them from one gate,
 :func:`_require_hypotheses`. The checkers of Lemma 2 and Theorems 1-3 take
 one :class:`Problem`: an instance, a layout and the instance's decay profile
@@ -16,6 +18,7 @@ measures nothing of its own.
 
 The bounds covered:
 
+* the four half-disk Taylor bounds of :mod:`odeql.taylor`, without cancellation
 * inverse-column norms of the scalar system:  ||C(lam)^{-1} e_l|| and entries
 * matrix norm:        ||C|| <= 2 sqrt(k), with the norms of its three-part
                       decomposition proved from the encoded layout
@@ -44,7 +47,15 @@ from .errors import (
 )
 from .numerics import Instance, norm2, reference_trajectory
 from .solver import BlockSolution, block_solve, forward_substitute
-from .taylor import MIN_TAIL_ORDER
+from .taylor import (
+    BOUNDARY_CASES,
+    MIN_TAIL_ORDER,
+    TAIL_MAGNITUDE_BOUND,
+    half_disk_samples,
+    remainder_ratios,
+    tail_poly,
+    truncated_exp,
+)
 
 # Relative slack accepted on every bound check; absorbs floating-point
 # evaluation of the bound constants (e, I_0(2), log-space factorials).
@@ -121,6 +132,13 @@ def merge_reports(reports) -> BoundReport:
         argmax_instance=worst.argmax_instance,
         details={"merged": len(reports)},
     )
+
+
+def _worst(name: str, ratios: np.ndarray, label) -> BoundReport:
+    """Report the largest of `ratios`, its point named by label(flat index)."""
+    i = int(np.argmax(ratios))
+    return BoundReport(bound_name=name, instances_checked=ratios.size,
+                       worst_ratio=float(ratios.flat[i]), argmax_instance=label(i))
 
 
 @dataclass(frozen=True)
@@ -214,39 +232,85 @@ class Problem:
 
 
 # ---------------------------------------------------------------------------
+# half-disk Taylor bounds
+# ---------------------------------------------------------------------------
+
+def verify_remainder_bounds(samples: int, k_range=(MIN_TAIL_ORDER, 20),
+                            seed: int = 0) -> list:
+    """Check the four half-disk bounds of :mod:`odeql.taylor` for each k in k_range.
+
+    The points are the BOUNDARY_CASES and `samples` uniform half-disk draws.
+    Returns one BoundReport per bound and k, in k-major order, naming the
+    worst point: the remainders as (k+1)! times their modulus, free of
+    cancellation by :func:`~odeql.taylor.remainder_ratios`; |T_k| over
+    1 + 1/(k+1)!; and |T_{b,k}| over sqrt(1.04), worst over 0 <= b <= k.
+    The tail magnitude bound is only claimed for k >= 5, so k_range must
+    start at 5 or above.
+    """
+    if samples < 1:
+        raise ParameterError(f"need at least one sample, got {samples}")
+    k_min, k_max = int(k_range[0]), int(k_range[1])
+    if k_min < MIN_TAIL_ORDER:
+        raise ParameterError(
+            f"tail magnitude bound is only claimed for k >= {MIN_TAIL_ORDER}; "
+            f"got k_min={k_min}"
+        )
+    if k_max < k_min:
+        raise ParameterError(f"empty truncation range {k_range}")
+
+    z = np.concatenate([np.array(BOUNDARY_CASES, dtype=complex),
+                        half_disk_samples(samples, seed)])
+    reports = []
+    for k in range(k_min, k_max + 1):
+        exp_ratio, phi_ratio = remainder_ratios(z, k)
+        magnitude = np.abs(truncated_exp(z, k)) / (1.0 + 1.0 / math.factorial(k + 1))
+        # Row b holds |T_{b,k}(z)|, so a flat index i is point i % z.size, b = i // z.size.
+        tails = np.abs([tail_poly(z, b, k) for b in range(k + 1)]) / TAIL_MAGNITUDE_BOUND
+        label = lambda i: f"z={z[i % z.size]:.6g}, k={k}"
+        reports += [_worst("exp-remainder", exp_ratio, label),
+                    _worst("exp-magnitude", magnitude, label),
+                    _worst("phi-remainder", phi_ratio, label),
+                    _worst("tail-magnitude", tails, lambda i: f"{label(i)}, b={i // z.size}")]
+    return reports
+
+
+# ---------------------------------------------------------------------------
 # scalar inverse columns
 # ---------------------------------------------------------------------------
 
-def scalar_inverse_columns(lam: complex, params: TaylorParams) -> BoundReport:
-    """Check both inverse-column bounds of the scalar (N = 1) system.
+def scalar_inverse_columns(lams, params: TaylorParams) -> BoundReport:
+    """Check both inverse-column bounds of the scalar (N = 1) system on a
+    lambda grid, with one block solve for the whole grid.
 
-    For every column l, the solution of C(lam) x = e_l must satisfy
-    ||x|| <= sqrt(1.04 e I_0(2) (m+p)) and max_n |x_n| <= sqrt(1.04 e),
-    provided |lam| <= 1, Re(lam) <= 0, k >= 5 and (k+1)! >= 2m.
+    For every lambda in lams and every column l, the solution of
+    C(lambda) x = e_l must satisfy ||x|| <= sqrt(1.04 e I_0(2) (m+p)) and
+    max_n |x_n| <= sqrt(1.04 e), provided |lambda| <= 1, Re(lambda) <= 0,
+    k >= 5 and (k+1)! >= 2m. The report names the worst lambda.
     """
-    # C(lam) is the N = 1 system at h = 1 with A = [[lam]]; column l of its
-    # inverse solves C(lam) x = e_l, all d+1 columns at once.
-    lam, unit = complex(lam), replace(params, h=1.0)
-    _require_hypotheses(unit, [lam])
+    # C(lam) is the N = 1 system at h = 1 with A = [[lam]]. With
+    # A = diag(lams) the system splits into one such system per lambda, so
+    # solving the identity, stacked once per lambda, gives every inverse:
+    # X[:, i, :] = C(lams[i])^{-1}.
+    lams, unit = np.atleast_1d(np.asarray(lams, dtype=complex)), replace(params, h=1.0)
+    _require_hypotheses(unit, lams)
     identity = np.eye(params.d + 1, dtype=complex)[:, None, :]
-    X = block_solve(np.array([[lam]]), unit, identity)[:, 0, :]
+    X = block_solve(np.diag(lams), unit, np.repeat(identity, lams.size, axis=1))
     col_norms = np.linalg.norm(X, axis=0)
     norm_bound = column_norm_bound(params.m, params.p)
-    entry_max = float(np.abs(X).max())
-
-    norm_ratio = float(col_norms.max() / norm_bound)
-    entry_ratio = entry_max / COLUMN_ENTRY_BOUND
-    worst_col = int(np.argmax(col_norms))
-    label = f"lambda={lam:.6g}, m={params.m}, k={params.k}, p={params.p}"
+    norm_ratios = col_norms.max(axis=1) / norm_bound
+    entry_ratios = np.abs(X).max(axis=(0, 2)) / COLUMN_ENTRY_BOUND
+    worst = int(np.argmax(np.maximum(norm_ratios, entry_ratios)))
+    norm_ratio, entry_ratio = float(norm_ratios[worst]), float(entry_ratios[worst])
+    label = f"lambda={complex(lams[worst]):.6g}, m={params.m}, k={params.k}, p={params.p}"
     return BoundReport(
         bound_name="inverse-columns",
-        instances_checked=1,
+        instances_checked=lams.size,
         worst_ratio=max(norm_ratio, entry_ratio),
         argmax_instance=label,
         details={
             "column_norm_ratio": norm_ratio,
             "entry_ratio": entry_ratio,
-            "worst_column": worst_col,
+            "worst_column": int(np.argmax(col_norms[worst])),
             "column_norm_bound": norm_bound,
             "entry_bound": COLUMN_ENTRY_BOUND,
         },
@@ -420,100 +484,94 @@ def success_probability_report(problem: Problem) -> BoundReport:
 # state-distance predicates (the appendixB suite's inequalities)
 # ---------------------------------------------------------------------------
 
-def normalized_distance_bound(alpha: float, beta: float) -> float:
+# Dimension of each component of the random states the checks draw.
+STATE_DIM = 6
+
+
+def normalized_distance_bound(alpha, beta):
     """Bound 2 beta / alpha on the distance between normalized vectors, given
-    ||psi|| >= alpha > 0 and ||psi - phi|| <= beta."""
-    if alpha <= 0:
+    ||psi|| >= alpha > 0 and ||psi - phi|| <= beta; elementwise on arrays."""
+    if np.any(alpha <= 0):
         raise ParameterError("alpha must be positive")
     return 2.0 * beta / alpha
 
 
-def conditional_distance_bound(alpha: float, delta: float) -> float:
+def conditional_distance_bound(alpha, delta):
     """Bound 2 delta / (alpha - delta) on the distance between selected
     sub-states of two close two-component states; requires delta < alpha."""
-    if not 0 <= delta < alpha:
+    if np.any((delta < 0) | (delta >= alpha)):
         raise ParameterError(f"need 0 <= delta < alpha, got delta={delta}, alpha={alpha}")
     return 2.0 * delta / (alpha - delta)
 
 
-def perturbed_amplitude_floor(alpha: float, delta: float) -> float:
+def perturbed_amplitude_floor(alpha, delta):
     """Floor alpha - delta on the selected amplitude of the perturbed state."""
-    if not 0 <= delta < alpha:
+    if np.any((delta < 0) | (delta >= alpha)):
         raise ParameterError(f"need 0 <= delta < alpha, got delta={delta}, alpha={alpha}")
     return alpha - delta
 
 
-def _random_unit(rng, n: int) -> np.ndarray:
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return v / np.linalg.norm(v)
+def _gaussian_states(rng, n: int) -> np.ndarray:
+    return rng.normal(size=(n, STATE_DIM)) + 1j * rng.normal(size=(n, STATE_DIM))
 
 
-def state_distance_checks(trials: int, seed: int, dim: int = 6) -> dict:
-    """Empirically verify the three state-distance inequalities.
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
-    Draws `trials` random hypothesis-satisfying pairs for each inequality
-    (rejection-sampling the two-component cases to delta < alpha) and
-    records the worst slack; any violation beyond 1e-12 is listed with its
-    counterexample.
+
+def _close_pairs(rng, n: int):
+    """n draws of psi and its perturbation phi: (valid, alpha = ||psi||,
+    beta = ||psi - phi||, the distance of the normalized states)."""
+    psi = _gaussian_states(rng, n) * rng.uniform(0.05, 2.0, size=(n, 1))
+    alpha = np.linalg.norm(psi, axis=1)
+    step = rng.uniform(0.0, 1.5, size=n) * alpha
+    phi = psi + _unit_rows(_gaussian_states(rng, n)) * step[:, None]
+    norm_phi, beta = np.linalg.norm(phi, axis=1), np.linalg.norm(psi - phi, axis=1)
+    dist = np.linalg.norm(psi / alpha[:, None] - phi / norm_phi[:, None], axis=1)
+    return (norm_phi >= 1e-9 * alpha) & (beta > 0), alpha, beta, dist
+
+
+def _two_component_pairs(rng, n: int):
+    """n draws of psi = (alpha psi_sel, .) and its perturbation
+    phi = (beta phi_sel, .): (valid, alpha, delta = ||psi - phi||, beta,
+    ||phi_sel - psi_sel||), valid when 0 < delta < alpha."""
+    alpha = rng.uniform(0.05, 1.0, size=n)
+    psi_sel, psi_rest = _unit_rows(_gaussian_states(rng, n)), _unit_rows(_gaussian_states(rng, n))
+    sigma = rng.uniform(0.0, 0.3, size=n)
+    beta = np.clip(alpha + sigma * rng.normal(size=n), 0.0, 1.0)
+    phi_sel = _unit_rows(psi_sel + sigma[:, None] * _gaussian_states(rng, n))
+    phi_rest = _unit_rows(psi_rest + sigma[:, None] * _gaussian_states(rng, n))
+    delta = np.hypot(
+        np.linalg.norm(alpha[:, None] * psi_sel - beta[:, None] * phi_sel, axis=1),
+        np.linalg.norm(np.sqrt(1 - alpha**2)[:, None] * psi_rest
+                       - np.sqrt(1 - beta**2)[:, None] * phi_rest, axis=1))
+    return ((0 < delta) & (delta < alpha), alpha, delta, beta,
+            np.linalg.norm(phi_sel - psi_sel, axis=1))
+
+
+def _valid_draws(rng, trials: int, draw):
+    """The first `trials` valid rows of `draw(rng, trials)` batches."""
+    batches, count = [], 0
+    while count < trials:
+        valid, *columns = draw(rng, trials)
+        batches.append([c[valid] for c in columns])
+        count += int(valid.sum())
+    return [np.concatenate(c)[:trials] for c in zip(*batches)]
+
+
+def state_distance_checks(trials: int, seed: int) -> list:
+    """Check the three state-distance inequalities on `trials` random
+    hypothesis-satisfying draws each, drawn in vectorized batches: one
+    BoundReport each, as observed/bound, or floor/observed for the amplitude.
     """
     if trials < 1:
         raise ParameterError(f"need at least one trial, got {trials}")
     rng = np.random.default_rng(seed)
-    worst = {"normalized_distance": math.inf,
-             "conditional_distance": math.inf,
-             "amplitude_floor": math.inf}
-    violations = []
-
-    # Inequality 1: distance between normalized vectors.
-    done = 0
-    while done < trials:
-        psi = (rng.normal(size=dim) + 1j * rng.normal(size=dim)) * rng.uniform(0.05, 2.0)
-        norm_psi = np.linalg.norm(psi)
-        phi = psi + _random_unit(rng, dim) * rng.uniform(0.0, 1.5) * norm_psi
-        norm_phi = np.linalg.norm(phi)
-        if norm_phi < 1e-9 * norm_psi:
-            continue
-        alpha, beta = norm_psi, np.linalg.norm(psi - phi)
-        dist = np.linalg.norm(psi / norm_psi - phi / norm_phi)
-        slack = normalized_distance_bound(alpha, beta) - dist
-        worst["normalized_distance"] = min(worst["normalized_distance"], slack)
-        if slack < -1e-12:
-            violations.append({"bound": "normalized_distance", "slack": slack,
-                               "alpha": alpha, "beta": float(beta)})
-        done += 1
-
-    # Inequalities 2 and 3: two-component states with delta < alpha.
-    done = 0
-    while done < trials:
-        alpha = rng.uniform(0.05, 1.0)
-        psi0, psi1 = _random_unit(rng, dim), _random_unit(rng, dim)
-        sigma = rng.uniform(0.0, 0.3)
-        beta = min(1.0, max(0.0, alpha + sigma * rng.normal()))
-        phi0 = psi0 + sigma * (rng.normal(size=dim) + 1j * rng.normal(size=dim))
-        phi1 = psi1 + sigma * (rng.normal(size=dim) + 1j * rng.normal(size=dim))
-        phi0 /= np.linalg.norm(phi0)
-        phi1 /= np.linalg.norm(phi1)
-        psi = np.concatenate([alpha * psi0, math.sqrt(1 - alpha**2) * psi1])
-        phi = np.concatenate([beta * phi0, math.sqrt(1 - beta**2) * phi1])
-        delta = float(np.linalg.norm(psi - phi))
-        if delta >= alpha:
-            continue
-        dist0 = np.linalg.norm(phi0 - psi0)
-        slack2 = conditional_distance_bound(alpha, delta) - dist0
-        slack3 = beta - perturbed_amplitude_floor(alpha, delta)
-        worst["conditional_distance"] = min(worst["conditional_distance"], slack2)
-        worst["amplitude_floor"] = min(worst["amplitude_floor"], slack3)
-        for name, slack in (("conditional_distance", slack2), ("amplitude_floor", slack3)):
-            if slack < -1e-12:
-                violations.append({"bound": name, "slack": float(slack),
-                                   "alpha": alpha, "delta": delta})
-        done += 1
-
-    return {
-        "schema": 1,
-        "trials": trials,
-        "seed": seed,
-        "worst_slack": worst,
-        "violations": violations,
-        "passed": not violations,
-    }
+    alpha, beta, dist = _valid_draws(rng, trials, _close_pairs)
+    normalized = dist / normalized_distance_bound(alpha, beta)
+    alpha, delta, beta, dist_sel = _valid_draws(rng, trials, _two_component_pairs)
+    draw = "draw {}".format
+    return [_worst("normalized-distance", normalized, draw),
+            _worst("conditional-distance",
+                   dist_sel / conditional_distance_bound(alpha, delta), draw),
+            _worst("amplitude-floor", perturbed_amplitude_floor(alpha, delta) / beta, draw)]

@@ -2,13 +2,14 @@
 
 Each suite runs the matching checker from :mod:`odeql.analysis` over seeded
 test problems satisfying the relevant hypotheses, and folds the outcomes
-into one JSON-ready report. The five family suites (lemma2, lemma3, thm1,
-thm2, thm3) take one family of :class:`~odeql.analysis.Problem` members
-built by :func:`standard_family`, which follows a fixed recipe: dimensions
-{1, 2, 4, 8, 16}, condition numbers {1, 3, 10}, eigenvalues in the closed
-left half-disk, homogeneous and inhomogeneous right-hand sides, m = p in
-{1, 2, 4, 8}, and the truncation order chosen by the same rule the
-end-to-end driver uses (clipped to k >= 5). A member encodes and solves its
+into one JSON-ready report of one shape: one merged BoundReport per bound,
+and the largest of their ratios as the suite's worst_ratio. The five family
+suites (lemma2, lemma3, thm1, thm2, thm3) take one family of
+:class:`~odeql.analysis.Problem` members built by :func:`standard_family`,
+which follows a fixed recipe: dimensions {1, 2, 4, 8, 16}, condition numbers
+{1, 3, 10}, eigenvalues in the closed left half-disk, homogeneous and
+inhomogeneous right-hand sides, m = p in {1, 2, 4, 8}, and the truncation
+order chosen by the same rule the end-to-end driver uses (clipped to k >= 5). A member encodes and solves its
 problem once each, on first use, and its system measures ||C|| and
 ||C^{-1}|| once each: lemma3, lemma2 and thm1 share one system and its
 norms, thm2 and thm3 one solution.
@@ -16,13 +17,13 @@ norms, thm2 and thm3 one solution.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from . import analysis, pipeline
 from .encoder import TaylorParams
 from .errors import HypothesisError, ParameterError
 from .instances import GenSpec, generate
-from .taylor import half_disk_samples, verify_remainder_bounds
+from .taylor import BOUNDARY_CASES, half_disk_samples
 
 SUITE_NAMES = ("taylor", "lemma1", "lemma2", "lemma3", "thm1", "thm2", "thm3",
                "appendixB", "all")
@@ -66,37 +67,36 @@ def standard_family(seed: int = 0, N_values=FAMILY_N, kappa_values=FAMILY_KAPPA,
 
 
 def _suite_from_reports(name: str, reports) -> dict:
-    merged = analysis.merge_reports(reports)
+    """Merge the reports per bound, in order of first appearance."""
+    by_bound = {}
+    for report in reports:
+        by_bound.setdefault(report.bound_name, []).append(report)
+    merged = [analysis.merge_reports(group) for group in by_bound.values()]
     return {
         "suite": name,
-        "instances": merged.instances_checked,
-        "worst_ratio": merged.worst_ratio,
-        "reports": [merged.to_json_dict()],
-        "passed": merged.passed,
+        "instances": sum(r.instances_checked for r in merged),
+        "worst_ratio": max(r.worst_ratio for r in merged),
+        "reports": [r.to_json_dict() for r in merged],
+        "passed": all(r.passed for r in merged),
     }
 
 
 def taylor_suite(trials: int = 1000, seed: int = 0) -> dict:
-    report = verify_remainder_bounds(trials, (5, 20), seed)
-    report["suite"] = "taylor"
-    return report
+    return _suite_from_reports("taylor", analysis.verify_remainder_bounds(trials, (5, 20), seed))
 
 
 def lemma1_suite(trials: int = 4, seed: int = 0,
                  mp_values=tuple(range(1, 9))) -> dict:
-    """Scalar inverse-column bounds over a lambda grid and the (m, p) box."""
-    lam_grid = [0.0 + 0.0j, -1.0 + 0.0j, 1.0j, -1.0j,
-                (-1.0 + 1.0j) / math.sqrt(2.0), -0.5 + 0.0j]
-    lam_grid += [complex(z) for z in half_disk_samples(trials, seed)]
-    reports = []
-    for m in mp_values:
-        for p in mp_values:
-            for k in (5, 7):
-                params = TaylorParams(m=m, k=k, p=p, h=1.0)
-                for lam in lam_grid:
-                    reports.append(analysis.scalar_inverse_columns(lam, params))
-    out = _suite_from_reports("lemma1", reports)
-    out["lambda_grid_size"] = len(lam_grid)
+    """Scalar inverse-column bounds over a lambda grid and the (m, p) box:
+    one block solve per layout covers the whole grid."""
+    if trials < 0:
+        raise ParameterError(f"need a non-negative trial count, got {trials}")
+    lam_grid = np.concatenate([np.array(BOUNDARY_CASES + (-0.5,), dtype=complex),
+                               half_disk_samples(trials, seed)])
+    out = _suite_from_reports("lemma1", [
+        analysis.scalar_inverse_columns(lam_grid, TaylorParams(m=m, k=k, p=p, h=1.0))
+        for m in mp_values for p in mp_values for k in (5, 7)])
+    out["lambda_grid_size"] = lam_grid.size
     return out
 
 
@@ -131,9 +131,7 @@ def thm3_suite(family) -> dict:
 
 
 def appendix_b_suite(trials: int = 10_000, seed: int = 0) -> dict:
-    report = analysis.state_distance_checks(trials, seed)
-    report["suite"] = "appendixB"
-    return report
+    return _suite_from_reports("appendixB", analysis.state_distance_checks(trials, seed))
 
 
 def run_suite(name: str, trials: int | None = None, seed: int = 0) -> dict:
@@ -148,12 +146,11 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0) -> dict:
         raise ParameterError(f"suite {name!r} sweeps the fixed standard family and "
                              f"takes no trial count; only {', '.join(TRIAL_SUITES)} "
                              "and all do")
-    if name == "taylor":
-        return taylor_suite(1000 if trials is None else trials, seed)
-    if name == "lemma1":
-        return lemma1_suite(4 if trials is None else trials, seed)
-    if name == "appendixB":
-        return appendix_b_suite(10_000 if trials is None else trials, seed)
+    trial_suites = {"taylor": taylor_suite, "lemma1": lemma1_suite,
+                    "appendixB": appendix_b_suite}
+    if name in trial_suites:
+        suite = trial_suites[name]
+        return suite(seed=seed) if trials is None else suite(trials, seed)
     family = standard_family(seed)
     family_suites = {"lemma2": lemma2_suite, "lemma3": lemma3_suite,
                      "thm1": thm1_suite, "thm2": thm2_suite, "thm3": thm3_suite}

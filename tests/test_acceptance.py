@@ -17,7 +17,6 @@ from odeql.encoder import TaylorParams, build_matrix, build_rhs, encode
 from odeql.instances import GenSpec, generate
 from odeql.numerics import make_instance
 from odeql.solver import forward_substitute, generic_solve, residual
-from odeql.taylor import verify_remainder_bounds
 
 
 def verdict(number: int, name: str, passed: bool, detail: str = "") -> None:
@@ -93,11 +92,10 @@ def test_criterion_2_recurrence_certificates():
 
 def test_criterion_3_taylor_suite():
     """Remainder and magnitude bounds, 1000 samples x k in 5..20."""
-    report = verify_remainder_bounds(1000, (5, 20), seed=2024)
-    worst = min(entry["worst_slack"] for entry in report["bounds"].values())
+    reports = analysis.verify_remainder_bounds(1000, (5, 20), seed=2024)
+    worst = max(r.worst_ratio for r in reports)
     verdict(3, "truncated-series bounds on the half-disk",
-            report["passed"] and worst >= -1e-12,
-            f"worst slack {worst:.2e}")
+            all(r.passed for r in reports), f"worst ratio {worst:.6f}")
 
 
 def test_criterion_4_inverse_columns():
@@ -196,10 +194,10 @@ def test_criterion_8_end_to_end(tmp_path):
 
 def test_criterion_9_state_distance_inequalities():
     """The three state-distance inequalities on 10000 random pairs each."""
-    report = analysis.state_distance_checks(trials=10_000, seed=13)
-    worst = min(report["worst_slack"].values())
-    verdict(9, "state-distance inequalities", report["passed"],
-            f"worst slack {worst:.2e} over 10000 pairs per inequality")
+    reports = analysis.state_distance_checks(trials=10_000, seed=13)
+    worst = max(r.worst_ratio for r in reports)
+    verdict(9, "state-distance inequalities", all(r.passed for r in reports),
+            f"worst ratio {worst:.6f} over 10000 pairs per inequality")
 
 
 def test_criterion_10_cross_validation():

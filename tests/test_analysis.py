@@ -98,6 +98,17 @@ class TestScalarInverseColumns:
         C = build_matrix(sp.csr_matrix(np.array([[lam]])), params).toarray()
         np.testing.assert_allclose(C @ X, np.eye(params.d + 1), atol=1e-12)
 
+    def test_grid_reports_its_worst_lambda(self):
+        # one block solve over the grid equals the per-lambda checks, bitwise
+        params = TaylorParams(m=3, k=7, p=2, h=1.0)
+        lams = [0.0, -1.0, 1j, -0.3 - 0.6j, (-1 + 1j) / math.sqrt(2)]
+        singles = [scalar_inverse_columns(lam, params) for lam in lams]
+        grid = scalar_inverse_columns(lams, params)
+        worst = max(singles, key=lambda r: r.worst_ratio)
+        assert grid.instances_checked == len(lams)
+        assert (grid.worst_ratio, grid.argmax_instance, grid.details) == (
+            worst.worst_ratio, worst.argmax_instance, worst.details)
+
     def test_minus_one_passes(self):
         report = scalar_inverse_columns(-1.0, TaylorParams(m=3, k=6, p=3, h=1.0))
         assert report.passed
@@ -555,11 +566,19 @@ class TestDecayProfile:
 
 class TestStateDistance:
     def test_bulk_random(self):
-        report = state_distance_checks(trials=2000, seed=3)
-        assert report["passed"]
-        assert not report["violations"]
-        for slack in report["worst_slack"].values():
-            assert slack >= -1e-12
+        reports = state_distance_checks(trials=2000, seed=3)
+        assert [r.bound_name for r in reports] == [
+            "normalized-distance", "conditional-distance", "amplitude-floor"]
+        for r in reports:
+            assert r.passed and r.worst_ratio <= 1.0
+            assert r.instances_checked == 2000
+
+    def test_predicates_apply_elementwise(self):
+        alpha, delta = np.array([0.5, 0.9]), np.array([0.1, 0.3])
+        np.testing.assert_allclose(conditional_distance_bound(alpha, delta), [0.5, 1.0])
+        np.testing.assert_allclose(perturbed_amplitude_floor(alpha, delta), [0.4, 0.6])
+        with pytest.raises(ParameterError):
+            perturbed_amplitude_floor(alpha, np.array([0.1, 0.95]))
 
     def test_unit_circle_closed_form(self):
         # psi = (1,0), phi = (cos t, sin t): normalized distance 2 sin(t/2).

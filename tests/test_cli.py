@@ -337,6 +337,17 @@ def test_verify_zero_trials_exits_2(tmp_path, capsys):
     assert not (tmp_path / "t.json").exists()
 
 
+def test_verify_negative_trials_exits_2(tmp_path, capsys):
+    # lemma1 takes 0 trials (its fixed grid only), but a negative count is
+    # a usage error, not numpy's "negative dimensions"
+    code = main(["verify", "--suite", "lemma1", "--trials", "-1",
+                 "--report", str(tmp_path / "l1.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: need a non-negative trial count, got -1\n"
+    assert not (tmp_path / "l1.json").exists()
+
+
 def test_verify_family_suite_trials_exits_2(tmp_path, capsys):
     # lemma3 sweeps the fixed family: a trial count would be silently dropped
     code = main(["verify", "--suite", "lemma3", "--trials", "1",

@@ -72,12 +72,20 @@ def test_family_members_have_requested_layout():
         assert member.decay.g_grid >= 1.0
 
 
-def test_run_suite_dispatch_and_shapes():
-    report = suites.run_suite("taylor", trials=20, seed=0)
-    assert report["suite"] == "taylor"
-    assert report["passed"]
-
-    report = suites.run_suite("appendixB", trials=50, seed=0)
+@pytest.mark.parametrize("name", [n for n in suites.SUITE_NAMES if n != "all"])
+def test_run_suite_dispatch_and_shapes(name, monkeypatch):
+    # every suite reports one merged BoundReport per bound, in one shape
+    _small_family(monkeypatch)
+    trials = 20 if name in suites.TRIAL_SUITES else None
+    report = suites.run_suite(name, trials=trials, seed=0)
+    extra = {"lemma1": {"lambda_grid_size"}, "thm3": {"not_claimed"}}.get(name, set())
+    assert set(report) == {"suite", "instances", "worst_ratio", "reports", "passed"} | extra
+    assert report["suite"] == name
+    bounds = [r["bound"] for r in report["reports"]]
+    assert len(set(bounds)) == len(bounds)
+    assert report["worst_ratio"] == max(r["worst_ratio"] for r in report["reports"])
+    assert report["instances"] == sum(r["instances_checked"] for r in report["reports"])
+    assert report["passed"] == all(r["verdict"] == "pass" for r in report["reports"])
     assert report["passed"]
 
 

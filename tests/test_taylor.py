@@ -11,15 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odeql.analysis import PASS_SLACK, verify_remainder_bounds
 from odeql.errors import ParameterError
 from odeql.taylor import (
     BOUNDARY_CASES,
     half_disk_samples,
-    phi1,
+    remainder_ratios,
     tail_poly,
     truncated_exp,
     truncated_phi,
-    verify_remainder_bounds,
 )
 
 from oracles import poly_action
@@ -165,12 +165,40 @@ class TestPolyAction:
 
 class TestRemainderBounds:
     def test_report_passes_and_is_shaped(self):
-        report = verify_remainder_bounds(200, (5, 12), seed=11)
-        assert report["passed"]
-        assert not report["violations"]
-        for entry in report["bounds"].values():
-            assert entry["worst_slack"] >= -1e-12
-            assert {"z_re", "z_im", "k"} <= set(entry["argmax"])
+        reports = verify_remainder_bounds(200, (5, 12), seed=11)
+        names = ["exp-remainder", "exp-magnitude", "phi-remainder", "tail-magnitude"]
+        # one report per bound and k, k-major
+        assert [r.bound_name for r in reports] == names * 8
+        for k, r in zip(np.repeat(np.arange(5, 13), 4), reports):
+            assert r.passed and r.worst_ratio <= 1.0 + PASS_SLACK
+            # 5 boundary cases and 200 draws, times k+1 tail starts b
+            points = (k + 1) * 205 if r.bound_name == "tail-magnitude" else 205
+            assert r.instances_checked == points
+            assert f"k={k}" in r.argmax_instance and r.argmax_instance.startswith("z=")
+
+    def test_remainder_ratios_match_the_differences_where_they_do_not_cancel(self):
+        # k <= 8 leaves 1/(k+1)! >= 2.8e-6, far above rounding, so the
+        # differences resolve the remainders to ~1e-10
+        z = np.array(BOUNDARY_CASES, dtype=complex)
+        nonzero = z[z != 0]  # (exp(z)-1)/z has a removable singularity at 0
+        for k in range(5, 9):
+            scale = math.factorial(k + 1)
+            exp_ratio, _ = remainder_ratios(z, k)
+            _, phi_ratio = remainder_ratios(nonzero, k)
+            np.testing.assert_allclose(
+                exp_ratio, scale * np.abs(np.exp(z) - truncated_exp(z, k)), rtol=1e-9)
+            np.testing.assert_allclose(
+                phi_ratio, scale * np.abs(np.expm1(nonzero) / nonzero
+                                          - truncated_phi(nonzero, k)), rtol=1e-9)
+
+    def test_remainders_resolved_where_differences_cancel(self):
+        # from k = 17, 1/(k+1)! is below the rounding of e^z - T_k(z); the
+        # tail keeps the margin visible, worst at z = +-i
+        for k in range(17, 21):
+            reports = verify_remainder_bounds(500, (k, k), seed=k)
+            for r in reports:
+                if r.bound_name in ("exp-remainder", "phi-remainder"):
+                    assert 0.99 <= r.worst_ratio < 1.0
 
     def test_boundary_cases_present_in_sampling(self):
         # z = i is a Re(z) = 0 boundary point the bounds must cover.
@@ -185,14 +213,3 @@ class TestRemainderBounds:
     def test_zero_samples_rejected(self):
         with pytest.raises(ParameterError):
             verify_remainder_bounds(0, (5, 8), seed=0)
-
-    def test_phi1_series_switch_is_smooth(self):
-        # 25-term series is exact to double precision for |z| <= 0.5.
-        def oracle(z):
-            return sum(complex(z) ** j / math.factorial(j + 1) for j in range(25))
-
-        for z in (1e-9, -1e-9 + 1e-10j, 5e-9j):  # series branch: tight
-            assert phi1(z) == pytest.approx(oracle(z), rel=1e-13)
-        # closed-form branch loses ~eps/|z| to cancellation near the switch
-        assert phi1(1e-7) == pytest.approx(oracle(1e-7), rel=1e-8)
-        assert phi1(-0.5) == pytest.approx(oracle(-0.5), rel=1e-14)
