@@ -52,9 +52,9 @@ from .taylor import (
     MIN_TAIL_ORDER,
     TAIL_MAGNITUDE_BOUND,
     half_disk_samples,
+    magnitude_ratio,
     remainder_ratios,
     tail_poly,
-    truncated_exp,
 )
 
 # Relative slack accepted on every bound check; absorbs floating-point
@@ -117,7 +117,8 @@ class BoundReport:
 
 
 def merge_reports(reports) -> BoundReport:
-    """Associative merge of reports for the same bound (worst ratio wins)."""
+    """Associative merge of reports for the same bound: the worst ratio wins,
+    and its details are kept beside the count of reports merged."""
     reports = list(reports)
     if not reports:
         raise ParameterError("cannot merge an empty report list")
@@ -130,7 +131,7 @@ def merge_reports(reports) -> BoundReport:
         instances_checked=sum(r.instances_checked for r in reports),
         worst_ratio=worst.worst_ratio,
         argmax_instance=worst.argmax_instance,
-        details={"merged": len(reports)},
+        details={**worst.details, "merged": len(reports)},
     )
 
 
@@ -242,8 +243,9 @@ def verify_remainder_bounds(samples: int, k_range=(MIN_TAIL_ORDER, 20),
     The points are the BOUNDARY_CASES and `samples` uniform half-disk draws.
     Returns one BoundReport per bound and k, in k-major order, naming the
     worst point: the remainders as (k+1)! times their modulus, free of
-    cancellation by :func:`~odeql.taylor.remainder_ratios`; |T_k| over
-    1 + 1/(k+1)!; and |T_{b,k}| over sqrt(1.04), worst over 0 <= b <= k.
+    cancellation by :func:`~odeql.taylor.remainder_ratios`; (k+1)! (|T_k| - 1),
+    as resolved by :func:`~odeql.taylor.magnitude_ratio`; and |T_{b,k}| over
+    sqrt(1.04), worst over 0 <= b <= k.
     The tail magnitude bound is only claimed for k >= 5, so k_range must
     start at 5 or above.
     """
@@ -263,12 +265,11 @@ def verify_remainder_bounds(samples: int, k_range=(MIN_TAIL_ORDER, 20),
     reports = []
     for k in range(k_min, k_max + 1):
         exp_ratio, phi_ratio = remainder_ratios(z, k)
-        magnitude = np.abs(truncated_exp(z, k)) / (1.0 + 1.0 / math.factorial(k + 1))
         # Row b holds |T_{b,k}(z)|, so a flat index i is point i % z.size, b = i // z.size.
         tails = np.abs([tail_poly(z, b, k) for b in range(k + 1)]) / TAIL_MAGNITUDE_BOUND
         label = lambda i: f"z={z[i % z.size]:.6g}, k={k}"
         reports += [_worst("exp-remainder", exp_ratio, label),
-                    _worst("exp-magnitude", magnitude, label),
+                    _worst("exp-magnitude", magnitude_ratio(z, k), label),
                     _worst("phi-remainder", phi_ratio, label),
                     _worst("tail-magnitude", tails, lambda i: f"{label(i)}, b={i // z.size}")]
     return reports

@@ -1,9 +1,12 @@
 """Command line front end: gen, encode, solve, verify, run, sweep.
 
-Exit codes: 0 success, 1 a claimed bound was violated, 2 usage or hypothesis
-error. Every JSON report carries the schema version and the exact command
-line that reproduces it. ODEQL_SEED, read when the parser is built, provides
-the default seed; a value that is not an integer is a usage error.
+Each input has one spelling: gen, run and sweep read a generated problem
+from one --gen spec (:func:`_parse_gen_inline`), and run takes exactly one
+of --instance or --gen. Exit codes: 0 success, 1 a claimed bound was
+violated, 2 usage or hypothesis error. Every JSON report carries the schema
+version and the exact command line that reproduces it. ODEQL_SEED, read
+when the parser is built, provides the default --seed of verify, run and
+sweep; a value that is not an integer is a usage error.
 """
 
 from __future__ import annotations
@@ -44,7 +47,12 @@ _TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
 
 
 def _parse_gen_inline(text: str) -> GenSpec:
-    """Parse 'N=4,kappa=3,profile=boundary,b=random,seed=1,s=2,unit=1'."""
+    """Parse the --gen spec of gen, run and sweep, e.g.
+    'N=4,kappa=3,profile=boundary,eig=-0.5,b=random,seed=1,s=2,unit=1'.
+
+    An omitted key takes GenSpec's default, except N = 4 and unit = 1, so
+    the empty spec is GenSpec(N=4, unit_norm=True).
+    """
     fields = {}
     for part in text.split(","):
         if not part.strip():
@@ -80,11 +88,8 @@ def _parse_gen_inline(text: str) -> GenSpec:
 
 def _load_problem(args):
     """Resolve (A, x_in, b, instance-or-None) from --instance or file flags."""
-    if getattr(args, "instance", None):
+    if args.instance:
         inst = fileio.load_instance(args.instance)
-        return inst.A, inst.x_in, inst.b, inst
-    if getattr(args, "gen", None):
-        inst = generate(_parse_gen_inline(args.gen))
         return inst.A, inst.x_in, inst.b, inst
     A = fileio.load_matrix(args.matrix)
     x_in = fileio.load_vector(args.x_in)
@@ -108,17 +113,6 @@ def _instance_from_matrix(A, x_in, b):
 
 
 def _resolve_params(args, A, x_in, b, inst) -> TaylorParams:
-    if args.params:
-        blob = fileio.load_manifest(args.params)
-        if {"m", "k", "p", "h"} <= set(blob):
-            m, k, p = (fileio.manifest_field(blob, key, int, args.params) for key in "mkp")
-            return TaylorParams(m=m, k=k, p=p,
-                                h=fileio.manifest_field(blob, "h", float, args.params))
-        if {"T", "epsilon"} <= set(blob):
-            args.T, args.epsilon = (fileio.manifest_field(blob, key, float, args.params)
-                                    for key in ("T", "epsilon"))
-        else:
-            raise OdeqlError("params file needs {m,k,p,h} or {T,epsilon}")
     if args.m is not None:
         return TaylorParams(m=args.m, k=args.k, p=args.p, h=args.h)
     if args.T is None or args.epsilon is None:
@@ -128,17 +122,14 @@ def _resolve_params(args, A, x_in, b, inst) -> TaylorParams:
     return pipeline.plan(inst, pipeline.grid(inst, args.T), args.T, args.epsilon).params
 
 
-def _add_problem_flags(sub, with_gen=False):
+def _add_problem_flags(sub):
     sub.add_argument("--instance", help="instance directory written by gen")
-    if with_gen:
-        sub.add_argument("--gen", help="inline generation spec, e.g. 'N=4,kappa=3'")
     sub.add_argument("--matrix", help="A in Matrix Market format")
     sub.add_argument("--x-in", dest="x_in", help="initial state vector file")
     sub.add_argument("--b", help="inhomogeneity vector file")
 
 
 def _add_params_flags(sub):
-    sub.add_argument("--params", help="JSON file with {m,k,p,h} or {T,epsilon}")
     sub.add_argument("--m", type=int)
     sub.add_argument("--k", type=int)
     sub.add_argument("--p", type=int)
@@ -148,18 +139,9 @@ def _add_params_flags(sub):
 
 
 def _cmd_gen(args, argv) -> int:
-    spec = GenSpec(
-        N=args.N,
-        kappa_V=1.0 if args.kappa is None and args.sparsity is None else args.kappa,
-        eig_profile="scalar" if args.eig_value is not None else args.profile,
-        eig_value=None if args.eig_value is None else complex(args.eig_value),
-        sparsity=args.sparsity,
-        b_mode=args.b_mode,
-        seed=args.seed,
-        unit_norm=args.unit_norm,
-    )
+    spec = _parse_gen_inline(args.gen)
     inst = generate(spec)
-    out = fileio.save_instance(args.out, inst, {"seed": args.seed})
+    out = fileio.save_instance(args.out, inst, {"seed": spec.seed})
     print(f"wrote instance {inst.label} to {out}")
     return 0
 
@@ -219,17 +201,16 @@ def _cmd_verify(args, argv) -> int:
     return 0 if report["passed"] else 1
 
 
-def _injection(text: str) -> float | str | None:
+def _injection(text: str) -> float | str:
     """--inject-delta, for run and sweep alike; RunConfig checks a number's range."""
     if text in ("off", "auto"):
-        return None if text == "off" else text
+        return 0.0 if text == "off" else text
     return float(text)
 
 
 def _cmd_run(args, argv) -> int:
-    _, _, _, inst = _load_problem(args)
-    if inst is None:
-        raise OdeqlError("run needs --instance or --gen")
+    inst = (fileio.load_instance(args.instance) if args.gen is None
+            else generate(_parse_gen_inline(args.gen)))
     cfg = pipeline.RunConfig(T=args.T, epsilon=args.epsilon, seed=args.seed,
                              delta_injection=_injection(args.inject_delta))
     report = pipeline.run(inst, cfg)
@@ -240,7 +221,7 @@ def _cmd_run(args, argv) -> int:
 
 
 def _cmd_sweep(args, argv) -> int:
-    base = _parse_gen_inline(args.gen) if args.gen else GenSpec(N=4, unit_norm=True)
+    base = _parse_gen_inline(args.gen)
     T_values = [float(s) for s in args.T.split(",")]
     eps_values = [float(s) for s in args.epsilon.split(",")]
     kappa_values = ([float(s) for s in args.kappa.split(",")]
@@ -249,10 +230,7 @@ def _cmd_sweep(args, argv) -> int:
                                  delta_injection=_injection(args.inject_delta))
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=[
-                "kappa_V", "T", "epsilon", "k", "d", "success_prob",
-                "fidelity_error", "success_conditioned_error", "success_flag",
-                "passed"])
+            writer = csv.DictWriter(fh, fieldnames=list(result["rows"][0]))
             writer.writeheader()
             writer.writerows(result["rows"])
     _write_report(args.report, result, argv)
@@ -272,20 +250,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Encode, solve and verify truncated-Taylor linear-system "
                     "propagation of linear ODEs.")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    # --seed and --report, each defined once for the subcommands that take it
+    seeded = _Parser(add_help=False)
     # a string default goes through type=int, so a bad ODEQL_SEED is a usage error
-    seed = os.environ.get("ODEQL_SEED", "0")
+    seeded.add_argument("--seed", type=int, default=os.environ.get("ODEQL_SEED", "0"))
+    reported = _Parser(add_help=False)
+    reported.add_argument("--report", help="JSON report file (default: stdout)")
 
     gen = sub.add_parser("gen", help="generate a seeded test instance")
     gen.add_argument("--out", required=True)
-    gen.add_argument("--N", type=int, default=4)
-    gen.add_argument("--kappa", type=float, help="dense mode only; default 1")
-    gen.add_argument("--profile", default="uniform-half-disk")
-    gen.add_argument("--eig-value", dest="eig_value")
-    gen.add_argument("--sparsity", type=int)
-    gen.add_argument("--b-mode", dest="b_mode", default="zero",
-                     choices=("zero", "random"))
-    gen.add_argument("--seed", type=int, default=seed)
-    gen.add_argument("--unit-norm", dest="unit_norm", action="store_true")
+    gen.add_argument("--gen", default="", help="generation spec, e.g. 'N=4,kappa=3'")
     gen.set_defaults(func=_cmd_gen)
 
     enc = sub.add_parser("encode", help="build the encoded matrix and rhs")
@@ -295,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--out-rhs", required=True)
     enc.set_defaults(func=_cmd_encode)
 
-    sol = sub.add_parser("solve", help="solve by block forward substitution")
+    sol = sub.add_parser("solve", parents=[reported],
+                         help="solve by block forward substitution")
     _add_problem_flags(sol)
     _add_params_flags(sol)
     sol.add_argument("--block", action="append",
@@ -303,35 +278,32 @@ def build_parser() -> argparse.ArgumentParser:
     sol.add_argument("--history", action="store_true",
                      help="write all step states x_{i,0}")
     sol.add_argument("--out-dir", required=True)
-    sol.add_argument("--report")
     sol.set_defaults(func=_cmd_solve)
 
-    ver = sub.add_parser("verify", help="run a bound-verification suite")
+    ver = sub.add_parser("verify", parents=[seeded, reported],
+                         help="run a bound-verification suite")
     ver.add_argument("--suite", required=True, choices=suites.SUITE_NAMES)
     ver.add_argument("--trials", type=int)
-    ver.add_argument("--seed", type=int, default=seed)
-    ver.add_argument("--report")
     ver.set_defaults(func=_cmd_verify)
 
-    run = sub.add_parser("run", help="end-to-end emulated run")
-    _add_problem_flags(run, with_gen=True)
+    run = sub.add_parser("run", parents=[seeded, reported], help="end-to-end emulated run")
+    source = run.add_mutually_exclusive_group(required=True)
+    source.add_argument("--instance", help="instance directory written by gen")
+    source.add_argument("--gen", help="generation spec, as for gen")
     run.add_argument("--T", type=float, required=True)
     run.add_argument("--epsilon", type=float, required=True)
-    run.add_argument("--seed", type=int, default=seed)
     run.add_argument("--inject-delta", dest="inject_delta", default="off",
                      help="'auto', 'off', or an explicit perturbation norm")
-    run.add_argument("--report")
     run.set_defaults(func=_cmd_run)
 
-    swp = sub.add_parser("sweep", help="grid of runs over T, epsilon, kappa")
-    swp.add_argument("--gen", help="inline generation spec template")
+    swp = sub.add_parser("sweep", parents=[seeded, reported],
+                         help="grid of runs over T, epsilon, kappa")
+    swp.add_argument("--gen", default="", help="generation spec, as for gen")
     swp.add_argument("--T", required=True, help="comma list of times")
     swp.add_argument("--epsilon", required=True, help="comma list of targets")
     swp.add_argument("--kappa", help="comma list of condition numbers")
-    swp.add_argument("--seed", type=int, default=seed)
     swp.add_argument("--inject-delta", dest="inject_delta", default="auto", help="as for run")
     swp.add_argument("--csv")
-    swp.add_argument("--report")
     swp.set_defaults(func=_cmd_sweep)
 
     return parser

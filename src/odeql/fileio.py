@@ -63,21 +63,17 @@ def load_manifest(path) -> dict:
     return blob
 
 
-def manifest_field(manifest: dict, key: str, kind: type, source):
-    """manifest[key] as kind: int takes integers only (not bools or floats),
-    float takes finite integers and floats. A missing or mistyped field is a
-    ParameterError that names source."""
+def manifest_field(manifest: dict, key: str, source) -> float:
+    """manifest[key] as a float: a finite integer or float, not a bool. A
+    missing or mistyped field is a ParameterError that names source."""
     if key not in manifest:
         raise ParameterError(f"{source}: missing field {key!r}")
     value = manifest[key]
-    if kind is int:
-        ok, what = isinstance(value, int), "an integer"
-    else:
-        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-        what = "a finite number"
-    if isinstance(value, bool) or not ok:
-        raise ParameterError(f"{source}: {key} must be {what}, got {json.dumps(value)}")
-    return kind(value)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ParameterError(f"{source}: {key} must be a finite number, "
+                             f"got {json.dumps(value)}")
+    return float(value)
 
 
 def save_instance(directory, inst: Instance, extra_meta: dict | None = None) -> Path:
@@ -113,6 +109,6 @@ def load_instance(directory) -> Instance:
         x_in=load_vector(directory / "x_in.txt"),
         V_inv=load_matrix(directory / "V_inv.mtx"),
         A=load_matrix(directory / "A.mtx"),
-        kappa_V=manifest_field(meta, "kappa_V", float, meta_path),
+        kappa_V=manifest_field(meta, "kappa_V", meta_path),
         label=meta.get("label", str(directory)),
     )

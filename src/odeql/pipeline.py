@@ -42,7 +42,7 @@ from .taylor import MIN_TAIL_ORDER
 class RunConfig:
     """End-to-end run configuration.
 
-    delta_injection: None or 0 disables the solver-inexactness emulation,
+    delta_injection: 0 (the default) disables the solver-inexactness emulation,
     "auto" injects the budgeted delta = epsilon/(25 sqrt(m) g), and a float
     injects that exact perturbation norm.
     """
@@ -50,7 +50,7 @@ class RunConfig:
     T: float
     epsilon: float
     seed: int
-    delta_injection: float | str | None = None
+    delta_injection: float | str = 0.0
 
     def __post_init__(self):
         for name in ("T", "epsilon", "seed", "delta_injection"):
@@ -61,7 +61,7 @@ class RunConfig:
         if not 0.0 < self.epsilon <= 0.5:
             raise ParameterError(f"epsilon must lie in (0, 1/2], got {self.epsilon}")
         di = self.delta_injection
-        if di is not None and di != "auto":
+        if di != "auto":
             if not (isinstance(di, (int, float)) and 0.0 <= di <= 2.0):
                 raise ParameterError(f"delta_injection must be in [0, 2], got {di!r}")
 
@@ -301,8 +301,8 @@ def measure(problem: Problem, seed: int, delta_injection: float = 0.0) -> Measur
 def _report(inst: Instance, decay: DecayProfile, cfg: RunConfig) -> PipelineReport:
     """One run on an integrated grid: choose, inject delta, measure, report."""
     chosen = plan(inst, decay, cfg.T, cfg.epsilon)
-    di = cfg.delta_injection  # None or 0 injects nothing
-    injected = chosen.delta if di == "auto" else float(di or 0.0)
+    di = cfg.delta_injection
+    injected = chosen.delta if di == "auto" else float(di)
     outcome = measure(Problem(inst, chosen.params, decay), cfg.seed, injected)
 
     return PipelineReport(

@@ -17,7 +17,8 @@ and :func:`~odeql.analysis.verify_remainder_bounds` checks all four on
 random half-disk samples plus the fixed :data:`BOUNDARY_CASES`. The two
 remainders are never formed as differences, which cancel to ~1e-16 and so
 cannot resolve 1/(k+1)! from k = 17 on: :func:`remainder_ratios` reads
-them from the tail, e^z - T_k(z) = z^{k+1}/(k+1)! T_{k+1,inf}(z).
+them from the tail, e^z - T_k(z) = z^{k+1}/(k+1)! T_{k+1,inf}(z), and
+:func:`magnitude_ratio` reads |T_k(z)| - 1 from the same tail.
 
 Evaluation is by Horner's scheme from the highest term down, which is stable
 in the only regime the encoder exercises (|z| <= 1, all terms decaying).
@@ -105,3 +106,21 @@ def remainder_ratios(z, k: int):
     z = np.asarray(z, dtype=complex)
     phi_ratio = np.abs(z) ** k * np.abs(tail_poly(z, k + 1, k + 40))
     return np.abs(z) * phi_ratio, phi_ratio
+
+
+def magnitude_ratio(z, k: int):
+    """(k+1)! (|T_k(z)| - 1), at most 1 exactly when |T_k(z)| <= 1 + 1/(k+1)!.
+
+    With rho = (k+1)! (exp(z) - T_k(z)) = z^{k+1} T_{k+1,inf}(z) from the
+    tail, |T_k|^2 - 1 = expm1(2 Re z) - 2 Re(conj(e^z) rho)/(k+1)!
+    + |rho|^2/(k+1)!^2, so the ratio resolves 1/(k+1)! where |T_k| - 1 would
+    round away. The first term is non-positive only for Re z <= 0: a point
+    that rounding puts just right of the axis (exp(1j*pi/2) has Re z = 6e-17)
+    is off the half-disk, and at large k its ratio correctly exceeds 1.
+    """
+    z = np.asarray(z, dtype=complex)
+    scale = float(math.factorial(k + 1))
+    rho = z ** (k + 1) * tail_poly(z, k + 1, k + 40)
+    excess = (scale * np.expm1(2.0 * z.real) - 2.0 * (np.conj(np.exp(z)) * rho).real
+              + np.abs(rho) ** 2 / scale)
+    return excess / (np.abs(truncated_exp(z, k)) + 1.0)

@@ -606,12 +606,13 @@ class TestStateDistance:
 
 class TestBoundReport:
     def test_merge(self):
-        a = BoundReport("x", 1, 0.5, "a")
-        b = BoundReport("x", 2, 0.9, "b")
+        a = BoundReport("x", 1, 0.5, "a", {"norm": 1.0})
+        b = BoundReport("x", 2, 0.9, "b", {"norm": 2.0})
         merged = merge_reports([a, b])
         assert merged.instances_checked == 3
         assert merged.worst_ratio == 0.9
         assert merged.argmax_instance == "b"
+        assert merged.details == {"norm": 2.0, "merged": 2}
         assert merged.passed
 
     def test_merge_rejects_mixed(self):

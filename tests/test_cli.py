@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from odeql.cli import main
+from odeql.cli import _parse_gen_inline, main
 from odeql.encoder import TaylorParams, build_matrix
 from odeql.fileio import load_instance, load_matrix, load_vector, save_vector
 from odeql.instances import GenSpec, generate
@@ -15,9 +15,7 @@ from odeql.instances import GenSpec, generate
 @pytest.fixture
 def instance_dir(tmp_path):
     out = tmp_path / "inst"
-    code = main(["gen", "--out", str(out), "--N", "3", "--kappa", "2",
-                 "--b-mode", "random", "--seed", "5", "--unit-norm"])
-    assert code == 0
+    assert main(["gen", "--gen", "N=3,kappa=2,b=random,seed=5", "--out", str(out)]) == 0
     return out
 
 
@@ -25,6 +23,32 @@ def test_gen_writes_loadable_instance(instance_dir):
     inst = load_instance(instance_dir)
     assert inst.N == 3
     assert inst.kappa_V == pytest.approx(2.0, rel=1e-6)
+
+
+def test_gen_writes_the_instance_run_reads_from_the_same_spec(tmp_path):
+    # one grammar: gen --gen and run --gen build the same problem
+    out = tmp_path / "inst"
+    assert main(["gen", "--gen", "N=4,kappa=3", "--out", str(out)]) == 0
+    written, inline = load_instance(out), generate(_parse_gen_inline("N=4,kappa=3"))
+    for name in ("A", "V", "V_inv"):
+        a, b = getattr(written, name), getattr(inline, name)
+        a, b = (M.toarray() if sp.issparse(M) else M for M in (a, b))
+        assert np.array_equal(a, b), name
+    for name in ("eigenvalues", "x_in", "b"):
+        assert np.array_equal(getattr(written, name), getattr(inline, name)), name
+
+
+def test_gen_takes_its_seed_and_defaults_from_the_spec(monkeypatch, tmp_path):
+    # ODEQL_SEED sets --seed of verify, run and sweep; gen's seed is the spec's
+    monkeypatch.setenv("ODEQL_SEED", "7")
+    assert main(["gen", "--out", str(tmp_path / "inst")]) == 0
+    assert json.loads((tmp_path / "inst" / "meta.json").read_text())["seed"] == 0
+    assert main(["gen", "--gen", "seed=7", "--out", str(tmp_path / "seven")]) == 0
+    assert json.loads((tmp_path / "seven" / "meta.json").read_text())["seed"] == 7
+    inst = load_instance(tmp_path / "inst")
+    assert inst.N == 4
+    assert inst.kappa_V == pytest.approx(1.0, rel=1e-12)
+    assert inst.norm_A <= 1.0
 
 
 def test_encode_round_trip_entrywise(instance_dir, tmp_path):
@@ -211,11 +235,9 @@ def test_run_tampered_matrix_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["gen", "run"])
 def test_non_finite_kappa_exits_2(command, kappa, tmp_path, capsys):
     # an infinite or NaN condition number is a bad parameter, not a crash
-    if command == "gen":
-        args = ["gen", "--out", str(tmp_path / "inst"), "--N", "2", "--kappa", kappa]
-    else:
-        args = ["run", "--gen", f"N=2,kappa={kappa}", "--T", "1", "--epsilon", "1e-3"]
-    assert main(args) == 2
+    target = (["--out", str(tmp_path / "inst")] if command == "gen"
+              else ["--T", "1", "--epsilon", "1e-3"])
+    assert main([command, "--gen", f"N=2,kappa={kappa}"] + target) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "inst").exists()
@@ -225,22 +247,12 @@ def test_non_finite_kappa_exits_2(command, kappa, tmp_path, capsys):
 def test_kappa_in_sparse_mode_exits_2(command, tmp_path, capsys):
     # sparse mode measures kappa_V: a requested one is refused, not dropped
     out = tmp_path / "inst"
-    if command == "gen":
-        args = ["gen", "--out", str(out), "--N", "8", "--kappa", "3", "--sparsity", "2"]
-    else:
-        args = [command, "--gen", "N=8,kappa=3,s=2", "--T", "1", "--epsilon", "1e-3"]
-    assert main(args) == 2
+    target = ["--out", str(out)] if command == "gen" else ["--T", "1", "--epsilon", "1e-3"]
+    assert main([command, "--gen", "N=8,kappa=3,s=2"] + target) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: sparse mode measures kappa_V instead of prescribing it")
     assert err.count("\n") == 1
     assert not out.exists()
-
-
-def test_gen_defaults_seed_from_odeql_seed_and_kappa_to_1(monkeypatch, tmp_path):
-    monkeypatch.setenv("ODEQL_SEED", "7")
-    assert main(["gen", "--out", str(tmp_path / "inst"), "--N", "2"]) == 0
-    assert json.loads((tmp_path / "inst" / "meta.json").read_text())["seed"] == 7
-    assert load_instance(tmp_path / "inst").kappa_V == pytest.approx(1.0, rel=1e-12)
 
 
 def test_bad_odeql_seed_exits_2(monkeypatch, tmp_path, capsys):
@@ -258,8 +270,7 @@ def test_bad_odeql_seed_exits_2(monkeypatch, tmp_path, capsys):
 
 def test_kappa_above_ceiling_exits_2(tmp_path, capsys):
     out = tmp_path / "inst"
-    assert main(["gen", "--out", str(out), "--N", "2", "--kappa", "1e12",
-                 "--seed", "122"]) == 2
+    assert main(["gen", "--gen", "N=2,kappa=1e12,seed=122", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: kappa_V must lie in [1, KAPPA_V_MAX = 1e+10]")
     assert err.count("\n") == 1
@@ -268,12 +279,6 @@ def test_kappa_above_ceiling_exits_2(tmp_path, capsys):
 
 # file (relative to tmp_path, where instance_dir is "inst") -> malformed text
 MALFORMED_MANIFESTS = {
-    "params-number": ("params.json", "5"),
-    "params-string": ("params.json", '"mkph"'),
-    "params-null-T": ("params.json", '{"T": null, "epsilon": 1e-3}'),
-    "params-float-m": ("params.json", '{"m": 1.5, "k": 5, "p": 1, "h": 0.1}'),
-    "params-bool-k": ("params.json", '{"m": 1, "k": true, "p": 1, "h": 0.1}'),
-    "params-infinite-epsilon": ("params.json", '{"T": 1, "epsilon": Infinity}'),
     "meta-list": ("inst/meta.json", "[]"),
     "meta-no-kappa": ("inst/meta.json", '{"schema": 1, "N": 3}'),
     "meta-nan-kappa": ("inst/meta.json", '{"schema": 1, "N": 3, "kappa_V": NaN}'),
@@ -286,11 +291,10 @@ MALFORMED_MANIFESTS = {
 def test_malformed_manifest_exits_2(case, instance_dir, tmp_path, capsys):
     # a hostile manifest is a one-line usage error: no traceback, no warning
     # and no run on a silently truncated value
-    (tmp_path / "params.json").write_text('{"m": 1, "k": 5, "p": 1, "h": 0.1}')
     name, text = MALFORMED_MANIFESTS[case]
     (tmp_path / name).write_text(text)
     code = main(["encode", "--instance", str(instance_dir),
-                 "--params", str(tmp_path / "params.json"),
+                 "--m", "1", "--k", "5", "--p", "1", "--h", "0.1",
                  "--out-matrix", str(tmp_path / "C.mtx"),
                  "--out-rhs", str(tmp_path / "rhs.txt")])
     assert code == 2
@@ -298,16 +302,6 @@ def test_malformed_manifest_exits_2(case, instance_dir, tmp_path, capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err and captured.out == ""
     assert not (tmp_path / "C.mtx").exists()
-
-
-def test_well_formed_params_manifest_runs(instance_dir, tmp_path):
-    # the control for the cases above: integer m, k, p and an integer h run
-    (tmp_path / "params.json").write_text('{"m": 2, "k": 5, "p": 1, "h": 1}')
-    assert main(["encode", "--instance", str(instance_dir),
-                 "--params", str(tmp_path / "params.json"),
-                 "--out-matrix", str(tmp_path / "C.mtx"),
-                 "--out-rhs", str(tmp_path / "rhs.txt")]) == 0
-    assert load_matrix(tmp_path / "C.mtx").shape == (3 * (2 * 6 + 2),) * 2
 
 
 def test_step_bound_violation_exits_2(instance_dir, tmp_path):
@@ -439,8 +433,7 @@ def test_failing_suite_exits_1(monkeypatch, tmp_path):
 
 def test_gen_sparse_mode(tmp_path):
     out = tmp_path / "sparse"
-    code = main(["gen", "--out", str(out), "--N", "8", "--sparsity", "2",
-                 "--seed", "3"])
+    code = main(["gen", "--gen", "N=8,s=2,seed=3", "--out", str(out)])
     assert code == 0
     inst = load_instance(out)
     dense = inst.A.toarray()
@@ -463,16 +456,74 @@ def test_bad_unit_flag_exits_2(command, value, capsys):
 @pytest.mark.parametrize("value, unit_norm", [("1", True), ("true", True), ("yes", True),
                                               ("0", False), ("false", False), ("no", False)])
 def test_unit_flag_values(value, unit_norm):
-    from odeql.cli import _parse_gen_inline
-
     assert _parse_gen_inline(f"N=2,unit={value}").unit_norm is unit_norm
 
 
 def test_gen_empty_eig_value_exits_2(tmp_path, capsys):
-    # an empty --eig-value is malformed, like --gen "eig=", not the uniform profile
+    # an empty eig= is malformed, not the uniform profile
     out = tmp_path / "inst"
-    assert main(["gen", "--out", str(out), "--N", "2", "--eig-value="]) == 2
+    assert main(["gen", "--gen", "N=2,eig=", "--out", str(out)]) == 2
     assert main(["run", "--gen", "N=2,eig=", "--T", "1", "--epsilon", "0.1"]) == 2
     errs = capsys.readouterr().err.splitlines()
     assert len(errs) == 2 and all(e.startswith("error:") for e in errs)
     assert not out.exists()
+
+
+UNRECOGNIZED = "error: odeql: unrecognized arguments: "
+RETIRED_SPELLINGS = {
+    "run-files": (["run", "--matrix", "A.mtx", "--T", "1", "--epsilon", "0.1"],
+                  "error: odeql run: one of the arguments --instance --gen is required"),
+    "run-files-with-gen": (["run", "--gen", "N=2", "--matrix", "A.mtx", "--x-in", "x.txt",
+                            "--T", "1", "--epsilon", "0.1"], UNRECOGNIZED + "--matrix"),
+    "run-two-sources": (["run", "--instance", "inst", "--gen", "N=2", "--T", "1",
+                         "--epsilon", "0.1"],
+                        "error: odeql run: argument --gen: not allowed with argument"),
+    "encode-params": (["encode", "--instance", "inst", "--params", "p.json",
+                       "--out-matrix", "C.mtx", "--out-rhs", "r.txt"], UNRECOGNIZED + "--params"),
+    "solve-params": (["solve", "--instance", "inst", "--params", "p.json", "--out-dir", "sol"],
+                     UNRECOGNIZED + "--params"),
+    "gen-flags": (["gen", "--out", "inst", "--N", "4", "--kappa", "3", "--unit-norm"],
+                  UNRECOGNIZED + "--N 4 --kappa 3 --unit-norm"),
+}
+
+
+@pytest.mark.parametrize("argv, message", RETIRED_SPELLINGS.values(), ids=RETIRED_SPELLINGS)
+def test_one_spelling_per_input(argv, message, tmp_path, monkeypatch, capsys):
+    # run takes exactly one of --instance or --gen; the retired spellings
+    # (run's file flags, --params, gen's per-field flags) are usage errors
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
+def _readme_commands():
+    """The odeql command lines of README.md's fenced CLI block, continuations joined."""
+    import shlex
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = next(b for b in text.split("```")[1::2] if "\nodeql gen " in b)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("odeql ")]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    # every example in the README exits 0, in order, from one directory;
+    # verify runs its family suites on a six-member family, as in the fuzz tests
+    import functools
+
+    from odeql import suites
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(suites, "standard_family", functools.partial(
+        suites.standard_family, N_values=(1, 2), kappa_values=(1.0, 3.0), m_values=(1, 2)))
+    commands = _readme_commands()
+    assert [c[0] for c in commands] == ["gen", "encode", "encode", "solve", "verify",
+                                        "verify", "run", "sweep"]
+    for argv in commands:
+        assert main(argv) == 0, argv

@@ -254,8 +254,9 @@ class TestRun:
         # With no injection the success-conditioned error obeys the
         # normalized-distance conversion of the per-step error bound.
         inst = self._instance(seed=3, b_mode="zero")
-        cfg = RunConfig(T=2.0, epsilon=1e-5, seed=11, delta_injection=None)
+        cfg = RunConfig(T=2.0, epsilon=1e-5, seed=11)
         report = run(inst, cfg)
+        assert report.injected_delta == 0.0
         decay = decay_profile(inst, report.params.T, report.params.m)
         err_report = solution_error_report(Problem(inst, report.params, decay))
         eps_m = err_report.details["errors"][-1]
@@ -326,6 +327,11 @@ class TestRun:
     def test_epsilon_validation(self):
         with pytest.raises(ParameterError):
             RunConfig(T=1.0, epsilon=0.9, seed=0)
+
+    def test_no_injection_is_spelled_zero(self):
+        # 0.0 is the one "off"; None is not a second spelling of it
+        with pytest.raises(ParameterError, match="^delta_injection must be"):
+            RunConfig(T=2.0, epsilon=1e-5, seed=11, delta_injection=None)
 
     def test_json_round_trip(self):
         import json

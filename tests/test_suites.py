@@ -87,6 +87,12 @@ def test_run_suite_dispatch_and_shapes(name, monkeypatch):
     assert report["instances"] == sum(r["instances_checked"] for r in report["reports"])
     assert report["passed"] == all(r["verdict"] == "pass" for r in report["reports"])
     assert report["passed"]
+    # a merged report keeps its worst case's details beside the merge count
+    kept = {"lemma1": {"column_norm_ratio", "entry_ratio", "worst_column"},
+            "lemma3": {"component_identity", "component_collector", "component_subdiagonal"},
+            "thm2": {"errors", "worst_step"}}.get(name, set())
+    for r in report["reports"]:
+        assert kept | {"merged"} <= set(r["details"])
 
 
 def test_small_family_suites_pass():

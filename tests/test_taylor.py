@@ -16,6 +16,7 @@ from odeql.errors import ParameterError
 from odeql.taylor import (
     BOUNDARY_CASES,
     half_disk_samples,
+    magnitude_ratio,
     remainder_ratios,
     tail_poly,
     truncated_exp,
@@ -190,6 +191,10 @@ class TestRemainderBounds:
             np.testing.assert_allclose(
                 phi_ratio, scale * np.abs(np.expm1(nonzero) / nonzero
                                           - truncated_phi(nonzero, k)), rtol=1e-9)
+            # |T_k| - 1 carries rounding of ~1e-16, so (k+1)! of it ~1e-12
+            np.testing.assert_allclose(
+                magnitude_ratio(z, k), scale * (np.abs(truncated_exp(z, k)) - 1.0),
+                rtol=1e-9, atol=scale * 1e-15)
 
     def test_remainders_resolved_where_differences_cancel(self):
         # from k = 17, 1/(k+1)! is below the rounding of e^z - T_k(z); the
@@ -199,6 +204,13 @@ class TestRemainderBounds:
             for r in reports:
                 if r.bound_name in ("exp-remainder", "phi-remainder"):
                     assert 0.99 <= r.worst_ratio < 1.0
+
+    def test_magnitude_resolved_at_every_order(self):
+        # 1 + 1/(k+1)! rounds to 1 from k = 18, where |T_k| over it read 1.0
+        # at z = 0; (k+1)! (|T_k| - 1) keeps the margin, worst at z = i
+        for r in verify_remainder_bounds(1000, (5, 20), seed=0):
+            if r.bound_name == "exp-magnitude":
+                assert r.worst_ratio <= 0.9, (r.argmax_instance, r.worst_ratio)
 
     def test_boundary_cases_present_in_sampling(self):
         # z = i is a Re(z) = 0 boundary point the bounds must cover.
