@@ -144,13 +144,15 @@ def _worst(name: str, ratios: np.ndarray, label) -> BoundReport:
 
 @dataclass(frozen=True)
 class DecayProfile:
-    """The true solution on the step grid, and its norm history.
+    """The true solution on the step grid, and every scale of it that the
+    parameter rule and the bounds read.
 
     states holds the oracle states x(ih), i = 0..m, as rows (one
     trajectory) on the grid of step h; step_norms are their norms, q is
-    ||x(T)|| and g_grid = max_i ||x(ih)|| / q, the quantity the measurement
-    bound consumes. A caller that needs a grid state, x(T) included, reads
-    it from here instead of integrating the ODE a second time.
+    ||x(T)||, g_grid = max_i ||x(ih)|| / q, the quantity the measurement
+    bound consumes, and weight is |x_in| + T|b|, the scale of Omega and of
+    the Theorem 2 and 3 bounds. A caller that needs a grid state, x(T)
+    included, reads it from here instead of integrating the ODE a second time.
     """
 
     states: np.ndarray
@@ -158,6 +160,12 @@ class DecayProfile:
     step_norms: np.ndarray
     q: float
     g_grid: float
+    weight: float
+
+    @property
+    def m(self) -> int:
+        """The step count: the trajectory holds m + 1 states."""
+        return len(self.states) - 1
 
     @property
     def x_T(self) -> np.ndarray:
@@ -174,7 +182,8 @@ def decay_profile(inst: Instance, T: float, m: int) -> DecayProfile:
     if q < 1e-300:
         raise DegenerateInputError("||x(T)|| vanishes; decay ratio undefined")
     return DecayProfile(states=states, h=T / m, step_norms=step_norms, q=q,
-                        g_grid=float(step_norms.max() / q))
+                        g_grid=float(step_norms.max() / q),
+                        weight=float(np.linalg.norm(inst.x_in) + T * np.linalg.norm(inst.b)))
 
 
 def _require_hypotheses(params: TaylorParams, eigenvalues) -> None:
@@ -196,9 +205,9 @@ def _require_hypotheses(params: TaylorParams, eigenvalues) -> None:
 class Problem:
     """One instance, one layout and the instance's decay profile on that
     layout's grid (whose trajectory is the problem's one ODE integration),
-    with its encoded system, block solution and weight |x_in| + m h |b|,
-    each computed once, on first use. :func:`~odeql.pipeline.measure` reads
-    the same solution and x(T) as the checkers.
+    with its encoded system and block solution, each computed once, on first
+    use. :func:`~odeql.pipeline.measure` reads the same solution and x(T) as
+    the checkers.
 
     A profile of another grid is a DimensionError here, so no checker can pair
     a layout with states taken at other times.
@@ -223,13 +232,6 @@ class Problem:
     @cached_property
     def solution(self) -> BlockSolution:
         return forward_substitute(self.inst.A, self.params, self.inst.x_in, self.inst.b)
-
-    @cached_property
-    def weight(self) -> float:
-        """|x_in| + m h |b|, the scale of the Theorem 2 and 3 bounds."""
-        params = self.params
-        return float(np.linalg.norm(self.inst.x_in)
-                     + params.m * params.h * np.linalg.norm(self.inst.b))
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +414,10 @@ def solution_error_report(problem: Problem) -> BoundReport:
     _require_hypotheses(params, inst.eigenvalues)
 
     m = params.m
-    if problem.weight == 0.0:
+    weight = problem.decay.weight
+    if weight == 0.0:
         raise DegenerateInputError("x_in and b both vanish; the bound degenerates")
-    log_scale = math.log(2.8 * inst.kappa_V * problem.weight) - math.lgamma(params.k + 2)
+    log_scale = math.log(2.8 * inst.kappa_V * weight) - math.lgamma(params.k + 2)
 
     errors = np.linalg.norm(problem.decay.states - problem.solution.step_states(), axis=1)
     if errors[0] != 0.0:
@@ -450,7 +453,7 @@ def success_probability_report(problem: Problem) -> BoundReport:
     inst, params, decay = problem.inst, problem.params, problem.decay
     _require_hypotheses(params, inst.eigenvalues)
     m, p = params.m, params.p
-    log_needed = math.log(70.0 * inst.kappa_V * m * problem.weight) - math.log(decay.q)
+    log_needed = math.log(70.0 * inst.kappa_V * m * decay.weight) - math.log(decay.q)
     if math.lgamma(params.k + 2) < log_needed:
         raise HypothesisError(
             f"(k+1)! < 70 kappa_V m (|x_in|+mh|b|)/||x(T)|| at k={params.k}; "

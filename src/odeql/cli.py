@@ -86,9 +86,24 @@ def _parse_gen_inline(text: str) -> GenSpec:
     return GenSpec(**kwargs)
 
 
+# The two spellings of each encode/solve input, as argparse dests.
+PROBLEM_SOURCES = (("instance",), ("matrix", "x_in", "b"))
+LAYOUTS = (("m", "k", "p", "h"), ("T", "epsilon"))
+
+
+def _one_spelling(args, spellings) -> tuple:
+    """The one spelling in spellings that args gives, and gives in full."""
+    given = [s for s in spellings if any(getattr(args, d) is not None for d in s)]
+    if len(given) != 1 or any(getattr(args, d) is None for d in given[0]):
+        names = " or ".join("/".join("--" + d.replace("_", "-") for d in s)
+                            for s in spellings)
+        raise OdeqlError(f"give exactly one of {names}, in full")
+    return given[0]
+
+
 def _load_problem(args):
     """Resolve (A, x_in, b, instance-or-None) from --instance or file flags."""
-    if args.instance:
+    if _one_spelling(args, PROBLEM_SOURCES) == ("instance",):
         inst = fileio.load_instance(args.instance)
         return inst.A, inst.x_in, inst.b, inst
     A = fileio.load_matrix(args.matrix)
@@ -113,13 +128,11 @@ def _instance_from_matrix(A, x_in, b):
 
 
 def _resolve_params(args, A, x_in, b, inst) -> TaylorParams:
-    if args.m is not None:
+    if _one_spelling(args, LAYOUTS) == ("m", "k", "p", "h"):
         return TaylorParams(m=args.m, k=args.k, p=args.p, h=args.h)
-    if args.T is None or args.epsilon is None:
-        raise OdeqlError("give either --m/--k/--p/--h or --T/--epsilon")
     if inst is None:
         inst = _instance_from_matrix(A, x_in, b)
-    return pipeline.plan(inst, pipeline.grid(inst, args.T), args.T, args.epsilon).params
+    return pipeline.choose_parameters(inst, pipeline.grid(inst, args.T), args.epsilon).params
 
 
 def _add_problem_flags(sub):

@@ -280,8 +280,8 @@ def make_instance(V, eigenvalues, b, x_in, V_inv=None, A=None, kappa_V=None,
 
     V and V_inv may be dense or sparse and are stored dense. V_inv defaults to
     the numerical inverse, A to V diag(eigenvalues) V^{-1} (stored sparse),
-    and kappa_V to |V| |V^{-1}|, each norm measured once by :func:`norm2` and
-    passed on to :meth:`Instance.validate`.
+    and kappa_V to max(1, |V| |V^{-1}|), each norm measured once by
+    :func:`norm2` and passed on to :meth:`Instance.validate`.
     """
     V = _dense(V)
     eigenvalues = as_state(np.ravel(eigenvalues), "eigenvalues")
@@ -299,7 +299,8 @@ def make_instance(V, eigenvalues, b, x_in, V_inv=None, A=None, kappa_V=None,
         A = A.tocsr()
     norm_V, norm_V_inv = norm2(V), norm2(V_inv)
     if kappa_V is None:
-        kappa_V = norm_V * norm_V_inv
+        # |V||V^-1| >= |V V^-1| = 1; rounding can land a hair below
+        kappa_V = max(1.0, norm_V * norm_V_inv)
     inst = Instance(V=V, V_inv=V_inv, eigenvalues=eigenvalues, b=b, x_in=x_in,
                     kappa_V=float(kappa_V), A=A, label=label)
     inst.validate(norm_V, norm_V_inv)

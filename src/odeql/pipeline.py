@@ -3,8 +3,9 @@
 Given an evolution time T and a target accuracy epsilon <= 1/2, the driver
 
 1. integrates the ODE on the grid m = p = ceil(T ||A||), per (instance, T)
-   (:func:`grid`), and picks k for epsilon (:func:`plan`): k = floor(2 ln
-   Omega / ln ln Omega), bumped until (k+1)! >= Omega, as the error analysis needs;
+   (:func:`grid`), and picks k for epsilon from that grid
+   (:func:`choose_parameters`): k = floor(2 ln Omega / ln ln Omega), bumped
+   until (k+1)! >= Omega, as the error analysis needs;
 2. solves the encoded system exactly by block forward substitution;
 3. optionally perturbs the normalized solution by a seeded direction of
    norm exactly delta, emulating an inexact linear-systems subroutine that
@@ -133,42 +134,30 @@ def step_count(T: float, normA: float) -> int:
     return max(1, math.ceil(T * normA))
 
 
-def choose_parameters(T: float, normA: float, epsilon: float, g: float,
-                      kappa_V: float, x_in_norm: float, b_norm: float,
-                      xT_norm: float) -> ChosenParameters:
-    """Select (m, k, p, h) for accuracy epsilon on a problem with the given scales.
+def grid(inst: Instance, T: float) -> DecayProfile:
+    """The decay profile on m = step_count(T, inst.norm_A) steps: a run's epsilon-free half."""
+    return decay_profile(inst, T, step_count(T, inst.norm_A))
 
-    h = T/ceil(T||A||), m = p = ceil(T||A||), delta = epsilon/(25 sqrt(m) g),
+
+def choose_parameters(inst: Instance, decay: DecayProfile, epsilon: float) -> ChosenParameters:
+    """Select (m, k, p, h) for accuracy epsilon on ``decay = grid(inst, T)``.
+
+    m = p and h are the grid's, delta = epsilon/(25 sqrt(m) g), and
     k = floor(2 ln Omega / ln ln Omega) with
     Omega = 70 g kappa_V m^{3/2} (|x_in| + T|b|) / (epsilon |x(T)|),
-    computed in log space. The closed form is defensive only: k is clamped
+    computed in log space from the instance's kappa_V and the profile's g,
+    weight and q. The closed form is defensive only: k is clamped
     to >= 5 and incremented until (k+1)! >= max(Omega, 2m) holds, since the
     factorial condition is what the error analysis consumes. Requires
     Omega >= 70 (implied by its factors on sane inputs, but checked).
     """
-    for name, value in (("epsilon", epsilon), ("g", g), ("kappa_V", kappa_V),
-                        ("x_in_norm", x_in_norm), ("b_norm", b_norm),
-                        ("xT_norm", xT_norm)):
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
-            raise ParameterError(f"{name} must be finite, got {value!r}")
     if not 0.0 < epsilon <= 0.5:
         raise ParameterError(f"epsilon must lie in (0, 1/2], got {epsilon}")
-    if g < 1.0:
-        raise ParameterError(f"g is a max over a range including T, so g >= 1; got {g}")
-    if kappa_V < 1.0:
-        raise ParameterError(f"kappa_V must be >= 1, got {kappa_V}")
-    if xT_norm <= 0.0:
-        raise ParameterError("||x(T)|| must be positive")
-    weight = x_in_norm + T * b_norm
-    if weight <= 0.0:
-        raise ParameterError("x_in and b cannot both vanish")
-
-    m = step_count(T, normA)
-    h = T / m
+    m, g = decay.m, decay.g_grid
     delta = epsilon / (25.0 * math.sqrt(m) * g)
-    log_omega = (math.log(70.0) + math.log(g) + math.log(kappa_V)
-                 + 1.5 * math.log(m) + math.log(weight)
-                 - math.log(epsilon) - math.log(xT_norm))
+    log_omega = (math.log(70.0) + math.log(g) + math.log(inst.kappa_V)
+                 + 1.5 * math.log(m) + math.log(decay.weight)
+                 - math.log(epsilon) - math.log(decay.q))
     if log_omega < math.log(70.0) - 1e-12:
         raise ParameterError(
             f"Omega = exp({log_omega:.4g}) < 70; the truncation rule is not "
@@ -180,22 +169,10 @@ def choose_parameters(T: float, normA: float, epsilon: float, g: float,
     while math.lgamma(k + 2) < needed:
         k += 1
     return ChosenParameters(
-        params=TaylorParams(m=m, k=k, p=m, h=h),
+        params=TaylorParams(m=m, k=k, p=m, h=decay.h),
         log_omega=log_omega,
         delta=delta,
     )
-
-
-def grid(inst: Instance, T: float) -> DecayProfile:
-    """The decay profile on m = step_count(T, inst.norm_A) steps: a run's epsilon-free half."""
-    return decay_profile(inst, T, step_count(T, inst.norm_A))
-
-
-def plan(inst: Instance, decay: DecayProfile, T: float, epsilon: float) -> ChosenParameters:
-    """A run's epsilon half: :func:`choose_parameters` on ``decay = grid(inst, T)``."""
-    return choose_parameters(T, inst.norm_A, epsilon, decay.g_grid, inst.kappa_V,
-                             float(np.linalg.norm(inst.x_in)),
-                             float(np.linalg.norm(inst.b)), decay.q)
 
 
 def _perturb_on_sphere(unit_vec: np.ndarray, delta: float, rng) -> np.ndarray:
@@ -300,7 +277,7 @@ def measure(problem: Problem, seed: int, delta_injection: float = 0.0) -> Measur
 
 def _report(inst: Instance, decay: DecayProfile, cfg: RunConfig) -> PipelineReport:
     """One run on an integrated grid: choose, inject delta, measure, report."""
-    chosen = plan(inst, decay, cfg.T, cfg.epsilon)
+    chosen = choose_parameters(inst, decay, cfg.epsilon)
     di = cfg.delta_injection
     injected = chosen.delta if di == "auto" else float(di)
     outcome = measure(Problem(inst, chosen.params, decay), cfg.seed, injected)
@@ -311,7 +288,7 @@ def _report(inst: Instance, decay: DecayProfile, cfg: RunConfig) -> PipelineRepo
         delta=chosen.delta,
         injected_delta=injected,
         g_grid=decay.g_grid,
-        beta=(np.linalg.norm(inst.x_in) + cfg.T * np.linalg.norm(inst.b)) / decay.q,
+        beta=decay.weight / decay.q,
         success_prob=outcome.success_prob,
         sampled_index=outcome.sampled_index,
         success_flag=outcome.success_flag,

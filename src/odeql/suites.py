@@ -58,10 +58,10 @@ def standard_family(seed: int = 0, N_values=FAMILY_N, kappa_values=FAMILY_KAPPA,
                 inst = generate(spec)
                 T = 0.999 * m / inst.norm_A
                 decay = pipeline.grid(inst, T)
-                chosen = pipeline.plan(inst, decay, T, epsilon)
-                if chosen.params.m != m:
+                if decay.m != m:
                     raise ParameterError(
-                        f"family step-count rule produced m={chosen.params.m}, wanted {m}")
+                        f"family step-count rule produced m={decay.m}, wanted {m}")
+                chosen = pipeline.choose_parameters(inst, decay, epsilon)
                 members.append(analysis.Problem(inst, chosen.params, decay))
     return tuple(members)
 

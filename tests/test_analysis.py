@@ -41,7 +41,7 @@ from odeql.errors import (
 )
 from odeql.instances import GenSpec, generate
 from odeql.numerics import make_instance, reference_trajectory
-from odeql.pipeline import RunConfig, choose_parameters, run
+from odeql.pipeline import RunConfig, choose_parameters, grid, run
 from odeql.solver import BlockSolution, block_solve, forward_substitute, generic_solve
 from odeql.suites import standard_family
 
@@ -276,12 +276,9 @@ def test_inverse_norm_and_condition_bounds_at_large_kappa(N, kappa, m):
     inst = generate(GenSpec(N=N, kappa_V=kappa, b_mode="random", seed=0,
                             unit_norm=True))
     normA = float(np.linalg.norm(inst.A.toarray(), 2))
-    T = 0.999 * m / normA
-    decay = decay_profile(inst, T, m)
-    params = choose_parameters(T, normA, 1e-3, decay.g_grid, inst.kappa_V,
-                               float(np.linalg.norm(inst.x_in)),
-                               float(np.linalg.norm(inst.b)), decay.q).params
-    assert params.m == m
+    decay = grid(inst, 0.999 * m / normA)
+    assert decay.m == m
+    params = choose_parameters(inst, decay, 1e-3).params
     large = Problem(inst, params, decay)
     for report in (inverse_norm_bound(large), condition_number_bound(large)):
         assert report.passed, report.to_json_dict()
@@ -522,17 +519,16 @@ class TestProblem:
     def test_theorems_2_and_3_read_one_weight(self):
         inst = generate(GenSpec(N=3, kappa_V=2.0, b_mode="random", seed=5, unit_norm=True))
         member = problem(inst, TaylorParams(m=2, k=9, p=2, h=0.5))
-        assert member.weight == float(np.linalg.norm(inst.x_in)
-                                      + 2 * 0.5 * np.linalg.norm(inst.b))
+        assert member.decay.weight == float(np.linalg.norm(inst.x_in)
+                                            + 2 * 0.5 * np.linalg.norm(inst.b))
         assert solution_error_report(member).passed
         assert success_probability_report(member).passed
-        # both checkers read the cached value, not their own copy of the formula
-        vars(member)["weight"] = 0.0
+        # both checkers read the profile's value, not their own copy of the formula
+        reweighted = lambda w: replace(member, decay=replace(member.decay, weight=w))
         with pytest.raises(DegenerateInputError):
-            solution_error_report(member)
-        vars(member)["weight"] = 1e300
+            solution_error_report(reweighted(0.0))
         with pytest.raises(HypothesisError, match=r"\(k\+1\)! < 70"):
-            success_probability_report(member)
+            success_probability_report(reweighted(1e300))
 
     @pytest.mark.parametrize("check", [inverse_norm_bound, condition_number_bound,
                                        solution_error_report, success_probability_report])

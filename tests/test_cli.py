@@ -164,6 +164,23 @@ def test_solve_from_files_takes_no_condition_number(monkeypatch, tmp_path):
     assert (tmp_path / "out" / "solution.txt").exists()
 
 
+def test_solve_from_files_with_measured_kappa_below_1(tmp_path):
+    # a normal A: eig's V is unitary up to rounding, and |V||V^-1| measures
+    # 0.9999999999999997 here, which make_instance records as 1
+    rng = np.random.default_rng(11)
+    N = int(rng.integers(2, 9))
+    Q, _ = np.linalg.qr(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
+    from odeql.fileio import save_matrix
+    save_matrix(tmp_path / "A.mtx", (Q * -rng.uniform(0, 1, N)) @ Q.conj().T)
+    save_vector(tmp_path / "x.txt", np.ones(N, dtype=complex))
+    save_vector(tmp_path / "b.txt", np.zeros(N, dtype=complex))
+    code = main(["solve", "--matrix", str(tmp_path / "A.mtx"),
+                 "--x-in", str(tmp_path / "x.txt"), "--b", str(tmp_path / "b.txt"),
+                 "--T", "1", "--epsilon", "1e-3", "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert (tmp_path / "out" / "solution.txt").exists()
+
+
 def test_zero_V_instance_exits_2(tmp_path, capsys):
     # an all-zero V.mtx at N >= 256 (the Lanczos branch of the norm) is a
     # one-line error, not an ARPACK traceback
@@ -499,6 +516,42 @@ def test_one_spelling_per_input(argv, message, tmp_path, monkeypatch, capsys):
     assert captured.err.startswith(message)
     assert captured.err.count("\n") == 1 and captured.out == ""
     assert not any(tmp_path.iterdir())
+
+
+SOURCE_ERROR = "error: give exactly one of --instance or --matrix/--x-in/--b, in full\n"
+LAYOUT_ERROR = "error: give exactly one of --m/--k/--p/--h or --T/--epsilon, in full\n"
+LAYOUT = ["--m", "1", "--k", "5", "--p", "1", "--h", "0.5"]
+# encode/solve flags (paths relative to tmp_path) -> the one error line
+ONE_SOURCE_ONE_LAYOUT = {
+    "instance-and-matrix": (["--instance", "inst", "--matrix", "A.mtx"] + LAYOUT, SOURCE_ERROR),
+    "instance-and-x-in": (["--instance", "inst", "--x-in", "x.txt"] + LAYOUT, SOURCE_ERROR),
+    "instance-and-b": (["--instance", "inst", "--b", "b.txt"] + LAYOUT, SOURCE_ERROR),
+    "no-source": (LAYOUT, SOURCE_ERROR),
+    "matrix-without-x-in": (["--matrix", "A.mtx", "--b", "b.txt"] + LAYOUT, SOURCE_ERROR),
+    "both-layouts": (["--instance", "inst", "--T", "3", "--epsilon", "1e-3"] + LAYOUT,
+                     LAYOUT_ERROR),
+}
+
+
+@pytest.mark.parametrize("command", ["encode", "solve"])
+@pytest.mark.parametrize("flags, message", ONE_SOURCE_ONE_LAYOUT.values(),
+                         ids=ONE_SOURCE_ONE_LAYOUT)
+def test_one_source_and_one_layout(command, flags, message, instance_dir, tmp_path,
+                                   monkeypatch, capsys):
+    # each input of encode and solve is given one way, in full: a second
+    # spelling is refused, never silently dropped
+    from odeql.fileio import save_matrix
+    inst = load_instance(instance_dir)
+    save_matrix(tmp_path / "A.mtx", inst.A)
+    save_vector(tmp_path / "x.txt", inst.x_in)
+    save_vector(tmp_path / "b.txt", inst.b)
+    monkeypatch.chdir(tmp_path)
+    outputs = (["--out-matrix", "C.mtx", "--out-rhs", "rhs.txt"] if command == "encode"
+               else ["--out-dir", "sol"])
+    assert main([command] + flags + outputs) == 2
+    captured = capsys.readouterr()
+    assert captured.err == message and captured.out == ""
+    assert not any((tmp_path / name).exists() for name in ("C.mtx", "rhs.txt", "sol"))
 
 
 def _readme_commands():

@@ -104,20 +104,33 @@ def _path(files, name):
 
 @st.composite
 def problem_flags(draw, files):
-    if draw(st.booleans()):
-        return ["--instance", str(files["inst"])]
-    return ["--matrix", _path(files, draw(MATRICES)),
-            "--x-in", _path(files, draw(_mostly(["x"], BAD_VECTORS))),
-            "--b", _path(files, draw(_mostly(["b"], BAD_VECTORS)))]
+    """Problem-source flags, and whether they name exactly one source: now and
+    then both sources (the instance with some file flags) or none."""
+    instance = ["--instance", str(files["inst"])]
+    raw = [["--matrix", _path(files, draw(MATRICES))],
+           ["--x-in", _path(files, draw(_mostly(["x"], BAD_VECTORS)))],
+           ["--b", _path(files, draw(_mostly(["b"], BAD_VECTORS)))]]
+    source = draw(_mostly(["instance", "files"], ["both", "none"]))
+    if source == "both":
+        raw = [raw[i] for i in sorted(draw(st.sets(st.sampled_from(range(3)), min_size=1)))]
+    flags = {"instance": instance, "files": sum(raw, []), "both": instance + sum(raw, []),
+             "none": []}[source]
+    return flags, source in ("instance", "files")
 
 
 @st.composite
 def params_flags(draw, files):
-    flags = ([("--m", SIZES), ("--k", SIZES), ("--p", SIZES), ("--h", STEPS)]
-             if draw(st.booleans()) else [("--T", TIMES), ("--epsilon", EPSILONS)])
+    """Layout flags, and whether they use one spelling: now and then both."""
+    explicit = [("--m", SIZES), ("--k", SIZES), ("--p", SIZES), ("--h", STEPS)]
+    target = [("--T", TIMES), ("--epsilon", EPSILONS)]
+    spelling = draw(_mostly(["explicit", "target"], ["both"]))
+    flags = {"explicit": explicit, "target": target, "both": explicit + target}[spelling]
     # --flag=value, so that a value such as -1 is not read as a flag; now
     # and then a flag is missing
-    return [f"{flag}={draw(values)}" for flag, values in flags if draw(st.integers(0, 7))]
+    kept = [(flag, values) for flag, values in flags if draw(st.integers(0, 7))]
+    given = {flag for flag, _ in kept}
+    mixed = given & {flag for flag, _ in explicit} and given & {flag for flag, _ in target}
+    return [f"{flag}={draw(values)}" for flag, values in kept], not mixed
 
 
 def _outcome(argv):
@@ -131,9 +144,10 @@ def _outcome(argv):
     return code, err.getvalue()
 
 
-def _assert_clean(argv):
+def _assert_clean(argv, usage_error=False):
+    """Exit 0, 1 or 2 with no traceback, and 2 with one line; only 2 on a usage error."""
     code, err = _outcome(argv)
-    assert code in (0, 1, 2), (argv, code, err)
+    assert code in ((2,) if usage_error else (0, 1, 2)), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
     if code == 2:
         assert err.startswith("error:") and err.count("\n") == 1, (argv, err)
@@ -146,8 +160,10 @@ def test_encode_and_solve_survive_hostile_input(files, data):
     out = files["out"]
     outputs = (["--out-matrix", str(out / "C.mtx"), "--out-rhs", str(out / "rhs.txt")]
                if command == "encode" else ["--out-dir", str(out / "solve")])
-    _assert_clean([command] + data.draw(problem_flags(files))
-                  + data.draw(params_flags(files)) + outputs)
+    source, one_source = data.draw(problem_flags(files))
+    layout, one_layout = data.draw(params_flags(files))
+    _assert_clean([command] + source + layout + outputs,
+                  usage_error=not (one_source and one_layout))
 
 
 @settings(max_examples=40, deadline=None)

@@ -474,3 +474,10 @@ class TestConditionMeasurement:
         inst = make_instance(V, eigenvalues, np.zeros(N), np.ones(N), V_inv=V_inv)
         assert inst.kappa_V == pytest.approx(80.0, rel=1e-12, abs=0)
         assert len(lanczos_calls) == (2 if N >= DENSE_CUTOFF else 0)
+
+    def test_a_measured_kappa_never_falls_below_1(self):
+        # |V||V_inv| >= |V V_inv| = 1: a product rounded below 1 is recorded as 1
+        V_inv = np.eye(2) * np.nextafter(1.0, 0.0)
+        assert numerics.norm2(np.eye(2)) * numerics.norm2(V_inv) < 1.0
+        inst = make_instance(np.eye(2), [-1.0, -0.5], np.zeros(2), np.ones(2), V_inv=V_inv)
+        assert inst.kappa_V == 1.0

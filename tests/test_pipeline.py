@@ -2,6 +2,7 @@
 
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,52 +55,59 @@ def test_bools_are_not_numbers(build, kwargs, field):
         build(**kwargs)
 
 
+# kappa_V = |A| = 1 and a norm-preserving flow, so its grid at T = 1 has
+# g = q = weight = 1: the base that each case replaces
+UNIT_SCALAR = make_instance(np.eye(1), [1j], np.zeros(1), np.ones(1))
+
+
+def unit_profile(m=1, **scales):
+    """UNIT_SCALAR's decay profile with m steps and the given scales replaced."""
+    return replace(decay_profile(UNIT_SCALAR, T=1.0, m=1),
+                   states=np.zeros((m + 1, 1)), **scales)
+
+
 class TestChooseParameters:
     def test_ceiling_arithmetic(self):
-        # T ||A|| = 3.2 -> m = p = 4, h = T/4
-        chosen = choose_parameters(T=3.2, normA=1.0, epsilon=0.1, g=1.0,
-                                   kappa_V=1.0, x_in_norm=1.0, b_norm=0.0,
-                                   xT_norm=1.0)
+        # T ||A|| = 3.2 -> m = p = 4, h = T/4, all read from the grid
+        decay = pipeline.grid(UNIT_SCALAR, 3.2)
+        chosen = choose_parameters(UNIT_SCALAR, decay, 0.1)
+        assert decay.m == 4
         assert chosen.params.m == 4
         assert chosen.params.p == 4
         assert chosen.params.h == pytest.approx(0.8)
 
+    def test_layout_is_the_grids(self):
+        chosen = choose_parameters(UNIT_SCALAR, unit_profile(m=3, h=0.25, q=0.1), 0.1)
+        assert (chosen.params.m, chosen.params.p, chosen.params.h) == (3, 3, 0.25)
+
     def test_omega_70_selects_k5(self):
         # weight/(eps q) = 1 and the remaining factors 1 give Omega = 70.
-        chosen = choose_parameters(T=1.0, normA=0.5, epsilon=0.5, g=1.0,
-                                   kappa_V=1.0, x_in_norm=1.0, b_norm=0.0,
-                                   xT_norm=2.0)
+        chosen = choose_parameters(UNIT_SCALAR, unit_profile(q=2.0, weight=1.0), 0.5)
         assert chosen.log_omega == pytest.approx(math.log(70.0))
         # the closed form gives floor(2 ln 70 / ln ln 70) = 5, and 6! = 720 >= 70
         assert chosen.params.k == 5
 
     def test_omega_1e6_selects_k10(self):
-        chosen = choose_parameters(T=1.0, normA=0.5, epsilon=0.5, g=1.0,
-                                   kappa_V=1.0, x_in_norm=1.0, b_norm=0.0,
-                                   xT_norm=1.4e-4)
+        chosen = choose_parameters(UNIT_SCALAR, unit_profile(q=1.4e-4, weight=1.0), 0.5)
         assert chosen.log_omega == pytest.approx(math.log(1e6), abs=1e-12)
         assert chosen.params.k == 10
         assert math.lgamma(12) >= chosen.log_omega  # 11! >= 1e6
 
     def test_factorial_condition_binding(self):
-        chosen = choose_parameters(T=4.0, normA=2.0, epsilon=1e-8, g=3.0,
-                                   kappa_V=10.0, x_in_norm=1.0, b_norm=1.0,
-                                   xT_norm=0.1)
+        inst = generate(GenSpec(N=2, kappa_V=10.0))
+        decay = replace(decay_profile(inst, T=4.0, m=8), g_grid=3.0, q=0.1, weight=5.0)
+        chosen = choose_parameters(inst, decay, 1e-8)
         assert math.lgamma(chosen.params.k + 2) >= chosen.log_omega
         assert math.lgamma(chosen.params.k + 2) >= math.log(2 * chosen.params.m)
         assert chosen.params.k >= 5
 
     def test_small_omega_rejected(self):
         with pytest.raises(ParameterError, match="70"):
-            choose_parameters(T=1.0, normA=0.5, epsilon=0.5, g=1.0,
-                              kappa_V=1.0, x_in_norm=1.0, b_norm=0.0,
-                              xT_norm=100.0)
+            choose_parameters(UNIT_SCALAR, unit_profile(q=100.0, weight=1.0), 0.5)
 
     def test_epsilon_range(self):
         with pytest.raises(ParameterError):
-            choose_parameters(T=1.0, normA=1.0, epsilon=0.7, g=1.0,
-                              kappa_V=1.0, x_in_norm=1.0, b_norm=0.0,
-                              xT_norm=1.0)
+            choose_parameters(UNIT_SCALAR, unit_profile(), 0.7)
 
     def test_step_count_is_the_papers_rule(self):
         # m = ceil(T ||A||): an exactly integer product takes that many steps
