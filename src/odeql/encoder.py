@@ -21,7 +21,8 @@ No block of a step depends on the step index i, so the matrix is assembled
 directly in compressed sparse row layout from one step template: the k Taylor
 block rows and the collector of step 0 are built once, and step i repeats
 them with every column shifted by i(k+1)N, between the identity block row 0
-and the p copy rows. The structural nonzero count
+and the p copy rows. C is written once, into read-only arrays allocated at
+their final dtype. The structural nonzero count
 
     (d+1) N  +  m k nnz(A)  +  m (k+1) N  +  p N
 
@@ -169,8 +170,9 @@ def unit_lower_factor(C: sp.csr_matrix):
     U = I: no permutation and no fill. ``solve(x)`` applies C^{-1} and
     ``solve(y, trans="H")`` applies C^{-dagger}; C itself is left untouched.
     It pays only for many solves on a small system: at dimension 943k,
-    ``splu`` and one solve took 1.14 s and 650 MiB more peak memory,
-    ``spsolve_triangular`` 0.25 s and 115 MiB (2-vCPU VM, one BLAS thread).
+    ``splu`` and one solve took 1.2-1.4 s and raised peak RSS by 736 MiB,
+    one ``solver.generic_solve`` 0.23-0.29 s and 183 MiB (2-vCPU VM, one
+    BLAS thread).
     """
     _check_triangular(C)
     return splu(C.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
@@ -246,44 +248,56 @@ def build_matrix(A, params: TaylorParams) -> sp.csr_matrix:
 
     Requires |A| h <= 1 (up to a 1e-12 rounding bar); raises ParameterError
     directing the caller to shrink h otherwise. The result is unit lower
-    triangular with sorted column indices and is returned in CSR form.
+    triangular with sorted column indices and is returned in CSR form, its
+    three arrays read-only.
     """
     A = _as_csr(A)
     _require_step_bound(A, params.h)
     N = A.shape[0]
     m, k, p, h = params.m, params.k, params.p, params.h
-    d = params.d
+    dim, step_rows = (params.d + 1) * N, (k + 1) * N
+    step_nnz = k * (A.nnz + N) + (k + 2) * N
+    nnz = N + m * step_nnz + 2 * p * N
+    # scipy's own choice: int32 unless the nnz or the dimension needs int64
+    idx = np.int32 if max(nnz, dim) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.empty(dim + 1, dtype=idx)
+    indices = np.empty(nnz, dtype=idx)
+    data = np.empty(nnz, dtype=complex)
 
-    a_cols, a_ptr = A.indices.astype(np.int64), A.indptr
-    diag_cols = np.arange(N, dtype=np.int64)
-    ones = np.ones(N, dtype=complex)
+    a_cols, a_ptr = A.indices.astype(idx), A.indptr
+    diag_cols = np.arange(N, dtype=idx)
 
     # Step template: block rows 1..k+1 of step 0; step i shifts every column
     # by i(k+1)N. Taylor row j holds -(Ah)/j under block j-1, then the diagonal.
     step_cols, step_vals = [], []
     for j in range(1, k + 1):
         step_cols.append(np.insert(a_cols + (j - 1) * N, a_ptr[1:], j * N + diag_cols))
-        step_vals.append(np.insert(A.data * (-h / j), a_ptr[1:], ones))
+        step_vals.append(np.insert(A.data * (-h / j), a_ptr[1:], 1.0))
     # Collector: -I under all k+1 blocks of the step, then the diagonal.
-    step_cols.append((np.arange(k + 2, dtype=np.int64) * N + diag_cols[:, None]).ravel())
+    step_cols.append((np.arange(k + 2, dtype=idx) * N + diag_cols[:, None]).ravel())
     step_vals.append(np.tile(np.append(np.full(k + 1, -1.0, dtype=complex), 1.0), N))
-    step_cols = np.concatenate(step_cols)
-    step_counts = np.concatenate([np.tile(np.diff(a_ptr) + 1, k), np.full(N, k + 2)])
+    step_ptr = np.cumsum(np.concatenate([np.tile(np.diff(a_ptr) + 1, k), np.full(N, k + 2)]),
+                         dtype=idx)
 
-    # Copy rows: -I on the subdiagonal, then the diagonal.
-    copy_rows = np.arange((d + 1 - p) * N, (d + 1) * N, dtype=np.int64)
-
-    indptr = np.zeros((d + 1) * N + 1, dtype=np.int64)
-    np.cumsum(np.concatenate([np.ones(N, dtype=np.int64), np.tile(step_counts, m),
-                              np.full(p * N, 2)]), out=indptr[1:])
-    indices = np.concatenate([
-        diag_cols,
-        (step_cols + (k + 1) * N * np.arange(m, dtype=np.int64)[:, None]).ravel(),
-        np.stack([copy_rows - N, copy_rows], axis=1).ravel(),
-    ])
-    data = np.concatenate([ones, np.tile(np.concatenate(step_vals), m),
-                           np.tile(np.array([-1.0, 1.0], dtype=complex), p * N)])
-    return sp.csr_matrix((data, indices, indptr), shape=((d + 1) * N, (d + 1) * N))
+    # Each section is written once, in place: block row 0 (the identity), the
+    # m shifted template copies, then the p copy rows, which hold -I on the
+    # subdiagonal and then the diagonal, from entry `copies` on.
+    copies = N + m * step_nnz
+    indptr[:N + 1] = np.arange(N + 1)
+    np.add(step_ptr, (N + step_nnz * np.arange(m, dtype=idx))[:, None],
+           out=indptr[N + 1:N + 1 + m * step_rows].reshape(m, step_rows))
+    indptr[N + 1 + m * step_rows:] = np.arange(copies + 2, nnz + 1, 2)
+    indices[:N] = diag_cols
+    np.add(np.concatenate(step_cols), (step_rows * np.arange(m, dtype=idx))[:, None],
+           out=indices[N:copies].reshape(m, step_nnz))
+    np.add(np.arange(dim - p * N, dim, dtype=idx)[:, None], np.array([-N, 0], dtype=idx),
+           out=indices[copies:].reshape(p * N, 2))
+    data[:N] = 1.0
+    data[N:copies].reshape(m, step_nnz)[:] = np.concatenate(step_vals)
+    data[copies:].reshape(p * N, 2)[:] = [-1.0, 1.0]
+    for array in (indptr, indices, data):
+        array.flags.writeable = False
+    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 def build_rhs(x_in, b, params: TaylorParams) -> np.ndarray:

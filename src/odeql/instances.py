@@ -152,13 +152,11 @@ def generate(spec: GenSpec) -> Instance:
 
     if spec.sparsity is not None:
         A0 = _sparse_pattern(spec.N, spec.sparsity, rng)
-        dense = A0.toarray()
-        eigvals, V = np.linalg.eig(dense)  # the shift and scale below keep V
+        eigvals, V = np.linalg.eig(A0.toarray())  # the shift and scale below keep V
         shift = float(eigvals.real.max()) + SHIFT_MARGIN
-        dense -= shift * np.eye(spec.N)
+        A = A0 - shift * sp.eye(spec.N, format="csr")
         eigvals -= shift
-        dense, eigvals = _unit_rescale(dense, dense, eigvals)
-        A = sp.csr_matrix(dense)
+        A.data, eigvals = _unit_rescale(A, A.data, eigvals)
         x_in, b = _states(spec, rng)
         label = f"gen(N={spec.N},s={spec.sparsity},seed={spec.seed})"
         return make_instance(V, eigvals, b, x_in, A=A, label=label)

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve_triangular
 
 from .encoder import EncodedSystem, TaylorParams, _as_csr, _check_triangular, build_rhs
@@ -104,10 +105,14 @@ def generic_solve(system: EncodedSystem) -> np.ndarray:
     """Cross-validation path: generic sparse forward substitution (SuperLU)
     on the assembled matrix, once its canonical, unit lower-triangular form
     is proved. SuperLU is told the diagonal is unit, so it skips rescaling
-    by a diagonal of ones; it works on a copy, never on ``system.matrix``."""
+    by a diagonal of ones. scipy overwrites the diagonal values, so it works
+    on a copy of the values that shares C's read-only index arrays; a write
+    to those would raise, and ``system.matrix`` is never changed."""
     C = system.matrix
     _check_triangular(C)
-    return spsolve_triangular(C, system.rhs, lower=True, unit_diagonal=True)
+    values = sp.csr_matrix((C.data.copy(), C.indices, C.indptr), shape=C.shape)
+    return spsolve_triangular(values, system.rhs, lower=True, overwrite_A=True,
+                              unit_diagonal=True)
 
 
 def residual(system: EncodedSystem, x) -> float:

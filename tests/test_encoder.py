@@ -1,6 +1,7 @@
 """Tests for the block matrix construction, layout math and state preparation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from odeql.errors import (
     ParameterError,
 )
 from odeql.analysis import matrix_norm_bounds
-from odeql.instances import random_unitary
+from odeql.instances import GenSpec, generate, random_unitary
 from odeql.numerics import norm2
 from odeql.solver import forward_substitute, generic_solve
 
@@ -201,6 +202,22 @@ class TestBuildMatrix:
         A = sp.csr_matrix((300, 300), dtype=complex)
         system = encode(A, np.ones(300), np.zeros(300), TaylorParams(m=1, k=5, p=1, h=1.0))
         assert system.matrix.nnz == system.expected_nnz
+
+
+def test_assembly_writes_C_once():
+    # the three arrays are allocated at their final dtype and filled in place:
+    # no staged copy of the m step blocks, no index downcast afterwards
+    inst = generate(GenSpec(N=64, sparsity=4, kappa_V=None, seed=3))
+    params = TaylorParams(m=20, k=12, p=20, h=0.999 / norm2(inst.A))
+    tracemalloc.start()
+    try:
+        C = build_matrix(inst.A, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (C.data.dtype, C.indices.dtype, C.indptr.dtype) == (
+        np.complex128, np.int32, np.int32)
+    assert peak <= 1.25 * (C.data.nbytes + C.indices.nbytes + C.indptr.nbytes)
 
 
 def test_duplicate_entries_in_A_are_summed():

@@ -3,6 +3,7 @@
 A name imported into a module of ``src/odeql`` must be used there; the
 package ``__init__`` is exempt, since its imports are the namespace. Each
 exception is listed with its reason, and the list fails when it goes stale.
+No module imports a private part of numpy or scipy.
 """
 
 import ast
@@ -32,6 +33,19 @@ def unused_imports(source: str) -> set:
     return imported - used
 
 
+def private_imports(source: str) -> set:
+    """Dotted paths of imports from numpy or scipy with a private segment
+    (one starting with ``_``), whose API may change without notice."""
+    paths = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            paths.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return {path for path in paths if path.split(".")[0] in ("numpy", "scipy")
+            and any(part.startswith("_") for part in path.split("."))}
+
+
 def _modules():
     return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))
             if path.name != "__init__.py"}
@@ -42,6 +56,21 @@ def test_the_detector_finds_an_unused_import():
               "import math\nimport os.path\nfrom numpy import array as arr, zeros\n"
               "def f(x: arr) -> float:\n    return math.pi + os.sep\n")
     assert unused_imports(source) == {"zeros"}
+
+
+def test_the_detector_finds_a_private_import():
+    source = ("import numpy as np\nimport scipy.sparse._sputils\n"
+              "from scipy.sparse.linalg import spsolve_triangular\n"
+              "from scipy.sparse.linalg._dsolve import _superlu\n"
+              "from numpy import _NoValue\nfrom ._private import x\n")
+    assert private_imports(source) == {
+        "scipy.sparse._sputils", "scipy.sparse.linalg._dsolve._superlu", "numpy._NoValue"}
+
+
+def test_no_private_numpy_or_scipy_module_is_imported():
+    found = {(file.name, path) for file in PACKAGE.glob("*.py")
+             for path in private_imports(file.read_text())}
+    assert found == set()
 
 
 def test_every_import_is_used():

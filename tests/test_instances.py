@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from odeql import instances
 from odeql.errors import ParameterError
 from odeql.instances import KAPPA_V_MAX, GenSpec, generate, random_unitary
 from odeql.numerics import spectral_norm
@@ -84,6 +86,15 @@ class TestSparseMode:
         # kappa_V is measured, not prescribed
         measured = (np.linalg.norm(inst.V, 2) * np.linalg.norm(inst.V_inv, 2))
         assert inst.kappa_V == pytest.approx(measured, rel=1e-9)
+
+    def test_rescale_measures_the_sparse_matrix(self, monkeypatch):
+        # the power iteration runs on A's stored entries, never a dense copy
+        seen, real = [], instances.spectral_norm
+        monkeypatch.setattr(instances, "spectral_norm",
+                            lambda M, **kw: seen.append(M) or real(M, **kw))
+        inst = generate(GenSpec(N=40, kappa_V=None, sparsity=3, seed=5))
+        assert len(seen) == 1 and sp.issparse(seen[0])
+        assert sp.issparse(inst.A) and inst.A.nnz == seen[0].nnz
 
     def test_exclusive_modes(self):
         with pytest.raises(ParameterError, match="mutually exclusive"):

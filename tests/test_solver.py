@@ -292,6 +292,10 @@ def test_any_layout_cross_validates(m, k, p, N, seed):
     assert np.array_equal(generic, spsolve_triangular(C, system.rhs, lower=True))
     for old, new in zip(before, (C.data, C.indices, C.indptr)):
         assert np.array_equal(old, new)
+        # C is frozen: a write into any of its arrays raises
+        assert not new.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            new[0] = new[0]
     scale = np.linalg.norm(generic)
     assert np.linalg.norm(direct - generic) <= 1e-12 * scale
     assert residual(system, direct) <= 1e-12
