@@ -415,8 +415,6 @@ def solution_error_report(problem: Problem) -> BoundReport:
 
     m = params.m
     weight = problem.decay.weight
-    if weight == 0.0:
-        raise DegenerateInputError("x_in and b both vanish; the bound degenerates")
     log_scale = math.log(2.8 * inst.kappa_V * weight) - math.lgamma(params.k + 2)
 
     errors = np.linalg.norm(problem.decay.states - problem.solution.step_states(), axis=1)

@@ -82,6 +82,9 @@ def _parse_gen_inline(text: str) -> GenSpec:
         kwargs["unit_norm"] = unit in _TRUE
     if fields:
         raise OdeqlError(f"unknown generation keys: {sorted(fields)}")
+    if "sparsity" in kwargs and kwargs.get("unit_norm") is False:
+        raise OdeqlError("sparse mode always rescales to ||A|| <= 1; unit=0 applies "
+                         "to dense mode only")
     kwargs.setdefault("unit_norm", True)
     return GenSpec(**kwargs)
 
@@ -178,23 +181,22 @@ def _cmd_solve(args, argv) -> int:
     sol = forward_substitute(A, params, x_in, b)
     rel = residual(system, sol.vector())
 
+    # every requested vector is resolved before anything is written, so a
+    # block outside the layout leaves no output directory behind
+    vectors = []
+    for spec in args.block or ():
+        i, j = (int(s) for s in spec.split(","))
+        vectors.append((f"block_{i}_{j}.txt", sol.block(i, j)))
+    if args.history:
+        vectors += [(f"step_{i:04d}.txt", state) for i, state in enumerate(sol.step_states())]
+    if not vectors:
+        vectors.append(("solution.txt", sol.vector()))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    if args.block:
-        for spec in args.block:
-            i, j = (int(s) for s in spec.split(","))
-            path = out_dir / f"block_{i}_{j}.txt"
-            fileio.save_vector(path, sol.block(i, j))
-            written.append(str(path))
-    if args.history:
-        for i, state in enumerate(sol.step_states()):
-            path = out_dir / f"step_{i:04d}.txt"
-            fileio.save_vector(path, state)
-            written.append(str(path))
-    if not written:
-        path = out_dir / "solution.txt"
-        fileio.save_vector(path, sol.vector())
+    for name, vector in vectors:
+        path = out_dir / name
+        fileio.save_vector(path, vector)
         written.append(str(path))
 
     _write_report(args.report, {

@@ -43,10 +43,13 @@ KAPPA_V_MAX = 1e10
 class GenSpec:
     """Recipe for one test problem.
 
-    kappa_V prescribes the exact condition number of V, in [1, KAPPA_V_MAX]
-    (dense mode only); sparsity switches to the measured-kappa sparse mode.
-    b_mode selects a zero or random unit-norm inhomogeneity. unit_norm
-    rescales the eigenvalues so that ||A|| <= 1.
+    kappa_V prescribes the exact condition number of V, in [1, KAPPA_V_MAX];
+    eig_profile and eig_value pick the eigenvalues, and unit_norm rescales
+    them so that ||A|| <= 1. These four apply to dense mode only: sparsity
+    switches to the sparse mode, which measures kappa_V, draws its own
+    spectrum and always rescales to ||A|| <= 1, so it takes kappa_V=None and
+    refuses an eig_profile or eig_value. b_mode selects a zero or random
+    unit-norm inhomogeneity.
     """
 
     N: int
@@ -81,6 +84,13 @@ class GenSpec:
                     "sparse mode measures kappa_V instead of prescribing it; "
                     "set kappa_V=None when sparsity is given (the two modes are "
                     "mutually exclusive)")
+            dense_only = [name for name, given in (
+                ("eig_profile", self.eig_profile != "uniform-half-disk"),
+                ("eig_value", self.eig_value is not None)) if given]
+            if dense_only:
+                raise ParameterError(
+                    "sparse mode draws its own spectrum; dense-mode fields given: "
+                    + ", ".join(dense_only))
         else:
             if self.kappa_V is None or not 1.0 <= self.kappa_V <= KAPPA_V_MAX:
                 raise ParameterError(f"kappa_V must lie in [1, KAPPA_V_MAX = "

@@ -1,17 +1,17 @@
 """Named verification suites over standard instance families.
 
-Each suite runs the matching checker from :mod:`odeql.analysis` over seeded
-test problems satisfying the relevant hypotheses, and folds the outcomes
-into one JSON-ready report of one shape: one merged BoundReport per bound,
-and the largest of their ratios as the suite's worst_ratio. The five family
-suites (lemma2, lemma3, thm1, thm2, thm3) take one family of
-:class:`~odeql.analysis.Problem` members built by :func:`standard_family`,
-which follows a fixed recipe: dimensions {1, 2, 4, 8, 16}, condition numbers
-{1, 3, 10}, eigenvalues in the closed left half-disk, homogeneous and
-inhomogeneous right-hand sides, m = p in {1, 2, 4, 8}, and the truncation
-order chosen by the same rule the end-to-end driver uses (clipped to k >= 5). A member encodes and solves its
-problem once each, on first use, and its system measures ||C|| and
-||C^{-1}|| once each: lemma3, lemma2 and thm1 share one system and its
+:func:`run_suite` runs a suite from one of two tables and folds its
+BoundReports into one JSON-ready report of one shape: suite, instances,
+worst_ratio, reports (one merged BoundReport per bound) and passed.
+TRIAL_SUITES (taylor, lemma1, appendixB) draw their samples from a trial
+count and a seed. FAMILY_SUITES (lemma2, lemma3, thm1, thm2, thm3) run one
+checker on each member of :func:`standard_family`, which follows a fixed
+recipe: dimensions {1, 2, 4, 8, 16}, condition numbers {1, 3, 10},
+eigenvalues in the closed left half-disk, homogeneous and inhomogeneous
+right-hand sides, m = p in {1, 2, 4, 8}, and the layout that
+pipeline.choose_parameters picks at FAMILY_EPSILON. A member encodes and
+solves its problem once each, on first use, and its system measures ||C||
+and ||C^{-1}|| once each: lemma3, lemma2 and thm1 share one system and its
 norms, thm2 and thm3 one solution.
 """
 
@@ -21,14 +21,14 @@ import numpy as np
 
 from . import analysis, pipeline
 from .encoder import TaylorParams
-from .errors import HypothesisError, ParameterError
+from .errors import ParameterError
 from .instances import GenSpec, generate
 from .taylor import BOUNDARY_CASES, half_disk_samples
 
 SUITE_NAMES = ("taylor", "lemma1", "lemma2", "lemma3", "thm1", "thm2", "thm3",
                "appendixB", "all")
-# The suites that draw a trial count; the others sweep the fixed standard family.
-TRIAL_SUITES = ("taylor", "lemma1", "appendixB")
+# The (m, p) box of lemma1: m and p each in 1..8.
+LEMMA1_MP = tuple(range(1, 9))
 
 FAMILY_N = (1, 2, 4, 8, 16)
 FAMILY_KAPPA = (1.0, 3.0, 10.0)
@@ -37,7 +37,7 @@ FAMILY_EPSILON = 1e-3
 
 
 def standard_family(seed: int = 0, N_values=FAMILY_N, kappa_values=FAMILY_KAPPA,
-                    m_values=FAMILY_M, epsilon: float = FAMILY_EPSILON):
+                    m_values=FAMILY_M):
     """Return the tuple of analysis.Problem members covering the standard box.
 
     Each member is generated, and its ODE integrated on its step grid, once
@@ -61,7 +61,7 @@ def standard_family(seed: int = 0, N_values=FAMILY_N, kappa_values=FAMILY_KAPPA,
                 if decay.m != m:
                     raise ParameterError(
                         f"family step-count rule produced m={decay.m}, wanted {m}")
-                chosen = pipeline.choose_parameters(inst, decay, epsilon)
+                chosen = pipeline.choose_parameters(inst, decay, FAMILY_EPSILON)
                 members.append(analysis.Problem(inst, chosen.params, decay))
     return tuple(members)
 
@@ -81,57 +81,32 @@ def _suite_from_reports(name: str, reports) -> dict:
     }
 
 
-def taylor_suite(trials: int = 1000, seed: int = 0) -> dict:
-    return _suite_from_reports("taylor", analysis.verify_remainder_bounds(trials, (5, 20), seed))
-
-
-def lemma1_suite(trials: int = 4, seed: int = 0,
-                 mp_values=tuple(range(1, 9))) -> dict:
+def _lemma1_reports(trials: int, seed: int) -> list:
     """Scalar inverse-column bounds over a lambda grid and the (m, p) box:
     one block solve per layout covers the whole grid."""
     if trials < 0:
         raise ParameterError(f"need a non-negative trial count, got {trials}")
     lam_grid = np.concatenate([np.array(BOUNDARY_CASES + (-0.5,), dtype=complex),
                                half_disk_samples(trials, seed)])
-    out = _suite_from_reports("lemma1", [
-        analysis.scalar_inverse_columns(lam_grid, TaylorParams(m=m, k=k, p=p, h=1.0))
-        for m in mp_values for p in mp_values for k in (5, 7)])
-    out["lambda_grid_size"] = lam_grid.size
-    return out
+    return [analysis.scalar_inverse_columns(lam_grid, TaylorParams(m=m, k=k, p=p, h=1.0))
+            for m in LEMMA1_MP for p in LEMMA1_MP for k in (5, 7)]
 
 
-def lemma3_suite(family) -> dict:
-    return _suite_from_reports(
-        "lemma3", [analysis.matrix_norm_bounds(p.system) for p in family])
-
-
-def lemma2_suite(family) -> dict:
-    return _suite_from_reports("lemma2", [analysis.inverse_norm_bound(p) for p in family])
-
-
-def thm1_suite(family) -> dict:
-    return _suite_from_reports("thm1", [analysis.condition_number_bound(p) for p in family])
-
-
-def thm2_suite(family) -> dict:
-    return _suite_from_reports("thm2", [analysis.solution_error_report(p) for p in family])
-
-
-def thm3_suite(family) -> dict:
-    reports = []
-    skipped = 0
-    for problem in family:
-        try:
-            reports.append(analysis.success_probability_report(problem))
-        except HypothesisError:
-            skipped += 1
-    out = _suite_from_reports("thm3", reports)
-    out["not_claimed"] = skipped
-    return out
-
-
-def appendix_b_suite(trials: int = 10_000, seed: int = 0) -> dict:
-    return _suite_from_reports("appendixB", analysis.state_distance_checks(trials, seed))
+# name -> (default trial count, reports(trials, seed)), sampled from the seed.
+TRIAL_SUITES = {
+    "taylor": (1000, lambda trials, seed:
+               analysis.verify_remainder_bounds(trials, (5, 20), seed)),
+    "lemma1": (4, _lemma1_reports),
+    "appendixB": (10_000, analysis.state_distance_checks),
+}
+# name -> the checker run on each member of standard_family(seed).
+FAMILY_SUITES = {
+    "lemma2": analysis.inverse_norm_bound,
+    "lemma3": lambda problem: analysis.matrix_norm_bounds(problem.system),
+    "thm1": analysis.condition_number_bound,
+    "thm2": analysis.solution_error_report,
+    "thm3": analysis.success_probability_report,
+}
 
 
 def run_suite(name: str, trials: int | None = None, seed: int = 0) -> dict:
@@ -142,25 +117,22 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0) -> dict:
     """
     if name not in SUITE_NAMES:
         raise ParameterError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if trials is not None and name not in TRIAL_SUITES + ("all",):
+    if trials is not None and name not in (*TRIAL_SUITES, "all"):
         raise ParameterError(f"suite {name!r} sweeps the fixed standard family and "
                              f"takes no trial count; only {', '.join(TRIAL_SUITES)} "
                              "and all do")
-    trial_suites = {"taylor": taylor_suite, "lemma1": lemma1_suite,
-                    "appendixB": appendix_b_suite}
-    if name in trial_suites:
-        suite = trial_suites[name]
-        return suite(seed=seed) if trials is None else suite(trials, seed)
-    family = standard_family(seed)
-    family_suites = {"lemma2": lemma2_suite, "lemma3": lemma3_suite,
-                     "thm1": thm1_suite, "thm2": thm2_suite, "thm3": thm3_suite}
-    if name in family_suites:
-        return family_suites[name](family)
-    results = {
-        sub: family_suites[sub](family) if sub in family_suites
-        else run_suite(sub, trials, seed)
-        for sub in SUITE_NAMES if sub != "all"
-    }
+    names = SUITE_NAMES[:-1] if name == "all" else (name,)
+    family = () if name in TRIAL_SUITES else standard_family(seed)
+    results = {}
+    for sub in names:
+        if sub in TRIAL_SUITES:
+            default, reports = TRIAL_SUITES[sub]
+            found = reports(default if trials is None else trials, seed)
+        else:
+            found = [FAMILY_SUITES[sub](problem) for problem in family]
+        results[sub] = _suite_from_reports(sub, found)
+    if name != "all":
+        return results[name]
     return {
         "suite": "all",
         "suites": results,

@@ -100,17 +100,16 @@ def test_criterion_3_taylor_suite():
 
 def test_criterion_4_inverse_columns():
     """Scalar inverse-column norms over the lambda grid and (m,p) box."""
-    report = suites.lemma1_suite(trials=8, seed=7)
+    report = suites.run_suite("lemma1", trials=8, seed=7)
     verdict(4, "inverse-column norm and entry bounds",
             report["passed"], f"worst ratio {report['worst_ratio']:.3f}")
 
 
 def test_criterion_5_norm_bounds():
     """Matrix norm, inverse norm and condition number on the family."""
-    family = suites.standard_family(seed=10)
-    lem3 = suites.lemma3_suite(family)
-    lem2 = suites.lemma2_suite(family)
-    thm1 = suites.thm1_suite(family)
+    # "all" builds one family and measures ||C|| and ||C^-1|| once per member
+    report = suites.run_suite("all", trials=1, seed=10)["suites"]
+    lem3, lem2, thm1 = report["lemma3"], report["lemma2"], report["thm1"]
     passed = lem3["passed"] and lem2["passed"] and thm1["passed"]
     detail = (f"|C| ratio {lem3['worst_ratio']:.3f}, "
               f"|C^-1| ratio {lem2['worst_ratio']:.3f}, "
@@ -120,7 +119,7 @@ def test_criterion_5_norm_bounds():
 
 def test_criterion_6_solution_error():
     """Per-step error bound on the family plus the frozen scalar case."""
-    family = suites.thm2_suite(suites.standard_family(seed=11))
+    family = suites.run_suite("thm2", seed=11)
 
     inst = make_instance(np.eye(1), [-1.0], np.zeros(1), np.ones(1),
                          label="scalar")

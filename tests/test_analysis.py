@@ -525,8 +525,7 @@ class TestProblem:
         assert success_probability_report(member).passed
         # both checkers read the profile's value, not their own copy of the formula
         reweighted = lambda w: replace(member, decay=replace(member.decay, weight=w))
-        with pytest.raises(DegenerateInputError):
-            solution_error_report(reweighted(0.0))
+        assert not solution_error_report(reweighted(1e-300)).passed
         with pytest.raises(HypothesisError, match=r"\(k\+1\)! < 70"):
             success_probability_report(reweighted(1e300))
 
@@ -558,6 +557,10 @@ class TestDecayProfile:
         inst = make_instance(np.eye(1), [-1.0], np.zeros(1), np.full(1, 1e-200))
         with pytest.raises(DegenerateInputError):
             decay_profile(inst, T=500.0, m=2)
+        # x_in = b = 0: x(t) vanishes everywhere
+        inst = make_instance(np.eye(2), [-1.0, -0.5], np.zeros(2), np.zeros(2))
+        with pytest.raises(DegenerateInputError, match="vanishes"):
+            decay_profile(inst, T=1.0, m=2)
 
 
 class TestStateDistance:

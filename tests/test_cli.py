@@ -272,6 +272,23 @@ def test_kappa_in_sparse_mode_exits_2(command, tmp_path, capsys):
     assert not out.exists()
 
 
+SPECTRUM_ERROR = "error: sparse mode draws its own spectrum; dense-mode fields given: "
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("N=8,s=2,eig=-0.5", SPECTRUM_ERROR + "eig_profile, eig_value\n"),
+    ("N=8,s=2,profile=boundary", SPECTRUM_ERROR + "eig_profile\n"),
+    ("N=8,s=2,unit=0",
+     "error: sparse mode always rescales to ||A|| <= 1; unit=0 applies to dense mode only\n")],
+    ids=["eig", "profile", "unit"])
+def test_dense_only_keys_in_sparse_mode_exit_2(spec, message, tmp_path, capsys):
+    # a key that sparse mode would ignore is refused, not silently dropped
+    out = tmp_path / "inst"
+    assert main(["gen", "--gen", spec, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_bad_odeql_seed_exits_2(monkeypatch, tmp_path, capsys):
     # read when the parser is built, not at import, and parsed like --seed
     monkeypatch.setenv("ODEQL_SEED", "abc")
@@ -531,20 +548,50 @@ ONE_SOURCE_ONE_LAYOUT = {
     "both-layouts": (["--instance", "inst", "--T", "3", "--epsilon", "1e-3"] + LAYOUT,
                      LAYOUT_ERROR),
 }
+FILES = ["--x-in", "x.txt", "--b", "b.txt"]
+TARGET = ["--T", "1", "--epsilon", "1e-3"]
+T_ERROR = "error: T must be positive and finite, got "
+# inputs given one way but unusable -> the one error line; --block is solve's only
+INPUT_GUARDS = {
+    "block-outside-layout": (["--instance", "inst", "--m", "2", "--k", "5", "--p", "2",
+                              "--h", "0.5", "--block", "9,0"],
+                             "error: step index 9 outside 0..2\n"),
+    "non-square-matrix": (["--matrix", "wide.mtx"] + FILES + LAYOUT,
+                          "error: A must be square, got shape (3, 2)\n"),
+    "nan-diagonal": (["--matrix", "nan.mtx"] + FILES + LAYOUT,
+                     "error: A contains non-finite entries\n"),
+    "zero-T": (["--instance", "inst", "--T=0", "--epsilon", "1e-3"], T_ERROR + "0.0\n"),
+    "negative-T": (["--instance", "inst", "--T=-1", "--epsilon", "1e-3"], T_ERROR + "-1.0\n"),
+    "nan-T": (["--instance", "inst", "--T=nan", "--epsilon", "1e-3"], T_ERROR + "nan\n"),
+    "zero-matrix": (["--matrix", "zero.mtx"] + FILES + TARGET,
+                    "error: ||A|| must be positive and finite, got 0.0\n"),
+    "one-column-x-in": (["--matrix", "A.mtx", "--x-in", "x1.txt", "--b", "b.txt"] + LAYOUT,
+                        "error: x1.txt: expected two columns (re, im), got 1\n"),
+    "short-x-in": (["--matrix", "A.mtx", "--x-in", "x2.txt", "--b", "b.txt"] + TARGET,
+                   "error: V, eigenvalues, b and x_in must share one dimension\n"),
+}
+USAGE_ERRORS = [pytest.param(command, flags, message, id=f"{case}-{command}")
+                for case, (flags, message) in {**ONE_SOURCE_ONE_LAYOUT, **INPUT_GUARDS}.items()
+                for command in ("encode", "solve")
+                if command == "solve" or "--block" not in flags]
 
 
-@pytest.mark.parametrize("command", ["encode", "solve"])
-@pytest.mark.parametrize("flags, message", ONE_SOURCE_ONE_LAYOUT.values(),
-                         ids=ONE_SOURCE_ONE_LAYOUT)
+@pytest.mark.parametrize("command, flags, message", USAGE_ERRORS)
 def test_one_source_and_one_layout(command, flags, message, instance_dir, tmp_path,
                                    monkeypatch, capsys):
     # each input of encode and solve is given one way, in full: a second
-    # spelling is refused, never silently dropped
+    # spelling is refused, never silently dropped; an input given one way
+    # but unusable is refused too; either way nothing is written
     from odeql.fileio import save_matrix
     inst = load_instance(instance_dir)
     save_matrix(tmp_path / "A.mtx", inst.A)
     save_vector(tmp_path / "x.txt", inst.x_in)
     save_vector(tmp_path / "b.txt", inst.b)
+    save_matrix(tmp_path / "wide.mtx", np.ones((3, 2)))
+    save_matrix(tmp_path / "nan.mtx", np.diag([-0.5, np.nan, -0.5]))
+    save_matrix(tmp_path / "zero.mtx", np.zeros((3, 3)))
+    (tmp_path / "x1.txt").write_text("1\n0\n0\n")
+    save_vector(tmp_path / "x2.txt", inst.x_in[:2])
     monkeypatch.chdir(tmp_path)
     outputs = (["--out-matrix", "C.mtx", "--out-rhs", "rhs.txt"] if command == "encode"
                else ["--out-dir", "sol"])

@@ -46,7 +46,8 @@ GEN_SPECS = _mostly(
      "N=2,eig=-0.5+0.5j", "N=8,kappa=10,profile=pure-imaginary"],
     ["foo=1", "N=0", "N=1.5", "kappa=nan", "kappa=1e12", "eig=1", "s=0", "s=9", "seed=-1",
      "seed=1.5", "b=maybe", "N=3,kappa=3,s=2", "N=1,kappa=3", "N", "=,=", "profile=bogus",
-     "profile=scalar", "N=1000000000000000"])
+     "profile=scalar", "N=1000000000000000", "N=8,s=2,eig=-0.5", "N=8,s=2,profile=boundary",
+     "N=8,s=2,unit=0"])
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +191,7 @@ def test_gen_survives_hostile_input(files, data):
     _assert_clean(["gen", f"--gen={data.draw(GEN_SPECS)}", "--out", str(files["out"] / "gen")])
 
 
-TRIAL_SUITES = suites.TRIAL_SUITES + ("all",)
+TRIAL_SUITES = (*suites.TRIAL_SUITES, "all")
 
 
 @settings(max_examples=40, deadline=None)
@@ -206,8 +207,7 @@ def test_verify_survives_hostile_input(files, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(suites, "standard_family", functools.partial(
             suites.standard_family, N_values=(1, 2), kappa_values=(1.0, 3.0), m_values=(1, 2)))
-        patch.setattr(suites, "lemma1_suite",
-                      functools.partial(suites.lemma1_suite, mp_values=(1, 2)))
+        patch.setattr(suites, "LEMMA1_MP", (1, 2))
         _assert_clean(argv)
 
 

@@ -100,6 +100,18 @@ class TestSparseMode:
         with pytest.raises(ParameterError, match="mutually exclusive"):
             GenSpec(N=6, kappa_V=5.0, sparsity=2, seed=0)
 
+    @pytest.mark.parametrize("dense_only, named", [
+        (dict(eig_profile="boundary"), "given: eig_profile$"),
+        (dict(eig_value=-0.5), "given: eig_value$"),
+        (dict(eig_profile="scalar", eig_value=-0.5), "given: eig_profile, eig_value$")],
+        ids=["profile", "value", "both"])
+    def test_dense_only_fields_rejected(self, dense_only, named):
+        # sparse mode draws its own spectrum: a requested one is refused, not dropped
+        with pytest.raises(ParameterError, match=named):
+            GenSpec(N=8, kappa_V=None, sparsity=2, **dense_only)
+        # unit_norm is not refused: sparse mode rescales whatever it says
+        GenSpec(N=8, kappa_V=None, sparsity=2, unit_norm=False)
+
     def test_one_dimensional_sparse(self):
         inst = generate(GenSpec(N=1, kappa_V=None, sparsity=1, seed=3))
         assert inst.kappa_V == pytest.approx(1.0)

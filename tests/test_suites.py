@@ -78,8 +78,7 @@ def test_run_suite_dispatch_and_shapes(name, monkeypatch):
     _small_family(monkeypatch)
     trials = 20 if name in suites.TRIAL_SUITES else None
     report = suites.run_suite(name, trials=trials, seed=0)
-    extra = {"lemma1": {"lambda_grid_size"}, "thm3": {"not_claimed"}}.get(name, set())
-    assert set(report) == {"suite", "instances", "worst_ratio", "reports", "passed"} | extra
+    assert set(report) == {"suite", "instances", "worst_ratio", "reports", "passed"}
     assert report["suite"] == name
     bounds = [r["bound"] for r in report["reports"]]
     assert len(set(bounds)) == len(bounds)
@@ -95,15 +94,15 @@ def test_run_suite_dispatch_and_shapes(name, monkeypatch):
         assert kept | {"merged"} <= set(r["details"])
 
 
-def test_small_family_suites_pass():
-    family = suites.standard_family(seed=1, **SMALL_FAMILY)
-    assert suites.lemma2_suite(family)["passed"]
-    assert suites.thm2_suite(family)["passed"]
-    assert suites.thm3_suite(family)["passed"]
+def test_small_family_suites_pass(monkeypatch):
+    _small_family(monkeypatch)
+    for name in ("lemma2", "thm2", "thm3"):
+        assert suites.run_suite(name, seed=1)["passed"]
 
 
 def test_thm2_reads_the_members_trajectories(monkeypatch):
     family = suites.standard_family(seed=1, **SMALL_FAMILY)
+    monkeypatch.setattr(suites, "standard_family", lambda seed: family)
     calls = []
 
     def counted(*args):
@@ -111,29 +110,29 @@ def test_thm2_reads_the_members_trajectories(monkeypatch):
         return numerics.reference_trajectory(*args)
 
     monkeypatch.setattr(analysis, "reference_trajectory", counted)
-    assert suites.thm2_suite(family)["passed"]
+    assert suites.run_suite("thm2", seed=1)["passed"]
     assert calls == []
 
 
 def test_all_builds_one_family_and_shares_it(monkeypatch):
     built = _small_family(monkeypatch)
-    seen = {}
+    seen = {name: [] for name in suites.FAMILY_SUITES}
 
-    def recorded(name, suite):
-        def wrapper(family):
-            seen[name] = family
-            return suite(family)
+    def recorded(name, check):
+        def wrapper(problem):
+            seen[name].append(problem)
+            return check(problem)
         return wrapper
 
-    for name in ("lemma2", "lemma3", "thm1", "thm2", "thm3"):
-        attr = f"{name}_suite"
-        monkeypatch.setattr(suites, attr, recorded(name, getattr(suites, attr)))
+    for name, check in suites.FAMILY_SUITES.items():
+        monkeypatch.setitem(suites.FAMILY_SUITES, name, recorded(name, check))
     report = suites.run_suite("all", trials=1)
     assert report["passed"]
     assert len(built) == 1
     assert isinstance(built[0], tuple) and len(built[0]) == 6
     assert sorted(seen) == ["lemma2", "lemma3", "thm1", "thm2", "thm3"]
-    assert all(family is built[0] for family in seen.values())
+    assert all(list(map(id, problems)) == list(map(id, built[0]))
+               for problems in seen.values())
     assert all(report["suites"][name] == suites.run_suite(name) for name in seen)
 
 
@@ -163,10 +162,12 @@ def test_unknown_suite_rejected():
         suites.run_suite("lemma99")
 
 
-def test_lemma1_reports_grid_size():
-    report = suites.lemma1_suite(trials=2, seed=0, mp_values=(1, 2))
+def test_lemma1_reports_grid_size(monkeypatch):
+    # six fixed lambdas and two samples, checked on each of 8 layouts
+    monkeypatch.setattr(suites, "LEMMA1_MP", (1, 2))
+    report = suites.run_suite("lemma1", trials=2, seed=0)
     assert report["passed"]
-    assert report["lambda_grid_size"] == 8
+    assert report["instances"] == 8 * 8
 
 
 @pytest.mark.parametrize("name", ["lemma2", "lemma3", "thm1", "thm2", "thm3"])
@@ -177,22 +178,30 @@ def test_family_suites_reject_trials(name):
 
 def test_all_forwards_trials_to_trial_suites_only(monkeypatch):
     calls = {}
-    monkeypatch.setattr(suites, "standard_family", lambda seed: ("family", seed))
+    report = analysis.BoundReport("stub", 1, 0.5, "stub")
+    monkeypatch.setattr(suites, "standard_family", lambda seed: (f"member-{seed}",))
 
-    def stub(name):
-        def suite(*args):
-            calls[name] = args
-            return {"passed": True}
-        return suite
+    def trial_stub(name):
+        def reports(trials, seed):
+            calls[name] = (trials, seed)
+            return [report]
+        return reports
 
-    for name, attr in (("taylor", "taylor_suite"), ("lemma1", "lemma1_suite"),
-                       ("lemma2", "lemma2_suite"), ("lemma3", "lemma3_suite"),
-                       ("thm1", "thm1_suite"), ("thm2", "thm2_suite"),
-                       ("thm3", "thm3_suite"), ("appendixB", "appendix_b_suite")):
-        monkeypatch.setattr(suites, attr, stub(name))
-    report = suites.run_suite("all", trials=3, seed=5)
-    assert report["passed"]
-    family = ("family", 5)
+    def family_stub(name):
+        def check(member):
+            calls[name] = member
+            return report
+        return check
+
+    for name, (default, _) in suites.TRIAL_SUITES.items():
+        monkeypatch.setitem(suites.TRIAL_SUITES, name, (default, trial_stub(name)))
+    for name in suites.FAMILY_SUITES:
+        monkeypatch.setitem(suites.FAMILY_SUITES, name, family_stub(name))
+    assert suites.run_suite("all", trials=3, seed=5)["passed"]
     assert calls == {"taylor": (3, 5), "lemma1": (3, 5), "appendixB": (3, 5),
-                     "lemma2": (family,), "lemma3": (family,), "thm1": (family,),
-                     "thm2": (family,), "thm3": (family,)}
+                     "lemma2": "member-5", "lemma3": "member-5", "thm1": "member-5",
+                     "thm2": "member-5", "thm3": "member-5"}
+    # without a count, each trial suite draws its default
+    assert suites.run_suite("all", seed=5)["passed"]
+    assert {name: calls[name] for name in suites.TRIAL_SUITES} == {
+        "taylor": (1000, 5), "lemma1": (4, 5), "appendixB": (10_000, 5)}
