@@ -45,7 +45,7 @@ from .errors import (
     IntegrityError,
     ParameterError,
 )
-from .numerics import Instance, norm2, reference_trajectory
+from .numerics import Instance, reference_trajectory
 from .solver import BlockSolution, block_solve, forward_substitute
 from .taylor import (
     BOUNDARY_CASES,
@@ -336,7 +336,7 @@ def matrix_norm_bounds(system: EncodedSystem) -> BoundReport:
     proved, not measured: :func:`~odeql.encoder._check_layout` proves the
     block layout of C in O(nnz) or raises IntegrityError, and that layout
     fixes ||C1|| = 1, ||C2|| = sqrt(k+1) and ||C3|| = max(h ||A||, 1), with
-    ||A|| from :func:`norm2`.
+    the ||A|| that the system's step gate measured.
     """
     params = system.params
     if params.k < MIN_TAIL_ORDER:
@@ -353,7 +353,7 @@ def matrix_norm_bounds(system: EncodedSystem) -> BoundReport:
             "bound": bound,
             "component_identity": 1.0,
             "component_collector": math.sqrt(params.k + 1.0),
-            "component_subdiagonal": max(params.h * norm2(system.A), 1.0),
+            "component_subdiagonal": max(params.h * system.norm_A, 1.0),
         },
     )
 

@@ -138,6 +138,15 @@ def _resolve_params(args, A, x_in, b, inst) -> TaylorParams:
     return pipeline.choose_parameters(inst, pipeline.grid(inst, args.T), args.epsilon).params
 
 
+def _block_index(text: str) -> tuple[int, int]:
+    """--block's value 'i,j': a step index and a within-step index."""
+    try:
+        i, j = (int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected i,j, two integers, got {text!r}") from None
+    return i, j
+
+
 def _add_problem_flags(sub):
     sub.add_argument("--instance", help="instance directory written by gen")
     sub.add_argument("--matrix", help="A in Matrix Market format")
@@ -184,8 +193,7 @@ def _cmd_solve(args, argv) -> int:
     # every requested vector is resolved before anything is written, so a
     # block outside the layout leaves no output directory behind
     vectors = []
-    for spec in args.block or ():
-        i, j = (int(s) for s in spec.split(","))
+    for i, j in args.block or ():
         vectors.append((f"block_{i}_{j}.txt", sol.block(i, j)))
     if args.history:
         vectors += [(f"step_{i:04d}.txt", state) for i, state in enumerate(sol.step_states())]
@@ -288,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="solve by block forward substitution")
     _add_problem_flags(sol)
     _add_params_flags(sol)
-    sol.add_argument("--block", action="append",
+    sol.add_argument("--block", action="append", type=_block_index,
                      help="write block i,j (repeatable)")
     sol.add_argument("--history", action="store_true",
                      help="write all step states x_{i,0}")

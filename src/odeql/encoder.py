@@ -180,14 +180,16 @@ def unit_lower_factor(C: sp.csr_matrix):
 
 @dataclass(frozen=True)
 class EncodedSystem:
-    """Assembled system: matrix, right-hand side, layout and the CSR generator
-    A that the structured solves apply, whose size is the block size N;
-    ``norm`` and ``inverse_norm`` are measured once each, on first use."""
+    """Assembled system: matrix, right-hand side, layout, the CSR generator
+    A that the structured solves apply, whose size is the block size N, and
+    norm_A, the ||A||_2 that the step gate checked; ``norm`` and
+    ``inverse_norm`` are measured once each, on first use."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     params: TaylorParams
     A: sp.csr_matrix
+    norm_A: float
 
     @property
     def N(self) -> int:
@@ -220,9 +222,8 @@ class EncodedSystem:
             rmatvec=lambda y: lu.solve(y, trans="H")))
 
 
-def _require_step_bound(A: sp.csr_matrix, h: float) -> None:
+def _require_step_bound(norm: float, h: float) -> None:
     """The one |A|h <= 1 gate, in build_matrix, the one constructor of C."""
-    norm = norm2(A)
     if norm * h > 1.0 + STEP_BOUND_SLACK:
         raise ParameterError(
             f"|A| h = {norm * h:.6g} exceeds 1; shrink the step to h <= {1.0 / norm:.6g}"
@@ -243,16 +244,17 @@ def _as_csr(A) -> sp.csr_matrix:
     return A
 
 
-def build_matrix(A, params: TaylorParams) -> sp.csr_matrix:
+def build_matrix(A, params: TaylorParams, norm_A: float) -> sp.csr_matrix:
     """Assemble the (d+1)N x (d+1)N encoded block matrix for step generator Ah.
 
-    Requires |A| h <= 1 (up to a 1e-12 rounding bar); raises ParameterError
-    directing the caller to shrink h otherwise. The result is unit lower
-    triangular with sorted column indices and is returned in CSR form, its
-    three arrays read-only.
+    norm_A is ||A||_2 as :func:`norm2` measures it; :func:`encode` measures
+    it once and keeps it on the system. Requires |A| h <= 1 (up to a 1e-12
+    rounding bar); raises ParameterError directing the caller to shrink h
+    otherwise. The result is unit lower triangular with sorted column indices
+    and is returned in CSR form, its three arrays read-only.
     """
     A = _as_csr(A)
-    _require_step_bound(A, params.h)
+    _require_step_bound(norm_A, params.h)
     N = A.shape[0]
     m, k, p, h = params.m, params.k, params.p, params.h
     dim, step_rows = (params.d + 1) * N, (k + 1) * N
@@ -319,6 +321,7 @@ def encode(A, x_in, b, params: TaylorParams) -> EncodedSystem:
     rhs = build_rhs(x_in, b, params)
     if rhs.size != (params.d + 1) * A.shape[0]:  # before the gate and the assembly
         raise DimensionError("state dimension does not match the matrix block size")
-    matrix = build_matrix(A, params)
-    return EncodedSystem(matrix=matrix, rhs=rhs, params=params, A=A)
+    norm_A = norm2(A)
+    matrix = build_matrix(A, params, norm_A)
+    return EncodedSystem(matrix=matrix, rhs=rhs, params=params, A=A, norm_A=norm_A)
 

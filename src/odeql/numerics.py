@@ -5,7 +5,10 @@ numpy vectors for states and scipy CSR matrices (or dense arrays) for
 operators. :func:`reference_trajectory` is the one integrator of
 ``dx/dt = A x + b``: it applies the exponential of the augmented matrix
 ``[[A, b], [0, 0]]`` to ``(x_in, 1)``, which never inverts A and is exact
-also for singular A.
+also for singular A. It sums the exponential's Taylor series in the
+encoder's own kernel, :func:`~odeql.solver.block_solve`, with a substep
+count and an order fixed in advance by :func:`_oracle_layout`, so no term
+is tested for a stop.
 """
 
 from __future__ import annotations
@@ -29,9 +32,14 @@ POWER_SEED = 0xC0FFEE
 # apply A as an ndarray (2.2 vs 9.9 us a product through CSR at order 65).
 DENSE_CUTOFF = 256
 
-# Accuracy of the reference oracle's exponential series; small enough that
-# oracle error is negligible against every bound this package tests.
-DEFAULT_EXP_TOL = 1e-13
+# The dense oracle builds an interval's propagator (k products of two n x n
+# matrices, n = N + 1) only when n^2 <= PROPAGATOR_CROSSOVER m s, m intervals of
+# s substeps of k matvecs each; otherwise it steps the state. Measured break-even
+# m s at one BLAS thread on a 2-core Xeon, k = 22: about 13, 45 and 120 at
+# n = 65, 129 and 256 (the rule says 11, 42 and 164). Below n = 20 the rule
+# picks the propagator for any grid; a product of two such matrices costs
+# about one matvec, and the worst measured loss is 1.7x at n = 17, m s = 1.
+PROPAGATOR_CROSSOVER = 400
 
 
 def as_state(v, name: str = "vector") -> np.ndarray:
@@ -136,59 +144,6 @@ def norm2(M) -> float:
     if min(M.shape) < DENSE_CUTOFF:
         return float(np.linalg.norm(M.toarray() if sp.issparse(M) else M, 2))
     return lanczos_norm(M)
-
-
-def _exp_stepper(A, scale: float, t: float, tol: float):
-    """The map v -> exp(A t) v for one fixed (A, t), inputs already checked.
-
-    scale bounds ||A||_2 from above. The substep count s = ceil(|t| scale),
-    which keeps ||A dt||_2 <= 1, the substep dt = t/s and the per-substep
-    cutoff tol/(2s) are fixed here once, so a caller that applies the same
-    propagator many times pays for them once. Each substep sums the series,
-    scaling each term in place, until the 2-norm of the running term is below
-    the cutoff relative to that of the accumulated result, plus two safety
-    terms.
-    """
-    if t == 0.0 or scale == 0.0:
-        return np.copy
-
-    steps = max(1, math.ceil(abs(t) * scale))
-    dt = t / steps
-    cutoff = tol / (2.0 * steps)
-    max_terms = 120
-
-    def norm(x: np.ndarray) -> float:
-        return math.sqrt(np.vdot(x, x).real)
-
-    def step(v: np.ndarray) -> np.ndarray:
-        w = v
-        for _ in range(steps):
-            term = w.copy()
-            acc = w.copy()
-            converged = False
-            for j in range(1, max_terms + 1):
-                term = A @ term
-                term *= dt / j
-                acc += term
-                if norm(term) <= cutoff * norm(acc):
-                    # two extra terms at essentially zero cost close the tail
-                    for jj in (j + 1, j + 2):
-                        term = A @ term
-                        term *= dt / jj
-                        acc += term
-                    converged = True
-                    break
-            if not converged:
-                raise ConvergenceError(
-                    f"exp series did not reach tol={tol:g} within {max_terms} terms "
-                    f"(substep norm {abs(dt) * scale:.3g})",
-                    last_iterate=acc,
-                    residual=norm(term),
-                )
-            w = acc
-        return w
-
-    return step
 
 
 def _augmented(A, b: np.ndarray, x_in: np.ndarray):
@@ -312,16 +267,40 @@ def reference_solution(inst: Instance, t: float) -> np.ndarray:
     return reference_trajectory(inst, t, 1)[-1]
 
 
+def _oracle_layout(inst: Instance, h: float):
+    """The kernel layout that carries the ODE one interval h, fixed before any product.
+
+    The scale hypot(||A||_2, ||b||), from the instance's cached ``norm_A``,
+    bounds ||[[A, b], [0, 0]]||_2. The interval splits into s = ceil(h scale/2)
+    substeps of norm rho = h scale/s <= 2, and k is the least order whose
+    series tail, at most rho^(k+1)/(k+1)! (k+2)/(k+2-rho), is at most 2^-53,
+    so no product needs a stop test. Returns s and the one-substep layout
+    TaylorParams(m=1, k=k, p=1, h=h/s).
+    """
+    from .encoder import TaylorParams  # encoder imports this module
+
+    x = h * math.hypot(inst.norm_A, np.linalg.norm(inst.b))
+    s = max(1, math.ceil(x / 2))
+    rho, k = x / s, 1
+    while rho ** (k + 1) / math.factorial(k + 1) * (k + 2) / (k + 2 - rho) > 2.0 ** -53:
+        k += 1
+    return s, TaylorParams(m=1, k=k, p=1, h=h / s)
+
+
 def reference_trajectory(inst: Instance, T: float, m: int) -> np.ndarray:
     """Oracle states x(ih), i = 0..m, h = T/m, as rows; row 0 is x_in itself.
 
-    The augmented operator of :func:`_augmented` (dense below DENSE_CUTOFF)
-    and its one-interval propagator are built once, the substeps sized by
-    hypot(||A||_2, ||b||) >= ||[[A, b], [0, 0]]||_2 from the instance's cached
-    ``norm_A``; each row steps the augmented state one interval on from the
-    row before, so the whole grid costs one O(T||A||) integration, and the
-    last row is x(T).
+    The augmented state of :func:`_augmented` (operator dense below
+    DENSE_CUTOFF) is carried s substeps per interval by
+    :func:`~odeql.solver.block_solve`, the encoder's own Taylor kernel, on
+    the layout of :func:`_oracle_layout`. Where PROPAGATOR_CROSSOVER says it
+    pays, the kernel solves the identity once for the substep's propagator,
+    whose s-th power steps each row on from the row before in one product;
+    otherwise it solves for the state itself, s times per interval, in
+    O(k N) memory. The last row is x(T).
     """
+    from .solver import block_solve  # solver imports this module
+
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
     if not (math.isfinite(T) and T >= 0):
@@ -331,12 +310,27 @@ def reference_trajectory(inst: Instance, T: float, m: int) -> np.ndarray:
     n = x_in.size
     if b.size != n:
         raise DimensionError(f"b has length {b.size}, expected {n}")
-    op, w = _augmented(_dense(inst.A) if n < DENSE_CUTOFF else inst.A, b, x_in)
-    scale = math.hypot(inst.norm_A, np.linalg.norm(b))
-    step = _exp_stepper(op, scale, T / m, DEFAULT_EXP_TOL)
     states = np.empty((m + 1, n), dtype=complex)
-    states[0] = x_in
+    states[:] = x_in
+    if T / m == 0.0:
+        return states
+    op, w = _augmented(_dense(inst.A) if n < DENSE_CUTOFF else inst.A, b, x_in)
+    s, one = _oracle_layout(inst, T / m)
+
+    def substep(block0: np.ndarray) -> np.ndarray:
+        """The state one substep on from block0: the kernel's final block."""
+        rhs = np.zeros((one.d + 1, *block0.shape), dtype=complex)
+        rhs[0] = block0
+        return block_solve(op, one, rhs)[one.k + 1]
+
+    propagate = n < DENSE_CUTOFF and w.size ** 2 <= PROPAGATOR_CROSSOVER * m * s
+    if propagate:
+        P = np.linalg.matrix_power(substep(np.eye(w.size)), s)
     for i in range(m):
-        w = step(w)
+        if propagate:
+            w = P @ w
+        else:
+            for _ in range(s):
+                w = substep(w)
         states[i + 1] = w[:n]
     return states

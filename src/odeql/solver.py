@@ -10,9 +10,11 @@ it walks the blocks in flat order and replays the defining recurrences
     x_{m,j} = x_{m,j-1}                     1 <= j <= p
 
 at a cost of m*k products with A plus vector additions.
-:func:`block_solve` is the one kernel for these recurrences: it solves C
-(forward only) for any stack of right-hand sides, and backs forward
-substitution and the scalar inverse columns. The solvers check shapes,
+:func:`block_solve` is the one kernel for these recurrences, and the one
+Taylor loop of the package: it solves C (forward only) for any stack of
+right-hand sides, and backs forward substitution, the scalar inverse
+columns and the reference oracle of :mod:`odeql.numerics`, which runs it
+with an a-priori substep count and order. The solvers check shapes,
 finiteness and structure, never a hypothesis of the paper.
 
 :func:`generic_solve`, the independent cross-check, solves the assembled

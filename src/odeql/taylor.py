@@ -3,7 +3,7 @@
 Three polynomial families drive the block encoding:
 
 * ``T_k(z)  = sum_{j=0}^{k} z^j / j!``        (truncation of exp)
-* ``S_k(z)  = sum_{j=1}^{k} z^{j-1} / j!``    (truncation of (exp(z)-1)/z)
+* ``S_k(z)  = sum_{j=1}^{k} z^{j-1} / j!``    (truncation of (exp(z)-1)/z, = T_{1,k})
 * ``T_{b,k}(z) = sum_{j=b}^{k} b! z^{j-b} / j!``  (normalized tail)
 
 On the closed half-disk { |z| <= 1, Re(z) <= 0 } these satisfy
@@ -57,16 +57,6 @@ def truncated_exp(z, k: int):
     if k < 0:
         raise ParameterError(f"truncation order must be >= 0, got {k}")
     return tail_poly(z, 0, k)
-
-
-def truncated_phi(z, k: int):
-    """S_k(z), the degree-(k-1) truncation of (exp(z) - 1)/z; requires k >= 1.
-
-    ``S_k == T_{1,k}`` term by term.
-    """
-    if k < 1:
-        raise ParameterError(f"truncation order must be >= 1, got {k}")
-    return tail_poly(z, 1, k)
 
 
 def tail_poly(z, b: int, k: int):

@@ -10,6 +10,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from odeql.errors import ParameterError
+from odeql.taylor import tail_poly
+
+
+def truncated_phi(z, k: int):
+    """S_k(z), the degree-(k-1) truncation of (exp(z) - 1)/z; requires k >= 1.
+
+    ``S_k == T_{1,k}`` term by term, so it is the library's tail polynomial;
+    the encoder applies S_k only through the block recurrence.
+    """
+    if k < 1:
+        raise ParameterError(f"truncation order must be >= 1, got {k}")
+    return tail_poly(z, 1, k)
 
 
 def poly_action(A, h: float, v, kind: str, k: int) -> np.ndarray:

@@ -38,7 +38,7 @@ def test_criterion_1_structural_reproduction():
     a, h = -0.5, 1.0
     params = TaylorParams(m=2, k=3, p=2, h=h)
     A = np.array([[a]], dtype=complex)
-    C = build_matrix(sp.csr_matrix(A), params).toarray()
+    C = build_matrix(sp.csr_matrix(A), params, abs(a)).toarray()
 
     expected = np.eye(11, dtype=complex)
     for i in range(2):

@@ -95,7 +95,7 @@ class TestScalarInverseColumns:
         params = TaylorParams(m=2, k=5, p=3, h=1.0)
         lam = -0.6 + 0.35j
         X = scalar_inverse(lam, params)
-        C = build_matrix(sp.csr_matrix(np.array([[lam]])), params).toarray()
+        C = build_matrix(sp.csr_matrix(np.array([[lam]])), params, abs(lam)).toarray()
         np.testing.assert_allclose(C @ X, np.eye(params.d + 1), atol=1e-12)
 
     def test_grid_reports_its_worst_lambda(self):

@@ -59,7 +59,7 @@ def test_encode_round_trip_entrywise(instance_dir, tmp_path):
                  "--out-matrix", str(out_matrix), "--out-rhs", str(out_rhs)])
     assert code == 0
     inst = load_instance(instance_dir)
-    expected = build_matrix(inst.A, TaylorParams(m=2, k=5, p=2, h=0.9))
+    expected = build_matrix(inst.A, TaylorParams(m=2, k=5, p=2, h=0.9), inst.norm_A)
     written = load_matrix(out_matrix)
     assert (expected != written).nnz == 0
     rhs = load_vector(out_rhs)
@@ -551,11 +551,14 @@ ONE_SOURCE_ONE_LAYOUT = {
 FILES = ["--x-in", "x.txt", "--b", "b.txt"]
 TARGET = ["--T", "1", "--epsilon", "1e-3"]
 T_ERROR = "error: T must be positive and finite, got "
+BLOCK = ["--instance", "inst", "--m", "2", "--k", "5", "--p", "2", "--h", "0.5", "--block"]
+BLOCK_ERROR = "error: odeql solve: argument --block: expected i,j, two integers, got "
 # inputs given one way but unusable -> the one error line; --block is solve's only
 INPUT_GUARDS = {
-    "block-outside-layout": (["--instance", "inst", "--m", "2", "--k", "5", "--p", "2",
-                              "--h", "0.5", "--block", "9,0"],
-                             "error: step index 9 outside 0..2\n"),
+    "block-outside-layout": (BLOCK + ["9,0"], "error: step index 9 outside 0..2\n"),
+    "block-one-index": (BLOCK + ["9"], BLOCK_ERROR + "'9'\n"),
+    "block-not-integers": (BLOCK + ["a,b"], BLOCK_ERROR + "'a,b'\n"),
+    "block-three-indices": (BLOCK + ["1,0,0"], BLOCK_ERROR + "'1,0,0'\n"),
     "non-square-matrix": (["--matrix", "wide.mtx"] + FILES + LAYOUT,
                           "error: A must be square, got shape (3, 2)\n"),
     "nan-diagonal": (["--matrix", "nan.mtx"] + FILES + LAYOUT,
@@ -595,7 +598,11 @@ def test_one_source_and_one_layout(command, flags, message, instance_dir, tmp_pa
     monkeypatch.chdir(tmp_path)
     outputs = (["--out-matrix", "C.mtx", "--out-rhs", "rhs.txt"] if command == "encode"
                else ["--out-dir", "sol"])
-    assert main([command] + flags + outputs) == 2
+    try:
+        code = main([command] + flags + outputs)
+    except SystemExit as exc:  # a usage error that argparse itself reports
+        code = exc.code
+    assert code == 2
     captured = capsys.readouterr()
     assert captured.err == message and captured.out == ""
     assert not any((tmp_path / name).exists() for name in ("C.mtx", "rhs.txt", "sol"))

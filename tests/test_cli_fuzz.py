@@ -41,6 +41,9 @@ EPSILONS = _mostly(["0.5", "1e-3", "1e-8"], HOSTILE + ["0.9"])
 KAPPAS = _mostly(["1", "3", "10"], HOSTILE + ["1e12"])
 SEEDS = _mostly(["0", "1", "5"], HOSTILE + ["1.5"])
 INJECTIONS = _mostly(["off", "auto", "0.01"])
+# solve's --block: well formed (in or outside the layout), else malformed
+WELL_FORMED_BLOCKS = ["0,0", "1,2", " 1, 0", "9,0", "-1,0"]
+BLOCKS = _mostly(WELL_FORMED_BLOCKS, HOSTILE + ["9", "a,b", "1,0,0", "1.5,0"])
 GEN_SPECS = _mostly(
     ["", "N=3,kappa=2,b=random,seed=1", "N=4,s=2,seed=3", "N=2,profile=boundary,unit=0",
      "N=2,eig=-0.5+0.5j", "N=8,kappa=10,profile=pure-imaginary"],
@@ -163,8 +166,10 @@ def test_encode_and_solve_survive_hostile_input(files, data):
                if command == "encode" else ["--out-dir", str(out / "solve")])
     source, one_source = data.draw(problem_flags(files))
     layout, one_layout = data.draw(params_flags(files))
-    _assert_clean([command] + source + layout + outputs,
-                  usage_error=not (one_source and one_layout))
+    blocks = data.draw(st.lists(BLOCKS, max_size=2)) if command == "solve" else []
+    well_formed = all(block in WELL_FORMED_BLOCKS for block in blocks)
+    _assert_clean([command] + source + layout + [f"--block={b}" for b in blocks] + outputs,
+                  usage_error=not (one_source and one_layout and well_formed))
 
 
 @settings(max_examples=40, deadline=None)

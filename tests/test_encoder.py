@@ -87,7 +87,7 @@ class TestBuildMatrix:
         a, h = -0.5, 1.0
         params = TaylorParams(m=2, k=3, p=2, h=h)
         A = sp.csr_matrix(np.array([[a]], dtype=complex))
-        C = build_matrix(A, params)
+        C = build_matrix(A, params, norm2(A))
         np.testing.assert_array_equal(
             C.toarray(), expected_block_matrix(np.array([[a]]), params))
 
@@ -103,7 +103,7 @@ class TestBuildMatrix:
         A.data[4] = 0.0
         dense = A.toarray()
         params = TaylorParams(m=m, k=k, p=p, h=1.0)
-        C = build_matrix(A, params)
+        C = build_matrix(A, params, norm2(A))
         np.testing.assert_array_equal(C.toarray(),
                                       expected_block_matrix(dense, params))
         assert C.has_sorted_indices
@@ -114,14 +114,14 @@ class TestBuildMatrix:
     def test_single_entry_value(self):
         # N=1, lambda=-1, h=1, m=1, k=5, p=1: row 2 holds -lambda h/2 = +0.5.
         params = TaylorParams(m=1, k=5, p=1, h=1.0)
-        C = build_matrix(sp.csr_matrix(np.array([[-1.0 + 0j]])), params)
+        C = build_matrix(sp.csr_matrix(np.array([[-1.0 + 0j]])), params, 1.0)
         assert C[2, 1] == 0.5
         assert C[3, 2] == pytest.approx(1.0 / 3.0)
 
     def test_zero_generator_structure(self):
         params = TaylorParams(m=2, k=3, p=1, h=1.0)
         A = sp.csr_matrix((2, 2), dtype=complex)
-        C = build_matrix(A, params)
+        C = build_matrix(A, params, norm2(A))
         dense = C.toarray()
         np.testing.assert_array_equal(np.diag(dense), np.ones(C.shape[0]))
         # only collector and padding entries beside the diagonal
@@ -148,7 +148,7 @@ class TestBuildMatrix:
         N = 4
         dense = (rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))) / 8
         params = TaylorParams(m=2, k=5, p=3, h=1.0)
-        C = build_matrix(sp.csr_matrix(dense), params)
+        C = build_matrix(sp.csr_matrix(dense), params, norm2(dense))
         rows = np.repeat(np.arange(C.shape[0]), np.diff(C.indptr))
         assert np.all(C.indices <= rows)
         diag = C.diagonal()
@@ -159,20 +159,20 @@ class TestBuildMatrix:
         dense = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) / 6
         params_a = TaylorParams(m=2, k=5, p=1, h=0.4)
         # rounding commutes with powers of two, so alpha = 2 is bit-exact
-        C_a = build_matrix(sp.csr_matrix(dense), params_a)
+        C_a = build_matrix(sp.csr_matrix(dense), params_a, norm2(dense))
         C_b = build_matrix(sp.csr_matrix(dense * 2.0),
-                           TaylorParams(m=2, k=5, p=1, h=0.2))
+                           TaylorParams(m=2, k=5, p=1, h=0.2), norm2(dense * 2.0))
         assert (C_a != C_b).nnz == 0
         # generic alpha matches to one ulp per product
         C_c = build_matrix(sp.csr_matrix(dense * 2.5),
-                           TaylorParams(m=2, k=5, p=1, h=0.4 / 2.5))
+                           TaylorParams(m=2, k=5, p=1, h=0.4 / 2.5), norm2(dense * 2.5))
         np.testing.assert_allclose(C_c.toarray(), C_a.toarray(), rtol=1e-15,
                                    atol=0)
 
     def test_step_bound_rejected(self):
         A = sp.csr_matrix(np.array([[-2.0 + 0j]]))
         with pytest.raises(ParameterError, match="shrink the step"):
-            build_matrix(A, TaylorParams(m=1, k=5, p=1, h=1.0))
+            build_matrix(A, TaylorParams(m=1, k=5, p=1, h=1.0), norm2(A))
 
     @pytest.mark.parametrize("sigma", [
         np.array([2.0]),
@@ -181,9 +181,9 @@ class TestBuildMatrix:
     ], ids=["1x1", "300x300"])
     def test_step_bound_tolerates_h_equal_inverse_norm(self, sigma):
         A = sp.diags(-sigma.astype(complex), format="csr")
-        build_matrix(A, TaylorParams(m=1, k=5, p=1, h=1.0 / sigma[0]))
+        build_matrix(A, TaylorParams(m=1, k=5, p=1, h=1.0 / sigma[0]), norm2(A))
         with pytest.raises(ParameterError, match="shrink the step"):
-            build_matrix(A, TaylorParams(m=1, k=5, p=1, h=(1.0 + 1e-6) / sigma[0]))
+            build_matrix(A, TaylorParams(m=1, k=5, p=1, h=(1.0 + 1e-6) / sigma[0]), norm2(A))
 
     def test_step_bound_is_sound_when_the_top_singular_values_nearly_coincide(self):
         # 200 seeded 50x50 matrices whose top two singular values are within
@@ -195,8 +195,8 @@ class TestBuildMatrix:
             A = (random_unitary(50, rng) * sigma) @ random_unitary(50, rng).conj().T
             norm = np.linalg.norm(A, 2)
             with pytest.raises(ParameterError, match="shrink the step"):
-                build_matrix(A, TaylorParams(m=1, k=5, p=1, h=(1.0 + 1e-6) / norm))
-            build_matrix(A, TaylorParams(m=1, k=5, p=1, h=(1.0 - 1e-9) / norm))
+                build_matrix(A, TaylorParams(m=1, k=5, p=1, h=(1.0 + 1e-6) / norm), norm2(A))
+            build_matrix(A, TaylorParams(m=1, k=5, p=1, h=(1.0 - 1e-9) / norm), norm2(A))
 
     def test_zero_generator_passes_the_gate_on_the_lanczos_branch(self):
         A = sp.csr_matrix((300, 300), dtype=complex)
@@ -211,7 +211,7 @@ def test_assembly_writes_C_once():
     params = TaylorParams(m=20, k=12, p=20, h=0.999 / norm2(inst.A))
     tracemalloc.start()
     try:
-        C = build_matrix(inst.A, params)
+        C = build_matrix(inst.A, params, inst.norm_A)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -375,26 +375,52 @@ class TestOracleAccuracy:
         assert np.linalg.norm(op, 1) > 2 * np.linalg.norm(op, 2)
         assert self._worst_relative_error(inst, T=4.0, m=4) <= 1e-13
 
+    @pytest.mark.parametrize("kappa", [1.0, 1e3, 1e6, 1e9])
+    def test_kappa_ladder(self, kappa):
+        # one and several substeps per interval, on V of any conditioning
+        inst = generate(GenSpec(N=12, kappa_V=kappa, b_mode="random", seed=3,
+                                unit_norm=True))
+        assert inst.kappa_V == pytest.approx(kappa, rel=1e-6)
+        assert max(numerics._oracle_layout(inst, T / m)[0] for T, m in ((7.3, 8), (10.0, 3))) > 1
+        for T, m in ((7.3, 8), (10.0, 3)):
+            assert self._worst_relative_error(inst, T, m) <= 1e-14
 
-class TestSubstepRule:
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_both_dense_paths(self, m):
+        # n = 41: four intervals step the state, five build the propagator
+        inst = generate(GenSpec(N=40, kappa_V=10.0, b_mode="random", seed=5,
+                                unit_norm=True))
+        s, _ = numerics._oracle_layout(inst, 4.0 / m)
+        assert s == 1
+        assert (41 ** 2 <= numerics.PROPAGATOR_CROSSOVER * m * s) == (m == 5)
+        assert self._worst_relative_error(inst, T=4.0, m=m) <= 1e-14
+
+
+class TestOracleLayout:
+    """The oracle's kernel layout, fixed from hypot(||A||, ||b||) before any product."""
+
+    @staticmethod
+    def _tail(rho, k):
+        """The bound rho^(k+1)/(k+1)! (k+2)/(k+2-rho) on exp's series past order k."""
+        return rho ** (k + 1) / math.factorial(k + 1) * (k + 2) / (k + 2 - rho)
+
     @pytest.mark.parametrize("b_mode", ["zero", "random"])
-    def test_scale_is_hypot_of_norm_A_and_b(self, monkeypatch, b_mode):
+    def test_substeps_and_order(self, b_mode):
         inst = generate(GenSpec(N=6, kappa_V=3.0, b_mode=b_mode, seed=8))
-        seen = []
-        inner = numerics._exp_stepper
-
-        def wrapper(op, scale, t, tol):
-            seen.append((op, scale))
-            return inner(op, scale, t, tol)
-
-        monkeypatch.setattr(numerics, "_exp_stepper", wrapper)
-        reference_trajectory(inst, 2.0, 3)
-        [(op, scale)] = seen
-        assert isinstance(op, np.ndarray)
-        assert scale == math.hypot(inst.norm_A, np.linalg.norm(inst.b))
-        dense_op = _augmented_dense(inst) if b_mode == "random" else inst.A.toarray()
-        np.testing.assert_array_equal(op, dense_op)
-        assert scale >= numerics.norm2(dense_op)
+        scale = math.hypot(inst.norm_A, np.linalg.norm(inst.b))
+        op = _augmented_dense(inst) if b_mode == "random" else inst.A.toarray()
+        assert scale >= numerics.norm2(op)
+        doubled = replace(inst)
+        doubled.__dict__["norm_A"] = 2.0 * inst.norm_A  # a norm estimate that errs high
+        for x in np.concatenate([np.linspace(0.05, 7.0, 70), [1.0, 2.0, 4.0, 6.0]]):
+            h = x / scale
+            s, layout = numerics._oracle_layout(inst, h)
+            rho = h * scale / s
+            assert s == math.ceil(h * scale / 2) and rho <= 2.0
+            assert (layout.m, layout.p, layout.h) == (1, 1, h / s)
+            assert self._tail(rho, layout.k) <= 2.0 ** -53 < self._tail(rho, layout.k - 1)
+            _, high = numerics._oracle_layout(doubled, h)
+            assert self._tail(high.h * numerics.norm2(op), high.k) <= 2.0 ** -53
 
 
 class TestInstanceValidation:

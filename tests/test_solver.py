@@ -1,6 +1,7 @@
 """Tests for block forward substitution and its generic cross-check."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -224,8 +225,7 @@ class TestGenericSolve:
                 indices[[start, start + 1]] = indices[swap]
                 data[[start, start + 1]] = data[swap]
             broken = sp.csr_matrix((data, indices, indptr), shape=C.shape)
-        bad = type(system)(matrix=broken, rhs=system.rhs,
-                           params=system.params, A=system.A)
+        bad = replace(system, matrix=broken)
         for solve in (generic_solve, inverse_norm):
             with pytest.raises(IntegrityError):
                 solve(bad)

@@ -16,13 +16,11 @@ def _count_work(monkeypatch):
 
     Every binding of lanczos_norm is wrapped, and each run is filed by its
     argument: the assembled C (unit diagonal), its inverse (an operator) or
-    anything else, such as a Lemma 3 component; norm2 in analysis takes
-    only ||A||.
+    anything else, such as a Lemma 3 component.
     """
-    calls = {"encode": 0, "solve": 0, "norm_A": 0,
-             "norm_C": [], "inverse_norm": [], "component": []}
+    calls = {"encode": 0, "solve": 0, "norm_C": [], "inverse_norm": [], "component": []}
     lanczos, encode = numerics.lanczos_norm, analysis.encode
-    solve, norm2 = analysis.forward_substitute, analysis.norm2
+    solve = analysis.forward_substitute
 
     def counted(key, inner):
         def wrapper(*args):
@@ -41,7 +39,6 @@ def _count_work(monkeypatch):
 
     monkeypatch.setattr(analysis, "encode", counted("encode", encode))
     monkeypatch.setattr(analysis, "forward_substitute", counted("solve", solve))
-    monkeypatch.setattr(analysis, "norm2", counted("norm_A", norm2))
     for module in (numerics, encoder, analysis):
         if getattr(module, "lanczos_norm", None) is lanczos:
             monkeypatch.setattr(module, "lanczos_norm", counted_lanczos)
@@ -136,14 +133,28 @@ def test_all_builds_one_family_and_shares_it(monkeypatch):
     assert all(report["suites"][name] == suites.run_suite(name) for name in seen)
 
 
-def test_all_encodes_solves_and_measures_each_member_once(monkeypatch):
+def test_all_encodes_solves_and_measures_each_member_once(monkeypatch, norm2_calls):
     calls = _count_work(monkeypatch)
     assert suites.run_suite("all", trials=1, seed=0)["passed"]
     # 52 members: one encode, one solve, one ||C|| and one ||C^-1|| each
     assert calls["encode"] == calls["solve"] == 52
     assert len(calls["norm_C"]) == len(calls["inverse_norm"]) == 52
-    # lemma3 proves the components from the layout and measures only ||A||
-    assert calls["component"] == [] and calls["norm_A"] == 52
+    # lemma3 proves the components from the layout and measures nothing
+    assert calls["component"] == []
+    # generate measures ||V|| and ||V^-1||, the family's grid ||A|| and each
+    # encode's step gate ||A|| of the system, which lemma3 reads
+    assert len(norm2_calls) == 4 * 52
+
+
+def test_lemma3_reads_the_gate_norm(monkeypatch, norm2_calls):
+    family = suites.standard_family(seed=0)
+    monkeypatch.setattr(suites, "standard_family", lambda seed: family)
+    norm2_calls.clear()
+    assert suites.run_suite("lemma3")["passed"]
+    # one ||A|| per member, in its encode's step gate
+    assert norm2_calls == [member.inst.A.shape for member in family]
+    assert all(member.system.norm_A == np.linalg.norm(member.inst.A.toarray(), 2)
+               for member in family)
 
 
 def test_lone_thm1_measures_only_the_two_norms(monkeypatch):
@@ -153,7 +164,7 @@ def test_lone_thm1_measures_only_the_two_norms(monkeypatch):
     systems = [member.system for member in built[0]]
     assert len(calls["norm_C"]) == len(calls["inverse_norm"]) == len(systems)
     assert all(C is system.matrix for C, system in zip(calls["norm_C"], systems))
-    assert calls["component"] == [] and calls["norm_A"] == 0
+    assert calls["component"] == []
     assert calls["encode"] == len(systems) and calls["solve"] == 0
 
 

@@ -20,10 +20,9 @@ from odeql.taylor import (
     remainder_ratios,
     tail_poly,
     truncated_exp,
-    truncated_phi,
 )
 
-from oracles import poly_action
+from oracles import poly_action, truncated_phi
 
 
 def sum_T(z, k):
