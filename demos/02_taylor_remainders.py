@@ -14,16 +14,17 @@ Run:  python demos/02_taylor_remainders.py
 import math
 
 from odeql import truncated_exp, verify_remainder_bounds
+from odeql.analysis import REMAINDER_ORDERS
 
-K_RANGE = (5, 20)
-reports = verify_remainder_bounds(samples=5000, k_range=K_RANGE, seed=1)
+reports = verify_remainder_bounds(samples=5000, seed=1)
 names = list(dict.fromkeys(r.bound_name for r in reports))
 
-print(f"5000 half-disk samples + boundary cases, k = {K_RANGE[0]}..{K_RANGE[1]}")
+print(f"5000 half-disk samples + boundary cases, "
+      f"k = {REMAINDER_ORDERS[0]}..{REMAINDER_ORDERS[-1]}")
 print("worst observed/bound ratio per bound:\n")
 print(f"{'k':>3} " + " ".join(f"{name:>15}" for name in names))
-for i in range(0, len(reports), len(names)):  # one report per bound and k, k-major
-    k = K_RANGE[0] + i // len(names)
+# one report per bound and k, k-major
+for k, i in zip(REMAINDER_ORDERS, range(0, len(reports), len(names))):
     print(f"{k:>3} " + " ".join(f"{r.worst_ratio:15.6f}" for r in reports[i:i + len(names)]))
 
 worst = max(reports, key=lambda r: r.worst_ratio)

@@ -39,7 +39,7 @@ print(f"worst success-set error                    = "
       f"{report.success_conditioned_error:.3e}  (target {cfg.epsilon:g})")
 
 # the probability mass over the index register, coarse picture
-probs = report.block_probabilities
+probs = report.probabilities
 success = set(p.success_set())
 bar = "".join("#" if i in success else "." for i in range(p.d + 1))
 print(f"\nindex register ('#' marks the success set):\n{bar}")

@@ -148,16 +148,15 @@ class DecayProfile:
     parameter rule and the bounds read.
 
     states holds the oracle states x(ih), i = 0..m, as rows (one
-    trajectory) on the grid of step h; step_norms are their norms, q is
-    ||x(T)||, g_grid = max_i ||x(ih)|| / q, the quantity the measurement
-    bound consumes, and weight is |x_in| + T|b|, the scale of Omega and of
-    the Theorem 2 and 3 bounds. A caller that needs a grid state, x(T)
-    included, reads it from here instead of integrating the ODE a second time.
+    trajectory) on the grid of step h, q is ||x(T)||, g_grid = max_i
+    ||x(ih)|| / q, the quantity the measurement bound consumes, and weight is
+    |x_in| + T|b|, the scale of Omega and of the Theorem 2 and 3 bounds. A
+    caller that needs a grid state, x(T) included, reads it from here
+    instead of integrating the ODE a second time.
     """
 
     states: np.ndarray
     h: float
-    step_norms: np.ndarray
     q: float
     g_grid: float
     weight: float
@@ -177,12 +176,11 @@ def decay_profile(inst: Instance, T: float, m: int) -> DecayProfile:
     """Evaluate ||x(ih)|| on the step grid from one oracle trajectory."""
     states = reference_trajectory(inst, T, m)
     states.setflags(write=False)  # shared by every reader of the profile
-    step_norms = np.linalg.norm(states, axis=1)
-    q = float(step_norms[-1])
+    norms = np.linalg.norm(states, axis=1)
+    q = float(norms[-1])
     if q < 1e-300:
         raise DegenerateInputError("||x(T)|| vanishes; decay ratio undefined")
-    return DecayProfile(states=states, h=T / m, step_norms=step_norms, q=q,
-                        g_grid=float(step_norms.max() / q),
+    return DecayProfile(states=states, h=T / m, q=q, g_grid=float(norms.max() / q),
                         weight=float(np.linalg.norm(inst.x_in) + T * np.linalg.norm(inst.b)))
 
 
@@ -238,9 +236,14 @@ class Problem:
 # half-disk Taylor bounds
 # ---------------------------------------------------------------------------
 
-def verify_remainder_bounds(samples: int, k_range=(MIN_TAIL_ORDER, 20),
-                            seed: int = 0) -> list:
-    """Check the four half-disk bounds of :mod:`odeql.taylor` for each k in k_range.
+# The truncation orders of the taylor suite: the tail magnitude bound is only
+# claimed from MIN_TAIL_ORDER, and the remainders resolve up to k = 20.
+REMAINDER_ORDERS = range(MIN_TAIL_ORDER, 21)
+
+
+def verify_remainder_bounds(samples: int, seed: int = 0) -> list:
+    """Check the four half-disk bounds of :mod:`odeql.taylor` for each k in
+    REMAINDER_ORDERS.
 
     The points are the BOUNDARY_CASES and `samples` uniform half-disk draws.
     Returns one BoundReport per bound and k, in k-major order, naming the
@@ -248,24 +251,14 @@ def verify_remainder_bounds(samples: int, k_range=(MIN_TAIL_ORDER, 20),
     cancellation by :func:`~odeql.taylor.remainder_ratios`; (k+1)! (|T_k| - 1),
     as resolved by :func:`~odeql.taylor.magnitude_ratio`; and |T_{b,k}| over
     sqrt(1.04), worst over 0 <= b <= k.
-    The tail magnitude bound is only claimed for k >= 5, so k_range must
-    start at 5 or above.
     """
     if samples < 1:
         raise ParameterError(f"need at least one sample, got {samples}")
-    k_min, k_max = int(k_range[0]), int(k_range[1])
-    if k_min < MIN_TAIL_ORDER:
-        raise ParameterError(
-            f"tail magnitude bound is only claimed for k >= {MIN_TAIL_ORDER}; "
-            f"got k_min={k_min}"
-        )
-    if k_max < k_min:
-        raise ParameterError(f"empty truncation range {k_range}")
 
     z = np.concatenate([np.array(BOUNDARY_CASES, dtype=complex),
                         half_disk_samples(samples, seed)])
     reports = []
-    for k in range(k_min, k_max + 1):
+    for k in REMAINDER_ORDERS:
         exp_ratio, phi_ratio = remainder_ratios(z, k)
         # Row b holds |T_{b,k}(z)|, so a flat index i is point i % z.size, b = i // z.size.
         tails = np.abs([tail_poly(z, b, k) for b in range(k + 1)]) / TAIL_MAGNITUDE_BOUND

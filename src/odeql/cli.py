@@ -4,9 +4,7 @@ Each input has one spelling: gen, run and sweep read a generated problem
 from one --gen spec (:func:`_parse_gen_inline`), and run takes exactly one
 of --instance or --gen. Exit codes: 0 success, 1 a claimed bound was
 violated, 2 usage or hypothesis error. Every JSON report carries the schema
-version and the exact command line that reproduces it. ODEQL_SEED, read
-when the parser is built, provides the default --seed of verify, run and
-sweep; a value that is not an integer is a usage error.
+version and the exact command line that reproduces it.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import shlex
 import sys
 from pathlib import Path
@@ -43,49 +40,50 @@ def _write_report(path, payload: dict, argv) -> None:
         print(text, end="")
 
 
-_TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
+# --gen key -> the GenSpec field it sets, its value's parser, and what that accepts.
+GEN_KEYS = {
+    "N": ("N", int, "an integer"),
+    "kappa": ("kappa_V", float, "a number"),
+    "profile": ("eig_profile", str, "a profile name"),
+    "eig": ("eig_value", complex, "a complex number"),
+    "s": ("sparsity", int, "an integer"),
+    "b": ("b_mode", str, "zero or random"),
+    "seed": ("seed", int, "an integer"),
+    "unit": ("unit_norm", {"0": False, "1": True}.__getitem__, "0 or 1"),
+}
 
 
 def _parse_gen_inline(text: str) -> GenSpec:
     """Parse the --gen spec of gen, run and sweep, e.g.
-    'N=4,kappa=3,profile=boundary,eig=-0.5,b=random,seed=1,s=2,unit=1'.
+    'N=4,kappa=3,profile=boundary,b=random,seed=1,s=2,unit=1'.
 
     An omitted key takes GenSpec's default, except N = 4 and unit = 1, so
-    the empty spec is GenSpec(N=4, unit_norm=True).
+    the empty spec is GenSpec(N=4, unit_norm=True); eig= implies the scalar
+    profile, and s= leaves kappa_V to be measured. A malformed value is an
+    error that names its key.
     """
     fields = {}
     for part in text.split(","):
-        if not part.strip():
-            continue
-        key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
-    kwargs = {"N": int(fields.pop("N", 4))}
-    if "kappa" in fields:
-        kwargs["kappa_V"] = float(fields.pop("kappa"))
-    if "profile" in fields:
-        kwargs["eig_profile"] = fields.pop("profile")
+        if part.strip():
+            key, _, value = part.partition("=")
+            fields[key.strip()] = value.strip()
+    unknown = sorted(fields.keys() - GEN_KEYS.keys())
+    if unknown:
+        raise OdeqlError(f"unknown generation keys: {unknown}")
+    kwargs = {"N": 4, "unit_norm": True}
     if "eig" in fields:
-        kwargs["eig_value"] = complex(fields.pop("eig"))
-        kwargs.setdefault("eig_profile", "scalar")
+        kwargs["eig_profile"] = "scalar"
     if "s" in fields:
-        kwargs["sparsity"] = int(fields.pop("s"))
-        kwargs.setdefault("kappa_V", None)
-    if "b" in fields:
-        kwargs["b_mode"] = fields.pop("b")
-    if "seed" in fields:
-        kwargs["seed"] = int(fields.pop("seed"))
-    if "unit" in fields:
-        unit = fields.pop("unit")
-        if unit not in _TRUE + _FALSE:
-            raise OdeqlError(f"unit must be one of {'/'.join(_TRUE)} or "
-                             f"{'/'.join(_FALSE)}, got {unit!r}")
-        kwargs["unit_norm"] = unit in _TRUE
-    if fields:
-        raise OdeqlError(f"unknown generation keys: {sorted(fields)}")
-    if "sparsity" in kwargs and kwargs.get("unit_norm") is False:
+        kwargs["kappa_V"] = None
+    for key, value in fields.items():
+        name, parse, expected = GEN_KEYS[key]
+        try:
+            kwargs[name] = parse(value)
+        except (ValueError, KeyError):
+            raise OdeqlError(f"{key}= expects {expected}, got {value!r}") from None
+    if "s" in fields and not kwargs["unit_norm"]:
         raise OdeqlError("sparse mode always rescales to ||A|| <= 1; unit=0 applies "
                          "to dense mode only")
-    kwargs.setdefault("unit_norm", True)
     return GenSpec(**kwargs)
 
 
@@ -136,6 +134,25 @@ def _resolve_params(args, A, x_in, b, inst) -> TaylorParams:
     if inst is None:
         inst = _instance_from_matrix(A, x_in, b)
     return pipeline.choose_parameters(inst, pipeline.grid(inst, args.T), args.epsilon).params
+
+
+def _numbers(text: str) -> list[float]:
+    """A comma list of numbers: sweep's --T, --epsilon and --kappa."""
+    try:
+        return [float(part) for part in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of numbers, got {text!r}") from None
+
+
+def _injection(text: str) -> float | str:
+    """--inject-delta of run and sweep: auto or a number, whose range RunConfig checks."""
+    if text == "auto":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected auto or a number, got {text!r}") from None
 
 
 def _block_index(text: str) -> tuple[int, int]:
@@ -224,18 +241,11 @@ def _cmd_verify(args, argv) -> int:
     return 0 if report["passed"] else 1
 
 
-def _injection(text: str) -> float | str:
-    """--inject-delta, for run and sweep alike; RunConfig checks a number's range."""
-    if text in ("off", "auto"):
-        return 0.0 if text == "off" else text
-    return float(text)
-
-
 def _cmd_run(args, argv) -> int:
     inst = (fileio.load_instance(args.instance) if args.gen is None
             else generate(_parse_gen_inline(args.gen)))
     cfg = pipeline.RunConfig(T=args.T, epsilon=args.epsilon, seed=args.seed,
-                             delta_injection=_injection(args.inject_delta))
+                             delta_injection=args.inject_delta)
     report = pipeline.run(inst, cfg)
     payload = report.to_json_dict()
     payload["instance"] = inst.label
@@ -244,13 +254,8 @@ def _cmd_run(args, argv) -> int:
 
 
 def _cmd_sweep(args, argv) -> int:
-    base = _parse_gen_inline(args.gen)
-    T_values = [float(s) for s in args.T.split(",")]
-    eps_values = [float(s) for s in args.epsilon.split(",")]
-    kappa_values = ([float(s) for s in args.kappa.split(",")]
-                    if args.kappa else None)
-    result = pipeline.sweep_grid(base, T_values, eps_values, kappa_values, args.seed,
-                                 delta_injection=_injection(args.inject_delta))
+    result = pipeline.sweep_grid(_parse_gen_inline(args.gen), args.T, args.epsilon,
+                                 args.kappa, args.seed, delta_injection=args.inject_delta)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(result["rows"][0]))
@@ -275,8 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
     # --seed and --report, each defined once for the subcommands that take it
     seeded = _Parser(add_help=False)
-    # a string default goes through type=int, so a bad ODEQL_SEED is a usage error
-    seeded.add_argument("--seed", type=int, default=os.environ.get("ODEQL_SEED", "0"))
+    seeded.add_argument("--seed", type=int, default=0)
     reported = _Parser(add_help=False)
     reported.add_argument("--report", help="JSON report file (default: stdout)")
 
@@ -315,17 +319,18 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--gen", help="generation spec, as for gen")
     run.add_argument("--T", type=float, required=True)
     run.add_argument("--epsilon", type=float, required=True)
-    run.add_argument("--inject-delta", dest="inject_delta", default="off",
-                     help="'auto', 'off', or an explicit perturbation norm")
+    run.add_argument("--inject-delta", dest="inject_delta", type=_injection, default=0.0,
+                     help="'auto' or an explicit perturbation norm (default 0: none)")
     run.set_defaults(func=_cmd_run)
 
     swp = sub.add_parser("sweep", parents=[seeded, reported],
                          help="grid of runs over T, epsilon, kappa")
     swp.add_argument("--gen", default="", help="generation spec, as for gen")
-    swp.add_argument("--T", required=True, help="comma list of times")
-    swp.add_argument("--epsilon", required=True, help="comma list of targets")
-    swp.add_argument("--kappa", help="comma list of condition numbers")
-    swp.add_argument("--inject-delta", dest="inject_delta", default="auto", help="as for run")
+    swp.add_argument("--T", type=_numbers, required=True, help="comma list of times")
+    swp.add_argument("--epsilon", type=_numbers, required=True, help="comma list of targets")
+    swp.add_argument("--kappa", type=_numbers, help="comma list of condition numbers")
+    swp.add_argument("--inject-delta", dest="inject_delta", type=_injection, default="auto",
+                     help="as for run (default auto)")
     swp.add_argument("--csv")
     swp.set_defaults(func=_cmd_sweep)
 

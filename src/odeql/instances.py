@@ -44,7 +44,8 @@ class GenSpec:
     """Recipe for one test problem.
 
     kappa_V prescribes the exact condition number of V, in [1, KAPPA_V_MAX];
-    eig_profile and eig_value pick the eigenvalues, and unit_norm rescales
+    eig_profile picks the eigenvalues, and eig_value is the one eigenvalue of
+    the "scalar" profile, given with it and no other; unit_norm rescales
     them so that ||A|| <= 1. These four apply to dense mode only: sparsity
     switches to the sparse mode, which measures kappa_V, draws its own
     spectrum and always rescales to ||A|| <= 1, so it takes kappa_V=None and
@@ -70,8 +71,6 @@ class GenSpec:
         if self.eig_profile not in EIG_PROFILES:
             raise ParameterError(
                 f"eig_profile must be one of {EIG_PROFILES}, got {self.eig_profile!r}")
-        if self.eig_profile == "scalar" and self.eig_value is None:
-            raise ParameterError("the scalar profile needs eig_value")
         if self.eig_value is not None and not np.isfinite(self.eig_value):
             raise ParameterError(f"eig_value must be finite, got {self.eig_value}")
         if self.b_mode not in ("zero", "random"):
@@ -95,6 +94,9 @@ class GenSpec:
             if self.kappa_V is None or not 1.0 <= self.kappa_V <= KAPPA_V_MAX:
                 raise ParameterError(f"kappa_V must lie in [1, KAPPA_V_MAX = "
                                      f"{KAPPA_V_MAX:g}], got {self.kappa_V}")
+            if (self.eig_value is None) == (self.eig_profile == "scalar"):
+                raise ParameterError("eig_value is given exactly when eig_profile is "
+                                     f"'scalar', got {self.eig_profile!r} and {self.eig_value}")
 
 
 def random_unitary(n: int, rng) -> np.ndarray:

@@ -77,8 +77,22 @@ class ChosenParameters:
 
 
 @dataclass
-class PipelineReport:
-    """Everything one run produced; deterministic given (instance, config)."""
+class MeasurementResult:
+    """Solve + perturb + measure outcome for fixed layout parameters."""
+
+    probabilities: np.ndarray
+    sampled_index: BlockIndex
+    success_flag: bool
+    success_prob: float
+    output_state: np.ndarray
+    fidelity_error: float
+    success_conditioned_error: float
+
+
+@dataclass
+class PipelineReport(MeasurementResult):
+    """A run's measurement and the run's own fields; deterministic given
+    (instance, config)."""
 
     params: TaylorParams
     log_omega: float
@@ -86,14 +100,7 @@ class PipelineReport:
     injected_delta: float
     g_grid: float
     beta: float
-    success_prob: float
-    sampled_index: BlockIndex
-    success_flag: bool
-    output_state: np.ndarray
-    fidelity_error: float
-    success_conditioned_error: float
     est_amplification_rounds: int
-    block_probabilities: np.ndarray
     T: float
     epsilon: float
     seed: int
@@ -205,19 +212,6 @@ def amplification_estimate(success_prob: float) -> int:
     return math.ceil(ratio * (1.0 - 1e-12))
 
 
-@dataclass
-class MeasurementResult:
-    """Solve + perturb + measure outcome for fixed layout parameters."""
-
-    probabilities: np.ndarray
-    sampled_index: BlockIndex
-    success_flag: bool
-    success_prob: float
-    output_state: np.ndarray
-    fidelity_error: float
-    success_conditioned_error: float
-
-
 def measure(problem: Problem, seed: int, delta_injection: float = 0.0) -> MeasurementResult:
     """Stages 2-6 of the emulation on one checked (instance, layout, grid).
 
@@ -283,20 +277,14 @@ def _report(inst: Instance, decay: DecayProfile, cfg: RunConfig) -> PipelineRepo
     outcome = measure(Problem(inst, chosen.params, decay), cfg.seed, injected)
 
     return PipelineReport(
+        **vars(outcome),
         params=chosen.params,
         log_omega=chosen.log_omega,
         delta=chosen.delta,
         injected_delta=injected,
         g_grid=decay.g_grid,
         beta=decay.weight / decay.q,
-        success_prob=outcome.success_prob,
-        sampled_index=outcome.sampled_index,
-        success_flag=outcome.success_flag,
-        output_state=outcome.output_state,
-        fidelity_error=outcome.fidelity_error,
-        success_conditioned_error=outcome.success_conditioned_error,
         est_amplification_rounds=amplification_estimate(outcome.success_prob),
-        block_probabilities=outcome.probabilities,
         T=cfg.T,
         epsilon=cfg.epsilon,
         seed=cfg.seed,

@@ -36,9 +36,9 @@ FAMILY_M = (1, 2, 4, 8)
 FAMILY_EPSILON = 1e-3
 
 
-def standard_family(seed: int = 0, N_values=FAMILY_N, kappa_values=FAMILY_KAPPA,
-                    m_values=FAMILY_M):
-    """Return the tuple of analysis.Problem members covering the standard box.
+def standard_family(seed: int = 0):
+    """Return the tuple of analysis.Problem members covering the standard box
+    FAMILY_N x FAMILY_KAPPA x FAMILY_M.
 
     Each member is generated, and its ODE integrated on its step grid, once
     here; the family suites all read the same tuple, so one family serves a
@@ -47,11 +47,11 @@ def standard_family(seed: int = 0, N_values=FAMILY_N, kappa_values=FAMILY_KAPPA,
     exactly on m steps with ||A h|| < 1.
     """
     members = []
-    for N in N_values:
-        for kappa in kappa_values:
+    for N in FAMILY_N:
+        for kappa in FAMILY_KAPPA:
             if N == 1 and kappa != 1.0:
                 continue
-            for m in m_values:
+            for m in FAMILY_M:
                 b_mode = "random" if len(members) % 2 else "zero"
                 spec = GenSpec(N=N, kappa_V=kappa, b_mode=b_mode,
                                seed=seed + 7 * len(members), unit_norm=True)
@@ -94,8 +94,7 @@ def _lemma1_reports(trials: int, seed: int) -> list:
 
 # name -> (default trial count, reports(trials, seed)), sampled from the seed.
 TRIAL_SUITES = {
-    "taylor": (1000, lambda trials, seed:
-               analysis.verify_remainder_bounds(trials, (5, 20), seed)),
+    "taylor": (1000, analysis.verify_remainder_bounds),
     "lemma1": (4, _lemma1_reports),
     "appendixB": (10_000, analysis.state_distance_checks),
 }

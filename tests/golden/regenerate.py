@@ -34,10 +34,6 @@ SWEEP_ARGV = ["sweep", "--gen", "N=4,kappa=3,b=random,seed=0", "--T", "2.0",
               "--epsilon", "1e-2,1e-4,1e-6,1e-8"]
 
 
-def suite_report(seed: int) -> dict:
-    return suites.run_suite("all", trials=SUITE_TRIALS, seed=seed)
-
-
 def emulate_reports() -> list:
     inst = generate(EMULATE_SPEC)
     return [pipeline.run(inst, pipeline.RunConfig(
@@ -55,7 +51,9 @@ def sweep_report() -> dict:
 
 def reports() -> dict:
     """File name -> the report it holds, each computed afresh."""
-    golden = {f"suite_all_seed{seed}.json": suite_report(seed) for seed in SUITE_SEEDS}
+    golden = {f"suite_all_seed{seed}.json": suites.run_suite("all", trials=SUITE_TRIALS,
+                                                             seed=seed)
+              for seed in SUITE_SEEDS}
     golden["emulate_runs.json"] = emulate_reports()
     golden["readme_sweep.json"] = sweep_report()
     return golden

@@ -92,7 +92,7 @@ def test_criterion_2_recurrence_certificates():
 
 def test_criterion_3_taylor_suite():
     """Remainder and magnitude bounds, 1000 samples x k in 5..20."""
-    reports = analysis.verify_remainder_bounds(1000, (5, 20), seed=2024)
+    reports = analysis.verify_remainder_bounds(1000, seed=2024)
     worst = max(r.worst_ratio for r in reports)
     verdict(3, "truncated-series bounds on the half-disk",
             all(r.passed for r in reports), f"worst ratio {worst:.6f}")

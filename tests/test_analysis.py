@@ -543,13 +543,12 @@ class TestDecayProfile:
         states = reference_trajectory(inst, 1.5, 3)
         assert np.array_equal(decay.states, states)
         assert np.array_equal(decay.x_T, states[-1])
-        assert np.array_equal(decay.step_norms, np.linalg.norm(states, axis=1))
 
     def test_scalar_exponential_grid(self):
         inst = make_instance(np.eye(1), [-1.0], np.zeros(1), np.ones(1))
         decay = decay_profile(inst, T=2.0, m=2)
         assert decay.g_grid == pytest.approx(math.exp(2.0), rel=1e-12)
-        np.testing.assert_allclose(decay.step_norms,
+        np.testing.assert_allclose(np.linalg.norm(decay.states, axis=1),
                                    [1.0, math.exp(-1), math.exp(-2)], rtol=1e-12)
 
     def test_degenerate_final_state(self):

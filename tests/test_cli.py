@@ -38,9 +38,8 @@ def test_gen_writes_the_instance_run_reads_from_the_same_spec(tmp_path):
         assert np.array_equal(getattr(written, name), getattr(inline, name)), name
 
 
-def test_gen_takes_its_seed_and_defaults_from_the_spec(monkeypatch, tmp_path):
-    # ODEQL_SEED sets --seed of verify, run and sweep; gen's seed is the spec's
-    monkeypatch.setenv("ODEQL_SEED", "7")
+def test_gen_takes_its_seed_and_defaults_from_the_spec(tmp_path):
+    # gen has no --seed: its instance's seed is the spec's seed=
     assert main(["gen", "--out", str(tmp_path / "inst")]) == 0
     assert json.loads((tmp_path / "inst" / "meta.json").read_text())["seed"] == 0
     assert main(["gen", "--gen", "seed=7", "--out", str(tmp_path / "seven")]) == 0
@@ -289,19 +288,6 @@ def test_dense_only_keys_in_sparse_mode_exit_2(spec, message, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_bad_odeql_seed_exits_2(monkeypatch, tmp_path, capsys):
-    # read when the parser is built, not at import, and parsed like --seed
-    monkeypatch.setenv("ODEQL_SEED", "abc")
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suite", "lemma1"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err == "error: odeql verify: argument --seed: invalid int value: 'abc'\n"
-    # an explicit --seed never reads the variable
-    assert main(["verify", "--suite", "taylor", "--trials", "5", "--seed", "1",
-                 "--report", str(tmp_path / "t.json")]) == 0
-
-
 def test_kappa_above_ceiling_exits_2(tmp_path, capsys):
     out = tmp_path / "inst"
     assert main(["gen", "--gen", "N=2,kappa=1e12,seed=122", "--out", str(out)]) == 2
@@ -440,8 +426,11 @@ def test_sweep_numeric_inject_delta_exits_0(tmp_path):
 @pytest.mark.parametrize("value", ["nan", "-1", "3", "bogus"])
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_bad_inject_delta_exits_2(command, value, capsys):
-    code = main([command, "--gen", "N=2,kappa=1,seed=3", "--T", "1",
-                 "--epsilon", "0.1", "--inject-delta", value])
+    try:
+        code = main([command, "--gen", "N=2,kappa=1,seed=3", "--T", "1",
+                     "--epsilon", "0.1", "--inject-delta", value])
+    except SystemExit as exc:  # not a number: argparse itself reports it
+        code = exc.code
     assert code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
@@ -474,21 +463,19 @@ def test_gen_sparse_mode(tmp_path):
     assert (dense != 0).sum(axis=1).max() <= 2
 
 
-@pytest.mark.parametrize("value", ["maybe", "", "True", "2"])
+@pytest.mark.parametrize("value", ["maybe", "", "True", "2", "true", "yes", "false", "no"])
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_bad_unit_flag_exits_2(command, value, capsys):
-    # only 1/true/yes and 0/false/no name a unit-norm choice; nothing falls back
+    # only 1 and 0 name a unit-norm choice; nothing falls back
     code = main([command, "--gen", f"N=2,kappa=1,seed=3,unit={value}", "--T", "1",
                  "--epsilon", "0.1"])
     assert code == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: unit must be one of 1/true/yes or 0/false/no")
-    assert captured.err.count("\n") == 1
+    assert captured.err == f"error: unit= expects 0 or 1, got {value!r}\n"
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("value, unit_norm", [("1", True), ("true", True), ("yes", True),
-                                              ("0", False), ("false", False), ("no", False)])
+@pytest.mark.parametrize("value, unit_norm", [("1", True), ("0", False)])
 def test_unit_flag_values(value, unit_norm):
     assert _parse_gen_inline(f"N=2,unit={value}").unit_norm is unit_norm
 
@@ -518,17 +505,59 @@ RETIRED_SPELLINGS = {
                      UNRECOGNIZED + "--params"),
     "gen-flags": (["gen", "--out", "inst", "--N", "4", "--kappa", "3", "--unit-norm"],
                   UNRECOGNIZED + "--N 4 --kappa 3 --unit-norm"),
+    "run-inject-off": (["run", "--gen", "N=2", "--T", "1", "--epsilon", "0.1",
+                        "--inject-delta", "off"],
+                       "error: odeql run: argument --inject-delta: expected auto or a "
+                       "number, got 'off'"),
+    "sweep-inject-off": (["sweep", "--T", "1", "--epsilon", "0.1", "--inject-delta", "off"],
+                         "error: odeql sweep: argument --inject-delta: expected auto or a "
+                         "number, got 'off'"),
+    "gen-unit-word": (["gen", "--gen", "unit=yes", "--out", "inst"],
+                      "error: unit= expects 0 or 1, got 'yes'"),
 }
 
 
-@pytest.mark.parametrize("argv, message", RETIRED_SPELLINGS.values(), ids=RETIRED_SPELLINGS)
+EIG_ERROR = "error: eig_value is given exactly when eig_profile is 'scalar', got "
+LIST_ERROR = "error: odeql sweep: argument {}: expected a comma list of numbers, got "
+# a value that is not what its key or flag takes -> the one error line, naming it
+GEN_OUT = ["--out", "inst"]
+MALFORMED_VALUES = {
+    "gen-N": (["gen", "--gen", "N=abc"] + GEN_OUT, "error: N= expects an integer, got 'abc'\n"),
+    "gen-seed": (["gen", "--gen", "seed=1.5"] + GEN_OUT,
+                 "error: seed= expects an integer, got '1.5'\n"),
+    "gen-kappa": (["gen", "--gen", "kappa=zz"] + GEN_OUT,
+                  "error: kappa= expects a number, got 'zz'\n"),
+    "gen-s": (["gen", "--gen", "N=8,s=two"] + GEN_OUT, "error: s= expects an integer, got 'two'\n"),
+    "gen-eig": (["gen", "--gen", "eig=one"] + GEN_OUT,
+                "error: eig= expects a complex number, got 'one'\n"),
+    "gen-eig-with-boundary": (["gen", "--gen", "N=2,eig=-0.5,profile=boundary"] + GEN_OUT,
+                              EIG_ERROR + "'boundary' and (-0.5+0j)\n"),
+    "gen-scalar-without-eig": (["gen", "--gen", "profile=scalar"] + GEN_OUT,
+                               EIG_ERROR + "'scalar' and None\n"),
+    "run-eig-with-boundary": (["run", "--gen", "N=2,eig=-0.5,profile=boundary", "--T", "1",
+                               "--epsilon", "0.1"], EIG_ERROR + "'boundary' and (-0.5+0j)\n"),
+    "sweep-T": (["sweep", "--T", "1,,2", "--epsilon", "0.1"],
+                LIST_ERROR.format("--T") + "'1,,2'\n"),
+    "sweep-epsilon": (["sweep", "--T", "1", "--epsilon", "abc"],
+                      LIST_ERROR.format("--epsilon") + "'abc'\n"),
+    "sweep-kappa": (["sweep", "--T", "1", "--epsilon", "0.1", "--kappa", "3,"],
+                    LIST_ERROR.format("--kappa") + "'3,'\n"),
+}
+
+
+@pytest.mark.parametrize("argv, message",
+                         [*RETIRED_SPELLINGS.values(), *MALFORMED_VALUES.values()],
+                         ids=[*RETIRED_SPELLINGS, *MALFORMED_VALUES])
 def test_one_spelling_per_input(argv, message, tmp_path, monkeypatch, capsys):
     # run takes exactly one of --instance or --gen; the retired spellings
-    # (run's file flags, --params, gen's per-field flags) are usage errors
+    # (run's file flags, --params, gen's per-field flags, --inject-delta off,
+    # unit= words) are usage errors, and a malformed value names its key or flag
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # a usage error that argparse itself reports
+        code = exc.code
+    assert code == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(message)
     assert captured.err.count("\n") == 1 and captured.out == ""
@@ -619,16 +648,10 @@ def _readme_commands():
     return [shlex.split(line)[1:] for line in lines if line.startswith("odeql ")]
 
 
-def test_readme_examples_run(tmp_path, monkeypatch):
+def test_readme_examples_run(tmp_path, monkeypatch, small_family):
     # every example in the README exits 0, in order, from one directory;
     # verify runs its family suites on a six-member family, as in the fuzz tests
-    import functools
-
-    from odeql import suites
-
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(suites, "standard_family", functools.partial(
-        suites.standard_family, N_values=(1, 2), kappa_values=(1.0, 3.0), m_values=(1, 2)))
     commands = _readme_commands()
     assert [c[0] for c in commands] == ["gen", "encode", "encode", "solve", "verify",
                                         "verify", "run", "sweep"]

@@ -12,7 +12,6 @@ thousands of trials.
 """
 
 import contextlib
-import functools
 import io
 
 import numpy as np
@@ -36,11 +35,11 @@ def _mostly(valid, hostile=HOSTILE):
 
 SIZES = _mostly([str(n) for n in range(1, 9)], HOSTILE + ["1.5", "1000000000000000"])
 STEPS = _mostly(["0.05", "0.5", "1"], HOSTILE + ["50"])
-TIMES = _mostly(["0.5", "1", "2.5"], HOSTILE + ["1e15", "1e300"])
+TIMES = _mostly(["0.5", "1", "2.5"], HOSTILE + ["1e15", "1e300", "1,,2"])
 EPSILONS = _mostly(["0.5", "1e-3", "1e-8"], HOSTILE + ["0.9"])
 KAPPAS = _mostly(["1", "3", "10"], HOSTILE + ["1e12"])
 SEEDS = _mostly(["0", "1", "5"], HOSTILE + ["1.5"])
-INJECTIONS = _mostly(["off", "auto", "0.01"])
+INJECTIONS = _mostly(["0", "auto", "0.01"], HOSTILE + ["off"])
 # solve's --block: well formed (in or outside the layout), else malformed
 WELL_FORMED_BLOCKS = ["0,0", "1,2", " 1, 0", "9,0", "-1,0"]
 BLOCKS = _mostly(WELL_FORMED_BLOCKS, HOSTILE + ["9", "a,b", "1,0,0", "1.5,0"])
@@ -50,7 +49,8 @@ GEN_SPECS = _mostly(
     ["foo=1", "N=0", "N=1.5", "kappa=nan", "kappa=1e12", "eig=1", "s=0", "s=9", "seed=-1",
      "seed=1.5", "b=maybe", "N=3,kappa=3,s=2", "N=1,kappa=3", "N", "=,=", "profile=bogus",
      "profile=scalar", "N=1000000000000000", "N=8,s=2,eig=-0.5", "N=8,s=2,profile=boundary",
-     "N=8,s=2,unit=0"])
+     "N=8,s=2,unit=0", "N=abc", "kappa=zz", "s=two", "eig=one", "unit=yes",
+     "N=2,eig=-0.5,profile=boundary"])
 
 
 @pytest.fixture(scope="module")
@@ -210,9 +210,9 @@ def test_verify_survives_hostile_input(files, data):
     if suite in TRIAL_SUITES or data.draw(st.booleans()):
         argv.append(f"--trials={data.draw(_mostly(['1', '2', '3'], HOSTILE + ['1.5']))}")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(suites, "standard_family", functools.partial(
-            suites.standard_family, N_values=(1, 2), kappa_values=(1.0, 3.0), m_values=(1, 2)))
-        patch.setattr(suites, "LEMMA1_MP", (1, 2))
+        for name, values in (("FAMILY_N", (1, 2)), ("FAMILY_KAPPA", (1.0, 3.0)),
+                             ("FAMILY_M", (1, 2)), ("LEMMA1_MP", (1, 2))):
+            patch.setattr(suites, name, values)
         _assert_clean(argv)
 
 

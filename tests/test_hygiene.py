@@ -3,7 +3,8 @@
 A name imported into a module of ``src/odeql`` must be used there; the
 package ``__init__`` is exempt, since its imports are the namespace. Each
 exception is listed with its reason, and the list fails when it goes stale.
-No module imports a private part of numpy or scipy.
+No module imports a private part of numpy or scipy, and none reads the
+environment: every input is a flag or an argument, spelt one way.
 """
 
 import ast
@@ -46,6 +47,19 @@ def private_imports(source: str) -> set:
             and any(part.startswith("_") for part in path.split("."))}
 
 
+def environment_reads(source: str) -> set:
+    """``os.environ`` and ``os.getenv``, where the module reads or imports them."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "os" and node.attr in ("environ", "getenv")):
+            found.add(f"os.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.update(f"os.{alias.name}" for alias in node.names
+                         if alias.name in ("environ", "getenv"))
+    return found
+
+
 def _modules():
     return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))
             if path.name != "__init__.py"}
@@ -65,6 +79,20 @@ def test_the_detector_finds_a_private_import():
               "from numpy import _NoValue\nfrom ._private import x\n")
     assert private_imports(source) == {
         "scipy.sparse._sputils", "scipy.sparse.linalg._dsolve._superlu", "numpy._NoValue"}
+
+
+def test_the_detector_finds_an_environment_read():
+    source = ("import os\nseed = int(os.environ.get('SEED', '0'))\n"
+              "home = os.getenv('HOME')\nsep = os.sep\n")
+    assert environment_reads(source) == {"os.environ", "os.getenv"}
+    assert environment_reads("from os import getenv as g, path\n") == {"os.getenv"}
+    assert environment_reads("import os\nprint(os.path.sep)\n") == set()
+
+
+def test_no_module_reads_the_environment():
+    found = {(file.name, name) for file in PACKAGE.glob("*.py")
+             for name in environment_reads(file.read_text())}
+    assert found == set()
 
 
 def test_no_private_numpy_or_scipy_module_is_imported():

@@ -127,6 +127,18 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             GenSpec(N=4, eig_profile="scalar")
 
+    @pytest.mark.parametrize("spectrum", [
+        dict(eig_profile="scalar"), dict(eig_value=-0.5),
+        dict(eig_profile="boundary", eig_value=-0.5),
+        dict(eig_profile="pure-imaginary", eig_value=-0.5j)],
+        ids=["scalar-without-value", "value-alone", "value-with-boundary",
+             "value-with-pure-imaginary"])
+    def test_eig_value_given_exactly_with_the_scalar_profile(self, spectrum):
+        # a value beside another profile would be dropped without a word
+        with pytest.raises(ParameterError, match="^eig_value is given exactly when "
+                                                 "eig_profile is 'scalar', got "):
+            GenSpec(N=4, **spectrum)
+
     def test_positive_real_scalar_rejected(self):
         with pytest.raises(ParameterError):
             generate(GenSpec(N=2, kappa_V=1.0, eig_profile="scalar",

@@ -133,7 +133,7 @@ class TestEstimateDecay:
                              np.zeros(2))
         decay = decay_profile(inst, T=3.0, m=3)
         assert decay.g_grid == pytest.approx(1.0)
-        np.testing.assert_allclose(decay.step_norms,
+        np.testing.assert_allclose(np.linalg.norm(decay.states, axis=1),
                                    [0.0, math.sqrt(2), 2 * math.sqrt(2),
                                     3 * math.sqrt(2)], atol=1e-12)
 
@@ -249,14 +249,13 @@ class TestRun:
         assert first.sampled_index == second.sampled_index
         assert first.fidelity_error == second.fidelity_error
         assert np.array_equal(first.output_state, second.output_state)
-        assert np.array_equal(first.block_probabilities,
-                              second.block_probabilities)
+        assert np.array_equal(first.probabilities, second.probabilities)
 
     def test_probability_normalization(self):
         inst = self._instance(seed=2)
         report = run(inst, RunConfig(T=1.5, epsilon=1e-3, seed=5,
                                      delta_injection="auto"))
-        assert abs(report.block_probabilities.sum() - 1.0) <= 1e-12
+        assert abs(report.probabilities.sum() - 1.0) <= 1e-12
         assert 0.0 <= report.success_prob <= 1.0
 
     def test_exact_solve_error_budget(self):

@@ -8,9 +8,6 @@ from odeql import analysis, encoder, numerics, suites
 from odeql.errors import ParameterError
 
 
-SMALL_FAMILY = dict(N_values=(1, 2), kappa_values=(1.0, 3.0), m_values=(1, 2))
-
-
 def _count_work(monkeypatch):
     """Count encodes, block solves and norms of encoded systems.
 
@@ -45,21 +42,22 @@ def _count_work(monkeypatch):
     return calls
 
 
-def _small_family(monkeypatch):
+@pytest.fixture
+def builds(monkeypatch, small_family):
     """Make run_suite build the small family; return the list of builds."""
     built = []
     standard_family = suites.standard_family
 
-    def small_family(seed):
-        built.append(standard_family(seed, **SMALL_FAMILY))
+    def recorded(seed):
+        built.append(standard_family(seed))
         return built[-1]
 
-    monkeypatch.setattr(suites, "standard_family", small_family)
+    monkeypatch.setattr(suites, "standard_family", recorded)
     return built
 
 
-def test_family_members_have_requested_layout():
-    members = list(suites.standard_family(seed=4, **SMALL_FAMILY))
+def test_family_members_have_requested_layout(small_family):
+    members = list(suites.standard_family(seed=4))
     # N=1 occurs only with kappa=1, so 3 (N, kappa) pairs x 2 m values
     assert len(members) == 6
     for member in members:
@@ -70,9 +68,8 @@ def test_family_members_have_requested_layout():
 
 
 @pytest.mark.parametrize("name", [n for n in suites.SUITE_NAMES if n != "all"])
-def test_run_suite_dispatch_and_shapes(name, monkeypatch):
+def test_run_suite_dispatch_and_shapes(name, builds):
     # every suite reports one merged BoundReport per bound, in one shape
-    _small_family(monkeypatch)
     trials = 20 if name in suites.TRIAL_SUITES else None
     report = suites.run_suite(name, trials=trials, seed=0)
     assert set(report) == {"suite", "instances", "worst_ratio", "reports", "passed"}
@@ -91,14 +88,13 @@ def test_run_suite_dispatch_and_shapes(name, monkeypatch):
         assert kept | {"merged"} <= set(r["details"])
 
 
-def test_small_family_suites_pass(monkeypatch):
-    _small_family(monkeypatch)
+def test_small_family_suites_pass(builds):
     for name in ("lemma2", "thm2", "thm3"):
         assert suites.run_suite(name, seed=1)["passed"]
 
 
-def test_thm2_reads_the_members_trajectories(monkeypatch):
-    family = suites.standard_family(seed=1, **SMALL_FAMILY)
+def test_thm2_reads_the_members_trajectories(monkeypatch, small_family):
+    family = suites.standard_family(seed=1)
     monkeypatch.setattr(suites, "standard_family", lambda seed: family)
     calls = []
 
@@ -111,8 +107,7 @@ def test_thm2_reads_the_members_trajectories(monkeypatch):
     assert calls == []
 
 
-def test_all_builds_one_family_and_shares_it(monkeypatch):
-    built = _small_family(monkeypatch)
+def test_all_builds_one_family_and_shares_it(monkeypatch, builds):
     seen = {name: [] for name in suites.FAMILY_SUITES}
 
     def recorded(name, check):
@@ -125,10 +120,10 @@ def test_all_builds_one_family_and_shares_it(monkeypatch):
         monkeypatch.setitem(suites.FAMILY_SUITES, name, recorded(name, check))
     report = suites.run_suite("all", trials=1)
     assert report["passed"]
-    assert len(built) == 1
-    assert isinstance(built[0], tuple) and len(built[0]) == 6
+    assert len(builds) == 1
+    assert isinstance(builds[0], tuple) and len(builds[0]) == 6
     assert sorted(seen) == ["lemma2", "lemma3", "thm1", "thm2", "thm3"]
-    assert all(list(map(id, problems)) == list(map(id, built[0]))
+    assert all(list(map(id, problems)) == list(map(id, builds[0]))
                for problems in seen.values())
     assert all(report["suites"][name] == suites.run_suite(name) for name in seen)
 
@@ -157,11 +152,10 @@ def test_lemma3_reads_the_gate_norm(monkeypatch, norm2_calls):
                for member in family)
 
 
-def test_lone_thm1_measures_only_the_two_norms(monkeypatch):
-    built = _small_family(monkeypatch)
+def test_lone_thm1_measures_only_the_two_norms(monkeypatch, builds):
     calls = _count_work(monkeypatch)
     assert suites.run_suite("thm1")["passed"]
-    systems = [member.system for member in built[0]]
+    systems = [member.system for member in builds[0]]
     assert len(calls["norm_C"]) == len(calls["inverse_norm"]) == len(systems)
     assert all(C is system.matrix for C, system in zip(calls["norm_C"], systems))
     assert calls["component"] == []

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odeql.analysis import PASS_SLACK, verify_remainder_bounds
+from odeql import analysis
+from odeql.analysis import PASS_SLACK, REMAINDER_ORDERS, verify_remainder_bounds
 from odeql.errors import ParameterError
 from odeql.taylor import (
     BOUNDARY_CASES,
+    MIN_TAIL_ORDER,
     half_disk_samples,
     magnitude_ratio,
     remainder_ratios,
@@ -164,8 +166,9 @@ class TestPolyAction:
 
 
 class TestRemainderBounds:
-    def test_report_passes_and_is_shaped(self):
-        reports = verify_remainder_bounds(200, (5, 12), seed=11)
+    def test_report_passes_and_is_shaped(self, monkeypatch):
+        monkeypatch.setattr(analysis, "REMAINDER_ORDERS", range(5, 13))
+        reports = verify_remainder_bounds(200, seed=11)
         names = ["exp-remainder", "exp-magnitude", "phi-remainder", "tail-magnitude"]
         # one report per bound and k, k-major
         assert [r.bound_name for r in reports] == names * 8
@@ -195,19 +198,20 @@ class TestRemainderBounds:
                 magnitude_ratio(z, k), scale * (np.abs(truncated_exp(z, k)) - 1.0),
                 rtol=1e-9, atol=scale * 1e-15)
 
-    def test_remainders_resolved_where_differences_cancel(self):
+    def test_remainders_resolved_where_differences_cancel(self, monkeypatch):
         # from k = 17, 1/(k+1)! is below the rounding of e^z - T_k(z); the
         # tail keeps the margin visible, worst at z = +-i
-        for k in range(17, 21):
-            reports = verify_remainder_bounds(500, (k, k), seed=k)
-            for r in reports:
-                if r.bound_name in ("exp-remainder", "phi-remainder"):
-                    assert 0.99 <= r.worst_ratio < 1.0
+        monkeypatch.setattr(analysis, "REMAINDER_ORDERS", range(17, 21))
+        reports = verify_remainder_bounds(500, seed=17)
+        assert len(reports) == 4 * 4  # four bounds at each of the four orders
+        for r in reports:
+            if r.bound_name in ("exp-remainder", "phi-remainder"):
+                assert 0.99 <= r.worst_ratio < 1.0
 
     def test_magnitude_resolved_at_every_order(self):
         # 1 + 1/(k+1)! rounds to 1 from k = 18, where |T_k| over it read 1.0
         # at z = 0; (k+1)! (|T_k| - 1) keeps the margin, worst at z = i
-        for r in verify_remainder_bounds(1000, (5, 20), seed=0):
+        for r in verify_remainder_bounds(1000, seed=0):
             if r.bound_name == "exp-magnitude":
                 assert r.worst_ratio <= 0.9, (r.argmax_instance, r.worst_ratio)
 
@@ -217,10 +221,11 @@ class TestRemainderBounds:
         err = abs(truncated_exp(1j, 5) - np.exp(1j))
         assert err <= 1.0 / math.factorial(6)
 
-    def test_small_k_rejected_at_api_boundary(self):
-        with pytest.raises(ParameterError):
-            verify_remainder_bounds(10, (4, 8), seed=0)
+    def test_orders_start_where_the_tail_bound_is_claimed(self):
+        # the tail magnitude bound is only claimed from k = 5; the suite
+        # checks every order from there to 20
+        assert REMAINDER_ORDERS == range(MIN_TAIL_ORDER, 21)
 
     def test_zero_samples_rejected(self):
         with pytest.raises(ParameterError):
-            verify_remainder_bounds(0, (5, 8), seed=0)
+            verify_remainder_bounds(0, seed=0)
