@@ -59,14 +59,16 @@ def _parse_gen_inline(text: str) -> GenSpec:
 
     An omitted key takes GenSpec's default, except N = 4 and unit = 1, so
     the empty spec is GenSpec(N=4, unit_norm=True); eig= implies the scalar
-    profile, and s= leaves kappa_V to be measured. A malformed value is an
-    error that names its key.
+    profile, and s= leaves kappa_V to be measured. A malformed value, or a
+    key given twice, is an error that names its key.
     """
     fields = {}
     for part in text.split(","):
         if part.strip():
-            key, _, value = part.partition("=")
-            fields[key.strip()] = value.strip()
+            key, _, value = map(str.strip, part.partition("="))
+            if key in fields:
+                raise OdeqlError(f"{key}= is given more than once")
+            fields[key] = value
     unknown = sorted(fields.keys() - GEN_KEYS.keys())
     if unknown:
         raise OdeqlError(f"unknown generation keys: {unknown}")
@@ -242,10 +244,11 @@ def _cmd_verify(args, argv) -> int:
 
 
 def _cmd_run(args, argv) -> int:
-    inst = (fileio.load_instance(args.instance) if args.gen is None
-            else generate(_parse_gen_inline(args.gen)))
+    # checked before the instance is built, which can take seconds
     cfg = pipeline.RunConfig(T=args.T, epsilon=args.epsilon, seed=args.seed,
                              delta_injection=args.inject_delta)
+    inst = (fileio.load_instance(args.instance) if args.gen is None
+            else generate(_parse_gen_inline(args.gen)))
     report = pipeline.run(inst, cfg)
     payload = report.to_json_dict()
     payload["instance"] = inst.label

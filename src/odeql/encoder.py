@@ -38,7 +38,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, splu
 
 from .errors import DimensionError, IntegrityError, ParameterError
 from .numerics import as_state, lanczos_norm, norm2
@@ -175,7 +174,7 @@ def unit_lower_factor(C: sp.csr_matrix):
     BLAS thread).
     """
     _check_triangular(C)
-    return splu(C.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    return sp.linalg.splu(C.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
 
 @dataclass(frozen=True)
@@ -217,7 +216,7 @@ class EncodedSystem:
         adjoint by triangular solves with one :func:`unit_lower_factor` of C;
         C is never inverted or densified."""
         lu = unit_lower_factor(self.matrix)
-        return lanczos_norm(LinearOperator(
+        return lanczos_norm(sp.linalg.LinearOperator(
             (self.dim, self.dim), dtype=complex, matvec=lu.solve,
             rmatvec=lambda y: lu.solve(y, trans="H")))
 

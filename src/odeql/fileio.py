@@ -13,8 +13,8 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
-from scipy.io import mmread, mmwrite
 
 from .errors import DimensionError, ParameterError
 from .numerics import Instance, as_state, make_instance
@@ -23,14 +23,14 @@ from .numerics import Instance, as_state, make_instance
 def save_matrix(path, M) -> None:
     """Write a sparse (coordinate) or dense (array) Matrix Market file."""
     if sp.issparse(M):
-        mmwrite(str(path), M.tocoo())
+        scipy.io.mmwrite(str(path), M.tocoo())
     else:
-        mmwrite(str(path), np.asarray(M, dtype=complex))
+        scipy.io.mmwrite(str(path), np.asarray(M, dtype=complex))
 
 
 def load_matrix(path):
     """Read a Matrix Market file; sparse input comes back as CSR."""
-    M = mmread(str(path))
+    M = scipy.io.mmread(str(path))
     if sp.issparse(M):
         M = M.tocsr()
         M.sort_indices()

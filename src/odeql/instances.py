@@ -39,6 +39,13 @@ UNIT_NORM_MARGIN = 1e-7
 KAPPA_V_MAX = 1e10
 
 
+def check_seed(seed) -> None:
+    """Refuse a seed that is not a non-negative integer where it enters, not
+    later in numpy's default_rng, whose error names no input."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class GenSpec:
     """Recipe for one test problem.
@@ -66,6 +73,7 @@ class GenSpec:
         for name in ("N", "kappa_V", "sparsity", "seed"):
             if isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ParameterError(f"{name} must be a number, got a bool")
+        check_seed(self.seed)
         if self.N < 1:
             raise ParameterError(f"N must be >= 1, got {self.N}")
         if self.eig_profile not in EIG_PROFILES:

@@ -19,7 +19,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, svds
 
 from .errors import ConvergenceError, DimensionError, ParameterError
 
@@ -127,8 +126,8 @@ def lanczos_norm(M) -> float:
     """
     v0 = np.random.default_rng(POWER_SEED).standard_normal(M.shape[1])
     try:
-        return float(svds(M, k=1, v0=v0, return_singular_vectors=False)[0])
-    except ArpackNoConvergence as exc:
+        return float(sp.linalg.svds(M, k=1, v0=v0, return_singular_vectors=False)[0])
+    except sp.linalg.ArpackNoConvergence as exc:
         raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
 
 

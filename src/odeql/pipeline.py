@@ -32,7 +32,7 @@ import numpy as np
 from .analysis import DecayProfile, Problem, decay_profile
 from .encoder import BlockIndex, TaylorParams
 from .errors import DegenerateInputError, ParameterError
-from .instances import generate
+from .instances import check_seed, generate
 from .numerics import Instance
 # Uncalled; bench/tests/test_tracing.py pins this binding until the benchmark revision.
 from .numerics import reference_solution
@@ -57,6 +57,7 @@ class RunConfig:
         for name in ("T", "epsilon", "seed", "delta_injection"):
             if isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ParameterError(f"{name} must be a number, got a bool")
+        check_seed(self.seed)
         if not (math.isfinite(self.T) and self.T > 0):
             raise ParameterError(f"T must be positive and finite, got {self.T}")
         if not 0.0 < self.epsilon <= 0.5:

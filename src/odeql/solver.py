@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve_triangular
 
 from .encoder import EncodedSystem, TaylorParams, _as_csr, _check_triangular, build_rhs
 from .errors import DegenerateInputError, DimensionError
@@ -113,8 +112,8 @@ def generic_solve(system: EncodedSystem) -> np.ndarray:
     C = system.matrix
     _check_triangular(C)
     values = sp.csr_matrix((C.data.copy(), C.indices, C.indptr), shape=C.shape)
-    return spsolve_triangular(values, system.rhs, lower=True, overwrite_A=True,
-                              unit_diagonal=True)
+    return sp.linalg.spsolve_triangular(values, system.rhs, lower=True, overwrite_A=True,
+                                        unit_diagonal=True)
 
 
 def residual(system: EncodedSystem, x) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis, pipeline
 from .encoder import TaylorParams
 from .errors import ParameterError
-from .instances import GenSpec, generate
+from .instances import GenSpec, check_seed, generate
 from .taylor import BOUNDARY_CASES, half_disk_samples
 
 SUITE_NAMES = ("taylor", "lemma1", "lemma2", "lemma3", "thm1", "thm2", "thm3",
@@ -120,6 +120,7 @@ def run_suite(name: str, trials: int | None = None, seed: int = 0) -> dict:
         raise ParameterError(f"suite {name!r} sweeps the fixed standard family and "
                              f"takes no trial count; only {', '.join(TRIAL_SUITES)} "
                              "and all do")
+    check_seed(seed)
     names = SUITE_NAMES[:-1] if name == "all" else (name,)
     family = () if name in TRIAL_SUITES else standard_family(seed)
     results = {}

@@ -390,6 +390,15 @@ def test_run_with_inline_gen(tmp_path):
     assert report["success_conditioned_error"] <= 1e-4
 
 
+@pytest.mark.parametrize("flags", [["--epsilon", "0.1", "--seed", "-1"], ["--epsilon", "0.9"]],
+                         ids=["seed", "epsilon"])
+def test_run_checks_its_config_before_building_the_instance(flags, monkeypatch, capsys):
+    # a sparse N = 1024 instance takes seconds to build; a bad flag costs none of them
+    monkeypatch.setattr("odeql.cli.generate", lambda spec: pytest.fail("generate ran"))
+    assert main(["run", "--gen", "N=1024,s=4", "--T", "1", *flags]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 def test_run_deterministic(tmp_path):
     args = ["run", "--gen", "N=2,kappa=1,seed=2", "--T", "1.0",
             "--epsilon", "1e-3", "--seed", "21"]
@@ -519,7 +528,10 @@ RETIRED_SPELLINGS = {
 
 EIG_ERROR = "error: eig_value is given exactly when eig_profile is 'scalar', got "
 LIST_ERROR = "error: odeql sweep: argument {}: expected a comma list of numbers, got "
-# a value that is not what its key or flag takes -> the one error line, naming it
+RUN = ["--T", "1", "--epsilon", "0.1"]
+SEED_ERROR = "error: seed must be a non-negative integer, got -1\n"
+# a value that is not what its key or flag takes, or a --gen key given twice
+# -> the one error line, naming it
 GEN_OUT = ["--out", "inst"]
 MALFORMED_VALUES = {
     "gen-N": (["gen", "--gen", "N=abc"] + GEN_OUT, "error: N= expects an integer, got 'abc'\n"),
@@ -542,6 +554,14 @@ MALFORMED_VALUES = {
                       LIST_ERROR.format("--epsilon") + "'abc'\n"),
     "sweep-kappa": (["sweep", "--T", "1", "--epsilon", "0.1", "--kappa", "3,"],
                     LIST_ERROR.format("--kappa") + "'3,'\n"),
+    "gen-repeated-key": (["gen", "--gen", "N=2,N=4"] + GEN_OUT,
+                         "error: N= is given more than once\n"),
+    "run-repeated-key": (["run", "--gen", "N=3,b=random,b=zero"] + RUN,
+                         "error: b= is given more than once\n"),
+    "run-gen-seed-negative": (["run", "--gen", "seed=-1"] + RUN, SEED_ERROR),
+    "run-seed-negative": (["run", "--gen", "N=2", "--seed", "-1"] + RUN, SEED_ERROR),
+    "sweep-seed-negative": (["sweep", "--seed", "-1"] + RUN, SEED_ERROR),
+    "verify-seed-negative": (["verify", "--suite", "lemma1", "--seed", "-1"], SEED_ERROR),
 }
 
 
@@ -551,7 +571,8 @@ MALFORMED_VALUES = {
 def test_one_spelling_per_input(argv, message, tmp_path, monkeypatch, capsys):
     # run takes exactly one of --instance or --gen; the retired spellings
     # (run's file flags, --params, gen's per-field flags, --inject-delta off,
-    # unit= words) are usage errors, and a malformed value names its key or flag
+    # unit= words) are usage errors, and a malformed value or a repeated
+    # --gen key names its key or flag
     monkeypatch.chdir(tmp_path)
     try:
         code = main(argv)

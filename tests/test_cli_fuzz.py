@@ -50,7 +50,7 @@ GEN_SPECS = _mostly(
      "seed=1.5", "b=maybe", "N=3,kappa=3,s=2", "N=1,kappa=3", "N", "=,=", "profile=bogus",
      "profile=scalar", "N=1000000000000000", "N=8,s=2,eig=-0.5", "N=8,s=2,profile=boundary",
      "N=8,s=2,unit=0", "N=abc", "kappa=zz", "s=two", "eig=one", "unit=yes",
-     "N=2,eig=-0.5,profile=boundary"])
+     "N=2,eig=-0.5,profile=boundary", "N=2,N=4", "N=3,b=random,b=zero"])
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,10 @@ A name imported into a module of ``src/odeql`` must be used there; the
 package ``__init__`` is exempt, since its imports are the namespace. Each
 exception is listed with its reason, and the list fails when it goes stale.
 No module imports a private part of numpy or scipy, and none reads the
-environment: every input is a flag or an argument, spelt one way.
+environment: every input is a flag or an argument, spelt one way. No module
+imports scipy's solver stack (ARPACK, SuperLU, scipy.io) when it is itself
+imported: a call site reaches it as ``sp.linalg`` or ``scipy.io``, which
+scipy loads on first use, so the dense path never pays for it.
 """
 
 import ast
@@ -60,6 +63,28 @@ def environment_reads(source: str) -> set:
     return found
 
 
+# scipy modules that only a Krylov, sparse-LU or file call needs
+SOLVER_STACK = ("scipy.sparse.linalg", "scipy.linalg", "scipy.io")
+
+
+def solver_stack_imports(source: str) -> set:
+    """The SOLVER_STACK modules that importing the module loads: its import
+    statements outside function bodies, which run only when called."""
+    paths, pending = set(), list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            paths.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            paths.add(node.module)
+            paths.update(f"{node.module}.{alias.name}" for alias in node.names)
+        pending.extend(ast.iter_child_nodes(node))
+    return {stack for stack in SOLVER_STACK for path in paths
+            if path == stack or path.startswith(stack + ".")}
+
+
 def _modules():
     return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))
             if path.name != "__init__.py"}
@@ -87,6 +112,24 @@ def test_the_detector_finds_an_environment_read():
     assert environment_reads(source) == {"os.environ", "os.getenv"}
     assert environment_reads("from os import getenv as g, path\n") == {"os.getenv"}
     assert environment_reads("import os\nprint(os.path.sep)\n") == set()
+
+
+def test_the_detector_finds_a_solver_stack_import():
+    source = ("import scipy\nimport scipy.sparse as sp\nfrom scipy.sparse import csr_matrix\n"
+              "from scipy.sparse.linalg import svds\nfrom scipy import io as sio\n"
+              "def f():\n    from scipy.linalg import expm\n    return expm\n"
+              "class C:\n    import scipy.linalg.blas\n")
+    assert solver_stack_imports(source) == {"scipy.sparse.linalg", "scipy.io", "scipy.linalg"}
+    assert solver_stack_imports("try:\n    from scipy.io import mmread\n"
+                                "except ImportError:\n    pass\n") == {"scipy.io"}
+    assert solver_stack_imports("import scipy.sparse as sp\nimport scipy\n"
+                                "def f(M):\n    return sp.linalg.svds(M, k=1)\n") == set()
+
+
+def test_no_module_imports_the_solver_stack():
+    found = {(file.name, module) for file in PACKAGE.glob("*.py")
+             for module in solver_stack_imports(file.read_text())}
+    assert found == set()
 
 
 def test_no_module_reads_the_environment():

@@ -16,7 +16,7 @@ from odeql.analysis import (
     solution_error_report,
 )
 from odeql.encoder import TaylorParams
-from odeql import analysis, pipeline
+from odeql import analysis, pipeline, suites
 from odeql.errors import DegenerateInputError, ParameterError
 from odeql.instances import GenSpec, generate
 from odeql.numerics import make_instance, reference_solution
@@ -53,6 +53,23 @@ BOOL_FIELDS = {
 def test_bools_are_not_numbers(build, kwargs, field):
     with pytest.raises(ParameterError, match=f"^{field} must be"):
         build(**kwargs)
+
+
+# where a seed enters -> its arguments, but the seed
+SEED_ENTRIES = {
+    "GenSpec": (GenSpec, dict(N=2)),
+    "RunConfig": (RunConfig, dict(T=1.0, epsilon=0.5)),
+    "run_suite": (suites.run_suite, dict(name="lemma1")),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("build, kwargs", SEED_ENTRIES.values(), ids=SEED_ENTRIES)
+def test_a_seed_that_is_not_a_natural_number_is_refused_where_it_enters(build, kwargs, seed):
+    # numpy's default_rng would refuse it later, in words that name no input
+    with pytest.raises(ParameterError,
+                       match=f"^seed must be a non-negative integer, got {seed}$"):
+        build(**kwargs, seed=seed)
 
 
 # kappa_V = |A| = 1 and a norm-preserving flow, so its grid at T = 1 has
