@@ -170,8 +170,8 @@ def unit_lower_factor(C: sp.csr_matrix):
     ``solve(y, trans="H")`` applies C^{-dagger}; C itself is left untouched.
     It pays only for many solves on a small system: at dimension 943k,
     ``splu`` and one solve took 1.2-1.4 s and raised peak RSS by 736 MiB,
-    one ``solver.generic_solve`` 0.23-0.29 s and 183 MiB (2-vCPU VM, one
-    BLAS thread).
+    one ``solver.generic_solve``, which works one row panel at a time,
+    0.14-0.17 s and under 2 MiB (2-vCPU VM, one BLAS thread).
     """
     _check_triangular(C)
     return sp.linalg.splu(C.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
@@ -302,7 +302,8 @@ def build_matrix(A, params: TaylorParams, norm_A: float) -> sp.csr_matrix:
 
 
 def build_rhs(x_in, b, params: TaylorParams) -> np.ndarray:
-    """Right-hand side: x_in in block 0, h*b in block i(k+1)+1 for each step i."""
+    """Right-hand side: x_in in block 0, h*b in block i(k+1)+1 for each step i.
+    Writable, as forward_substitute solves in place in it."""
     x_in = as_state(x_in, "x_in")
     b = as_state(b, "b")
     N = x_in.size
@@ -315,9 +316,11 @@ def build_rhs(x_in, b, params: TaylorParams) -> np.ndarray:
 
 
 def encode(A, x_in, b, params: TaylorParams) -> EncodedSystem:
-    """Build matrix and right-hand side together as one EncodedSystem."""
+    """Build matrix and right-hand side together as one EncodedSystem; the
+    rhs is read-only, like the matrix's arrays."""
     A = _as_csr(A)
     rhs = build_rhs(x_in, b, params)
+    rhs.flags.writeable = False
     if rhs.size != (params.d + 1) * A.shape[0]:  # before the gate and the assembly
         raise DimensionError("state dimension does not match the matrix block size")
     norm_A = norm2(A)

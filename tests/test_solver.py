@@ -1,6 +1,7 @@
 """Tests for block forward substitution and its generic cross-check."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -266,12 +267,15 @@ class TestResidual:
                 <= norm_bound * delta / np.linalg.norm(system.rhs) + 1e-15)
 
 
+@pytest.mark.parametrize("panel", [pytest.param(None, id="one_panel"),
+                                   pytest.param(7, id="panels_of_7")])
 @given(m=st.integers(1, 4), k=st.integers(1, 8), p=st.integers(1, 4),
        N=st.integers(1, 4), seed=st.integers(0, 2**16))
 @settings(max_examples=60, deadline=None)
-def test_any_layout_cross_validates(m, k, p, N, seed):
+def test_any_layout_cross_validates(panel, m, k, p, N, seed):
     # random small layouts, including k below the bound regime: the encoding,
-    # the structure-aware solve and the generic solve must always agree
+    # the structure-aware solve and the generic solve must always agree, in
+    # one panel and in panels of 7 rows, no multiple of N, the last one short
     rng = np.random.default_rng(seed)
     dense = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
     norm = np.linalg.norm(dense, 2)
@@ -285,20 +289,24 @@ def test_any_layout_cross_validates(m, k, p, N, seed):
     assert system.matrix.nnz == system.expected_nnz
     direct = forward_substitute(A, params, x_in, b).vector()
     C = system.matrix
-    before = (C.data.copy(), C.indices.copy(), C.indptr.copy())
-    generic = generic_solve(system)
-    # the unit-diagonal solve is bitwise SuperLU's rescale-by-diagonal solve,
-    # and it leaves the shared matrix untouched
-    assert np.array_equal(generic, spsolve_triangular(C, system.rhs, lower=True))
-    for old, new in zip(before, (C.data, C.indices, C.indptr)):
-        assert np.array_equal(old, new)
-        # C is frozen: a write into any of its arrays raises
-        assert not new.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            new[0] = new[0]
+    before = (C.data.copy(), C.indices.copy(), C.indptr.copy(), system.rhs.copy())
+    with pytest.MonkeyPatch.context() as patch:
+        if panel is not None:
+            patch.setattr(solver, "PANEL_ROWS", panel)
+        generic = generic_solve(system)
+    if panel is None:
+        # the one-panel solve is bitwise SuperLU's rescale-by-diagonal solve
+        assert np.array_equal(generic, spsolve_triangular(C, system.rhs, lower=True))
     scale = np.linalg.norm(generic)
     assert np.linalg.norm(direct - generic) <= 1e-12 * scale
     assert residual(system, direct) <= 1e-12
+    # C and rhs are frozen: the solves leave them untouched, and a write into
+    # any of their arrays raises
+    for old, new in zip(before, (C.data, C.indices, C.indptr, system.rhs)):
+        assert np.array_equal(old, new)
+        assert not new.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            new[0] = new[0]
 
     # three right-hand sides in one kernel call equal three one-column solves
     shape = (params.d + 1, N)
@@ -308,6 +316,24 @@ def test_any_layout_cross_validates(m, k, p, N, seed):
         single = block_solve(A, params, rhs[:, :, c].copy())
         np.testing.assert_allclose(stacked[:, :, c], single,
                                    rtol=0, atol=1e-14 * np.abs(single).max())
+
+
+def test_generic_solve_memory_is_a_panels_worth(monkeypatch):
+    # sixteen panels of a mid-size system: scipy's copies are a panel's, so
+    # the traced peak stays well under the one copy of C's values that a
+    # whole-matrix solve makes
+    inst = generate(GenSpec(N=256, sparsity=4, kappa_V=None, b_mode="random", seed=3))
+    params = TaylorParams(m=8, k=10, p=8, h=0.999 / norm2(inst.A))
+    system = encode(inst.A, inst.x_in, inst.b, params)
+    monkeypatch.setattr(solver, "PANEL_ROWS", -(-system.dim // 16))
+    tracemalloc.start()
+    try:
+        x = generic_solve(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < system.matrix.data.nbytes / 2
+    assert residual(system, x) <= 1e-12
 
 
 @pytest.mark.parametrize("N", [DENSE_CUTOFF - 1, DENSE_CUTOFF])
