@@ -2,7 +2,9 @@
 
 The driver picks (m, k, p, h) from the accuracy target, solves the encoded
 system, perturbs the normalized solution by the budgeted delta (standing in
-for an inexact linear-systems subroutine), and measures the block index.
+for an inexact linear-systems subroutine; placed on the final-state blocks,
+where it moves the output most), and measures the block index with the
+seeded draw.
 Landing in the padded final-state range flags success; the exact success
 probability and the implied amplitude-amplification round count come along.
 

@@ -323,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--T", type=float, required=True)
     run.add_argument("--epsilon", type=float, required=True)
     run.add_argument("--inject-delta", dest="inject_delta", type=_injection, default=0.0,
-                     help="'auto' or an explicit perturbation norm (default 0: none)")
+                     help="'auto' or an explicit perturbation norm, placed where it moves "
+                          "the success-conditioned output most (default 0: none)")
     run.set_defaults(func=_cmd_run)
 
     swp = sub.add_parser("sweep", parents=[seeded, reported],

@@ -2,11 +2,13 @@
 
 import inspect
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from golden import regenerate
 from odeql.analysis import (
     Problem,
     conditional_distance_bound,
@@ -221,25 +223,78 @@ class TestMeasure:
         outcome = measure(problem, seed=7, delta_injection=0.05)
         assert abs(outcome.probabilities.sum() - 1.0) <= 1e-12
 
-    def test_injection_norm_is_exact_and_lemmas_hold(self):
+
+def _random_rotation(unit, delta, rng):
+    """unit rotated by 2 arcsin(delta/2) toward a seeded random direction
+    orthogonal to it: the random model of an inexact solver, which the
+    worst-case placement must dominate."""
+    n = unit.size
+    raw = rng.normal(size=n) + 1j * rng.normal(size=n)
+    raw -= (unit.conj() @ raw) * unit
+    theta = 2.0 * math.asin(delta / 2.0)
+    return math.cos(theta) * unit + math.sin(theta) * raw / np.linalg.norm(raw)
+
+
+def _full_length_measurement(problem, state, seed):
+    """measure's arithmetic on a full-length unit state, the reference that
+    its block-wise reads must reproduce: (probabilities, sampled flat index,
+    output state, fidelity error, conditioned error)."""
+    params = problem.params
+    blocks = state.reshape(params.d + 1, problem.inst.N)
+    block_norms = np.linalg.norm(blocks, axis=1)
+    probs = block_norms**2
+    cdf = np.cumsum(probs)
+    draw = np.random.default_rng(seed).uniform()
+    sampled = min(int(np.searchsorted(cdf, draw * cdf[-1], side="right")), params.d)
+    output = blocks[sampled] / block_norms[sampled]
+    x_unit = problem.decay.x_T / np.linalg.norm(problem.decay.x_T)
+    conditioned = max(float(np.linalg.norm(blocks[l] / block_norms[l] - x_unit))
+                      for l in params.success_set())
+    return (probs, sampled, output, float(np.linalg.norm(output - x_unit)),
+            conditioned)
+
+
+class TestWorstCasePlacement:
+    """measure's perturbation: cos(theta) u + sin(theta) w, w on the first two
+    success blocks, pointing where block a's conditioned error grows."""
+
+    PARAMS = TaylorParams(m=2, k=6, p=2, h=0.9)
+
+    def _problem(self):
         inst = generate(GenSpec(N=3, kappa_V=2.0, b_mode="random", seed=9,
                                 unit_norm=True))
-        params = TaylorParams(m=2, k=6, p=2, h=0.9)
-        sol = _problem(inst, params).solution
-        unit = sol.vector() / np.linalg.norm(sol.vector())
-        delta = 0.01
+        return _problem(inst, self.PARAMS)
 
-        from odeql.pipeline import _perturb_on_sphere
-        rng = np.random.default_rng(33)
-        perturbed = _perturb_on_sphere(unit, delta, rng)
-        assert np.linalg.norm(perturbed) == pytest.approx(1.0, abs=1e-13)
-        assert np.linalg.norm(perturbed - unit) == pytest.approx(delta,
-                                                                 abs=1e-13)
+    @staticmethod
+    def _state(problem, delta):
+        """u, w and the perturbed state as full-length vectors."""
+        data = problem.solution.data
+        unit = data.ravel() / np.linalg.norm(data)
+        a, N = problem.params.success_set().start, problem.inst.N
+        x_unit = problem.decay.x_T / np.linalg.norm(problem.decay.x_T)
+        w = np.zeros_like(unit)
+        w[a * N:(a + 2) * N] = pipeline._worst_direction(data[a:a + 2], x_unit).ravel()
+        theta = 2.0 * math.asin(delta / 2.0)
+        return unit, w, math.cos(theta) * unit + math.sin(theta) * w
 
-        # Exact pre-perturbation amplitudes vs the perturbed ones, per block.
-        blocks_before = unit.reshape(params.d + 1, inst.N)
-        blocks_after = perturbed.reshape(params.d + 1, inst.N)
-        for l in params.success_set():
+    def test_norm_distance_orthogonality_and_lemmas(self):
+        problem = self._problem()
+        params, N, delta = self.PARAMS, problem.inst.N, 0.01
+        unit, w, state = self._state(problem, delta)
+        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-13)
+        assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-13)
+        assert np.linalg.norm(state - unit) == pytest.approx(delta, abs=1e-13)
+        assert abs(np.vdot(unit, w)) <= 1e-13
+        # orthogonal without the two blocks being copies
+        rng = np.random.default_rng(4)
+        pair = rng.normal(size=(2, N)) + 1j * rng.normal(size=(2, N))
+        x_unit = pair[1] / np.linalg.norm(pair[1])
+        assert abs(np.vdot(pair, pipeline._worst_direction(pair, x_unit))) <= 1e-13
+
+        blocks_before = unit.reshape(params.d + 1, N)
+        blocks_after = state.reshape(params.d + 1, N)
+        a = params.success_set().start
+        for l in (a, a + 1):
             alpha = np.linalg.norm(blocks_before[l])
             alpha_after = np.linalg.norm(blocks_after[l])
             assert alpha > delta
@@ -249,6 +304,99 @@ class TestMeasure:
             gap = np.linalg.norm(blocks_after[l] / alpha_after
                                  - blocks_before[l] / alpha)
             assert gap <= conditional_distance_bound(alpha, delta) + 1e-13
+
+    @pytest.mark.parametrize("delta", [1e-3, 0.5, 1.9])
+    def test_matches_the_full_length_arithmetic(self, delta):
+        # delta = 1.9 puts cos(theta) < 0: every untouched block flips sign
+        problem = self._problem()
+        probs, sampled, output, fidelity, conditioned = _full_length_measurement(
+            problem, self._state(problem, delta)[2], seed=5)
+        outcome = measure(problem, seed=5, delta_injection=delta)
+        np.testing.assert_allclose(outcome.probabilities, probs, rtol=0, atol=1e-12)
+        assert outcome.sampled_index.flat == sampled
+        np.testing.assert_allclose(outcome.output_state, output, rtol=0, atol=1e-12)
+        assert outcome.fidelity_error == pytest.approx(fidelity, abs=1e-12)
+        assert outcome.success_conditioned_error == pytest.approx(conditioned, abs=1e-12)
+
+    @staticmethod
+    def _random_worst(problem, delta):
+        """The largest conditioned error of 100 seeded random rotations."""
+        data = problem.solution.data
+        unit = data.ravel() / np.linalg.norm(data)
+        rng = np.random.default_rng(2024)
+        return max(_full_length_measurement(problem, _random_rotation(unit, delta, rng), 0)[4]
+                   for _ in range(100))
+
+    @pytest.mark.parametrize("T", regenerate.EMULATE_T)
+    def test_is_the_worst_of_100_random_rotations(self, T):
+        # the golden emulate instance at its budgeted delta
+        inst = generate(regenerate.EMULATE_SPEC)
+        epsilon = regenerate.EMULATE_EPSILON
+        decay = pipeline.grid(inst, T)
+        chosen = choose_parameters(inst, decay, epsilon)
+        problem = Problem(inst, chosen.params, decay)
+        placed = measure(problem, seed=0, delta_injection=chosen.delta)
+        assert (self._random_worst(problem, chosen.delta)
+                <= placed.success_conditioned_error <= epsilon)
+
+    def test_follows_the_error_gradient(self):
+        # block a's truncation error, 2.8e-5, dwarfs delta here: a push across
+        # the error (the phase direction, say) moves it less than a random one
+        problem = self._problem()
+        placed = measure(problem, seed=0, delta_injection=1e-6)
+        assert placed.success_conditioned_error > self._random_worst(problem, 1e-6)
+
+    def test_exact_solution_moves_the_phase(self):
+        # A = 0, b = 0: block a is x(T)'s direction, so e = c - x is 0 or a
+        # last-bit residue, and w is the phase direction (i c, -i c)/sqrt(2)
+        inst = make_instance(np.eye(2), [0.0, 0.0], np.zeros(2),
+                             np.array([1.0, 1j]) / math.sqrt(2))
+        problem = _problem(inst, TaylorParams(m=2, k=5, p=2, h=1.0))
+        data = problem.solution.data
+        a = problem.params.success_set().start
+        c = data[a] / np.linalg.norm(data[a])
+        phase = np.stack((1j * c, -1j * c)) / math.sqrt(2)
+        residue = c.copy()
+        residue[0] = complex(np.nextafter(c[0].real, 2.0), c[0].imag)
+        for x_unit in (c, residue):
+            np.testing.assert_allclose(pipeline._worst_direction(data[a:a + 2], x_unit),
+                                       phase, rtol=0, atol=1e-15)
+        delta = 0.01
+        theta = 2.0 * math.asin(delta / 2.0)
+        # block a turns by phi, tan(phi) = sin(theta)/sqrt(2) / (cos(theta) alpha)
+        alpha = np.linalg.norm(data[a]) / np.linalg.norm(data)
+        phi = math.atan2(math.sin(theta) / math.sqrt(2), math.cos(theta) * alpha)
+        outcome = measure(problem, seed=1, delta_injection=delta)
+        assert outcome.success_conditioned_error == pytest.approx(
+            2.0 * math.sin(phi / 2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("p, delta, error", [(2, 0.0, math.inf), (2, 0.1, math.inf),
+                                                 (1, 0.1, 2.0)])
+    def test_zero_success_block(self, p, delta, error):
+        # A = 0, x_in = 1, b = -1, h = 1: the final block is exactly 0, while
+        # UNIT_SCALAR's grid gives a unit x(T). An untouched zero block reads
+        # inf; when w covers every success block, it sends block a to -x(T).
+        inst = make_instance(np.eye(1), [0.0], -np.ones(1), np.ones(1))
+        decay = decay_profile(UNIT_SCALAR, T=1.0, m=1)
+        problem = Problem(inst, TaylorParams(m=1, k=5, p=p, h=1.0), decay)
+        assert not problem.solution.final_state().any()
+        outcome = measure(problem, seed=3, delta_injection=delta)
+        assert outcome.success_conditioned_error == pytest.approx(error, rel=1e-15)
+        assert np.isfinite(outcome.output_state).all()
+
+    def test_allocates_no_full_length_vector(self):
+        inst = generate(regenerate.EMULATE_SPEC)
+        decay = pipeline.grid(inst, 20.0)
+        chosen = choose_parameters(inst, decay, regenerate.EMULATE_EPSILON)
+        problem = Problem(inst, chosen.params, decay)
+        full_bytes = problem.solution.data.nbytes
+        tracemalloc.start()
+        try:
+            measure(problem, seed=1, delta_injection=chosen.delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_bytes / 4
 
 
 class TestRun:
