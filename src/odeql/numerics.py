@@ -3,12 +3,11 @@
 Everything here is pure and operates on immutable inputs: plain complex128
 numpy vectors for states and scipy CSR matrices (or dense arrays) for
 operators. :func:`reference_trajectory` is the one integrator of
-``dx/dt = A x + b``: it applies the exponential of the augmented matrix
-``[[A, b], [0, 0]]`` to ``(x_in, 1)``, which never inverts A and is exact
-also for singular A. It sums the exponential's Taylor series in the
-encoder's own kernel, :func:`~odeql.solver.block_solve`, with a substep
-count and an order fixed in advance by :func:`_oracle_layout`, so no term
-is tested for a stop.
+``dx/dt = A x + b``: it carries b as the encoded system does, h b in the
+block after the state, so it never inverts A and is exact also for singular
+A. It sums each substep's Taylor series in the encoder's own kernel,
+:func:`~odeql.solver.block_solve`, with a substep count and an order fixed
+in advance by :func:`_oracle_layout`, so no term is tested for a stop.
 """
 
 from __future__ import annotations
@@ -31,13 +30,14 @@ POWER_SEED = 0xC0FFEE
 # apply A as an ndarray (2.2 vs 9.9 us a product through CSR at order 65).
 DENSE_CUTOFF = 256
 
-# The dense oracle builds an interval's propagator (k products of two n x n
-# matrices, n = N + 1) only when n^2 <= PROPAGATOR_CROSSOVER m s, m intervals of
-# s substeps of k matvecs each; otherwise it steps the state. Measured break-even
-# m s at one BLAS thread on a 2-core Xeon, k = 22: about 13, 45 and 120 at
-# n = 65, 129 and 256 (the rule says 11, 42 and 164). Below n = 20 the rule
-# picks the propagator for any grid; a product of two such matrices costs
-# about one matvec, and the worst measured loss is 1.7x at n = 17, m s = 1.
+# The dense oracle builds a substep's affine map w -> P w + c (k products of an
+# n x n by an n x (n+1) matrix, n = N) only when n^2 <= PROPAGATOR_CROSSOVER m s,
+# m intervals of s substeps of k matvecs each; otherwise it steps the state.
+# Measured break-even m s at one BLAS thread on a 2-vCPU Xeon VM, k = 22: about
+# 12, 27-39 and 75-97 at n = 64, 128 and 255 (the rule says 10, 41 and 163).
+# Below n = 20 the rule picks the propagator for any grid; a product of two
+# such matrices costs about one matvec, and the worst measured loss is 1.9x at
+# n = 17, m s = 1.
 PROPAGATOR_CROSSOVER = 400
 
 
@@ -51,32 +51,39 @@ def as_state(v, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def _adjoint(M):
-    if sp.issparse(M):
-        return M.conj().T.tocsr()
-    return np.conj(M.T)
+def spectral_norm(M, tol: float = 1e-6, max_iter: int = 10_000) -> float:
+    """Largest singular value of a dense or sparse complex matrix.
 
-
-def _sigma_max(apply_op, apply_adj, n: int, tol: float, max_iter: int, seed: int) -> float:
-    """Largest singular value of a linear map given as (apply, adjoint apply).
-
-    Power iteration on the Gram operator with a deterministic seeded start.
-    Stops when the estimate is stable to a fraction of tol on two consecutive
-    iterations; raises ConvergenceError (with last iterate and residual)
-    after max_iter.
+    Power iteration on M^dagger M from a start vector fixed by POWER_SEED, so
+    the estimate repeats bit for bit. Stops when the estimate is stable to a
+    fraction of tol on two consecutive iterations; raises ConvergenceError
+    (with last iterate and residual) after max_iter.
     """
-    rng = np.random.default_rng(seed)
+    if not 0.0 < tol <= 1e-2:
+        raise ParameterError(f"tol must lie in (0, 1e-2], got {tol}")
+    if sp.issparse(M):
+        data = M.data
+    else:
+        M = np.asarray(M)
+        data = M
+    if not np.all(np.isfinite(data)):
+        raise ParameterError("matrix contains non-finite entries")
+    n = M.shape[1]
+    if min(M.shape) == 0:
+        return 0.0
+    MH = M.conj().T.tocsr() if sp.issparse(M) else np.conj(M.T)
+    rng = np.random.default_rng(POWER_SEED)
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
     x /= np.linalg.norm(x)
 
     sigma = 0.0
     stable = 0
     for _ in range(max_iter):
-        y = apply_op(x)
+        y = M @ x
         sigma_new = float(np.linalg.norm(y))
         if sigma_new == 0.0:
             return 0.0
-        z = apply_adj(y)
+        z = MH @ y
         z_norm = np.linalg.norm(z)
         if z_norm == 0.0:
             return sigma_new
@@ -91,28 +98,6 @@ def _sigma_max(apply_op, apply_adj, n: int, tol: float, max_iter: int, seed: int
         last_iterate=x,
         residual=change,
     )
-
-
-def spectral_norm(M, tol: float = 1e-6, max_iter: int = 10_000, seed: int = POWER_SEED) -> float:
-    """Largest singular value of a dense or sparse complex matrix.
-
-    Power iteration on M^dagger M with a deterministic seeded start vector;
-    relative accuracy tol, at most max_iter iterations.
-    """
-    if not 0.0 < tol <= 1e-2:
-        raise ParameterError(f"tol must lie in (0, 1e-2], got {tol}")
-    if sp.issparse(M):
-        data = M.data
-    else:
-        M = np.asarray(M)
-        data = M
-    if not np.all(np.isfinite(data)):
-        raise ParameterError("matrix contains non-finite entries")
-    n = M.shape[1]
-    if min(M.shape) == 0:
-        return 0.0
-    MH = _adjoint(M)
-    return _sigma_max(lambda x: M @ x, lambda y: MH @ y, n, tol, max_iter, seed)
 
 
 def lanczos_norm(M) -> float:
@@ -143,28 +128,6 @@ def norm2(M) -> float:
     if min(M.shape) < DENSE_CUTOFF:
         return float(np.linalg.norm(M.toarray() if sp.issparse(M) else M, 2))
     return lanczos_norm(M)
-
-
-def _augmented(A, b: np.ndarray, x_in: np.ndarray):
-    """Operator and start vector whose exponential action carries the ODE.
-
-    Returns M = [[A, b], [0, 0]] and (x_in, 1), so that exp(M t)(x_in, 1)
-    holds x(t) in its leading block and keeps its last entry exactly 1; when
-    b = 0 it returns A and x_in unchanged.
-    """
-    if not np.any(b):
-        return A, x_in
-    n = x_in.size
-    if sp.issparse(A):
-        aug = sp.bmat(
-            [[A, sp.csr_matrix(b.reshape(n, 1))], [None, sp.csr_matrix((1, 1), dtype=complex)]],
-            format="csr",
-        )
-    else:
-        aug = np.zeros((n + 1, n + 1), dtype=complex)
-        aug[:n, :n] = A
-        aug[:n, n] = b
-    return aug, np.concatenate([x_in, [1.0 + 0.0j]])
 
 
 @dataclass(frozen=True)
@@ -269,8 +232,11 @@ def reference_solution(inst: Instance, t: float) -> np.ndarray:
 def _oracle_layout(inst: Instance, h: float):
     """The kernel layout that carries the ODE one interval h, fixed before any product.
 
-    The scale hypot(||A||_2, ||b||), from the instance's cached ``norm_A``,
-    bounds ||[[A, b], [0, 0]]||_2. The interval splits into s = ceil(h scale/2)
+    A substep of length h_s from w gives T_k(A h_s) w + h_s S_k(A h_s) b, which
+    is exactly the leading block of the order-k Taylor sum of exp(M h_s) on
+    (w, 1), M = [[A, b], [0, 0]]; so exp's series tail bounds the substep's
+    error with the scale hypot(||A||_2, ||b||) >= ||M||_2, ||A||_2 from the
+    instance's cached ``norm_A``. The interval splits into s = ceil(h scale/2)
     substeps of norm rho = h scale/s <= 2, and k is the least order whose
     series tail, at most rho^(k+1)/(k+1)! (k+2)/(k+2-rho), is at most 2^-53,
     so no product needs a stop test. Returns s and the one-substep layout
@@ -289,14 +255,15 @@ def _oracle_layout(inst: Instance, h: float):
 def reference_trajectory(inst: Instance, T: float, m: int) -> np.ndarray:
     """Oracle states x(ih), i = 0..m, h = T/m, as rows; row 0 is x_in itself.
 
-    The augmented state of :func:`_augmented` (operator dense below
-    DENSE_CUTOFF) is carried s substeps per interval by
-    :func:`~odeql.solver.block_solve`, the encoder's own Taylor kernel, on
-    the layout of :func:`_oracle_layout`. Where PROPAGATOR_CROSSOVER says it
-    pays, the kernel solves the identity once for the substep's propagator,
-    whose s-th power steps each row on from the row before in one product;
-    otherwise it solves for the state itself, s times per interval, in
-    O(k N) memory. The last row is x(T).
+    Each substep is one solve of :func:`~odeql.solver.block_solve`, the
+    encoder's own Taylor kernel, on the one-substep layout of
+    :func:`_oracle_layout`: the state in block 0 and h_s b in block 1, as
+    :func:`~odeql.encoder.build_rhs` places them, and the state one substep
+    on read from block k+1. The operator is A itself, dense below
+    DENSE_CUTOFF. Where PROPAGATOR_CROSSOVER says it pays, one solve on the
+    identity, with an extra zero column fed h_s b, gives the substep as the
+    affine map w -> P w + c; otherwise the kernel steps the state itself, in
+    O(k N) memory. Either runs s substeps per interval. The last row is x(T).
     """
     from .solver import block_solve  # solver imports this module
 
@@ -313,23 +280,25 @@ def reference_trajectory(inst: Instance, T: float, m: int) -> np.ndarray:
     states[:] = x_in
     if T / m == 0.0:
         return states
-    op, w = _augmented(_dense(inst.A) if n < DENSE_CUTOFF else inst.A, b, x_in)
+    op = _dense(inst.A) if n < DENSE_CUTOFF else inst.A
     s, one = _oracle_layout(inst, T / m)
+    source = one.h * b
 
-    def substep(block0: np.ndarray) -> np.ndarray:
-        """The state one substep on from block0: the kernel's final block."""
-        rhs = np.zeros((one.d + 1, *block0.shape), dtype=complex)
-        rhs[0] = block0
+    def substep(start: np.ndarray, source: np.ndarray) -> np.ndarray:
+        """The kernel's final block, from start in block 0 and source in block 1."""
+        rhs = np.zeros((one.d + 1, *start.shape), dtype=complex)
+        rhs[0], rhs[1] = start, source
         return block_solve(op, one, rhs)[one.k + 1]
 
-    propagate = n < DENSE_CUTOFF and w.size ** 2 <= PROPAGATOR_CROSSOVER * m * s
+    propagate = n < DENSE_CUTOFF and n ** 2 <= PROPAGATOR_CROSSOVER * m * s
     if propagate:
-        P = np.linalg.matrix_power(substep(np.eye(w.size)), s)
+        feed = np.zeros((n, n + 1), dtype=complex)
+        feed[:, n] = source
+        Pc = substep(np.eye(n, n + 1), feed)
+        P, c = Pc[:, :n], Pc[:, n]
+    w = x_in
     for i in range(m):
-        if propagate:
-            w = P @ w
-        else:
-            for _ in range(s):
-                w = substep(w)
-        states[i + 1] = w[:n]
+        for _ in range(s):
+            w = P @ w + c if propagate else substep(w, source)
+        states[i + 1] = w
     return states

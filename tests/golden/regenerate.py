@@ -5,22 +5,30 @@ rewrite the files from the current code:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
+or, with ``--check``, to print each file's moved fields and their largest
+relative difference without writing; it exits 1 when a file would change.
 ``tests/test_golden.py`` recomputes the same reports and compares them with
-the files. A regeneration is a declared change of behaviour: list the fields
-that moved, and their largest difference, in CHANGES.md.
+the files by :func:`differences`. A regeneration is a declared change of
+behaviour: list the fields that moved, and their largest difference, in
+CHANGES.md.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
+import math
+import sys
 from pathlib import Path
 
 from odeql import cli, pipeline, suites
 from odeql.instances import GenSpec, generate
 
 HERE = Path(__file__).resolve().parent
+
+GOLDEN_RTOL = 1e-12
 
 SUITE_SEEDS = (0, 10)
 SUITE_TRIALS = 50
@@ -63,7 +71,59 @@ def dump(report) -> str:
     return json.dumps(report, indent=1, default=float) + "\n"
 
 
+def differences(expected, actual, path="$", rtol=GOLDEN_RTOL) -> list:
+    """Where actual departs from expected, one (path, expected, actual) per field.
+
+    Verdicts, integers, strings and booleans must match exactly, floats
+    exactly or within a relative rtol. A node whose type, keys or length
+    differ is one entry.
+    """
+    if type(expected) is not type(actual):
+        return [(f"{path} (type)", expected, actual)]
+    if isinstance(expected, dict):
+        if expected.keys() != actual.keys():
+            return [(f"{path} (keys)", sorted(expected), sorted(actual))]
+        return [entry for key in expected
+                for entry in differences(expected[key], actual[key], f"{path}.{key}", rtol)]
+    if isinstance(expected, list):
+        if len(expected) != len(actual):
+            return [(f"{path} (length)", len(expected), len(actual))]
+        return [entry for i, (e, a) in enumerate(zip(expected, actual))
+                for entry in differences(e, a, f"{path}[{i}]", rtol)]
+    if isinstance(expected, float):
+        if expected == actual or (math.isnan(expected) and math.isnan(actual)):
+            return []
+        if math.isclose(expected, actual, rel_tol=rtol, abs_tol=0.0):
+            return []
+    elif expected == actual:
+        return []
+    return [(path, expected, actual)]
+
+
+def check() -> bool:
+    """Print every field that the current code moves in each golden file, and
+    the largest relative difference; write nothing. True when none moves."""
+    unchanged = True
+    for name, report in reports().items():
+        golden, fresh = json.loads((HERE / name).read_text()), json.loads(dump(report))
+        moved = differences(golden, fresh, rtol=0.0)
+        print(f"{name}: {len(moved)} field(s) moved")
+        for path, old, new in moved:
+            print(f"  {path}: {old!r} -> {new!r}")
+        relative = [abs(new - old) / abs(old) for _, old, new in moved
+                    if isinstance(old, float) and isinstance(new, float) and old]
+        if relative:
+            print(f"  largest relative difference {max(relative):.3g}")
+        unchanged = unchanged and not moved
+    return unchanged
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Rewrite or check the golden reports.")
+    parser.add_argument("--check", action="store_true",
+                        help="print the moved fields and write nothing")
+    if parser.parse_args().check:
+        sys.exit(0 if check() else 1)
     for name, report in reports().items():
         (HERE / name).write_text(dump(report))
         print(f"wrote {HERE / name}")

@@ -15,7 +15,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
-from odeql import numerics
+from odeql import numerics, solver
 from odeql.errors import DimensionError, ParameterError
 from odeql.instances import GenSpec, generate, random_unitary
 from odeql.numerics import (
@@ -385,15 +385,28 @@ class TestOracleAccuracy:
         for T, m in ((7.3, 8), (10.0, 3)):
             assert self._worst_relative_error(inst, T, m) <= 1e-14
 
+    @pytest.mark.parametrize("N", [64, DENSE_CUTOFF])
+    def test_source_enters_every_substep(self, N):
+        # s = 3 substeps per interval with b random; at N = 64 the dense
+        # operator steps the state, as 64^2 > PROPAGATOR_CROSSOVER m s
+        inst = generate(GenSpec(N=N, kappa_V=3.0, b_mode="random", seed=N,
+                                unit_norm=True))
+        s, _ = numerics._oracle_layout(inst, 6.0 / 2)
+        assert s > 1
+        assert N ** 2 > numerics.PROPAGATOR_CROSSOVER * 2 * s
+        assert self._worst_relative_error(inst, T=6.0, m=2) <= 1e-13
+
     @pytest.mark.parametrize("m", [4, 5])
-    def test_both_dense_paths(self, m):
-        # n = 41: four intervals step the state, five build the propagator
-        inst = generate(GenSpec(N=40, kappa_V=10.0, b_mode="random", seed=5,
+    def test_both_dense_paths(self, m, monkeypatch):
+        # 41^2 = 1681 lies between 400 m s at m = 4 and m = 5: four intervals
+        # step the state, m s kernel solves; five build the propagator, one solve
+        inst = generate(GenSpec(N=41, kappa_V=10.0, b_mode="random", seed=5,
                                 unit_norm=True))
         s, _ = numerics._oracle_layout(inst, 4.0 / m)
         assert s == 1
-        assert (41 ** 2 <= numerics.PROPAGATOR_CROSSOVER * m * s) == (m == 5)
+        calls = _counting(monkeypatch, "block_solve", solver)
         assert self._worst_relative_error(inst, T=4.0, m=m) <= 1e-14
+        assert len(calls) == (1 if m == 5 else m * s)
 
 
 class TestOracleLayout:
@@ -467,15 +480,16 @@ class TestInstanceValidation:
         assert isinstance(inst, Instance)
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, module=numerics):
+    """Record the shape of the first argument of each call to module.name."""
     calls = []
-    inner = getattr(numerics, name)
+    inner = getattr(module, name)
 
-    def wrapper(M):
+    def wrapper(M, *args):
         calls.append(M.shape)
-        return inner(M)
+        return inner(M, *args)
 
-    monkeypatch.setattr(numerics, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
