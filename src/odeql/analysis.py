@@ -13,17 +13,20 @@ Lemma 3's (k >= 5, and the encoder's |A| h <= 1) takes them from one gate,
 one :class:`Problem`: an instance, a layout and the instance's decay profile
 on that layout's grid, from which each reads kappa_V, the eigenvalues, the
 encoded system and the block solution. ||C|| and ||C^{-1}|| are the encoded
-system's own norms, measured once per system, so the condition-number check
-measures nothing of its own.
+system's own norms, each computed once per system, so the condition-number
+check measures nothing of its own. Lemma 3 and Theorem 1 read ||C|| from
+Lemma 3's proof (``EncodedSystem.norm_upper``); the Lanczos ``norm`` is only
+the lower side of the bracket, and no verdict reads it.
 
 The bounds covered:
 
 * the four half-disk Taylor bounds of :mod:`odeql.taylor`, without cancellation
 * inverse-column norms of the scalar system:  ||C(lam)^{-1} e_l|| and entries
-* matrix norm:        ||C|| <= 2 sqrt(k), with the norms of its three-part
-                      decomposition proved from the encoded layout
+* matrix norm:        ||C|| <= 1 + sqrt(k+1) + max(h ||A||, 1) <= 2 sqrt(k), the
+                      three-part decomposition proved from the encoded layout
 * inverse norm:       ||C^{-1}|| <= 3 kappa_V sqrt(k) (m+p)
-* condition number:   kappa_C = ||C|| ||C^{-1}|| <= 6 kappa_V k (m+p)
+* condition number:   kappa_C = ||C|| ||C^{-1}|| <= 6 kappa_V k (m+p), ||C|| by
+                      Lemma 3's bound
 * solution error:     ||x(jh) - x_{j,0}|| <= 2.8 kappa_V j (|x_in| + mh|b|) / (k+1)!
 * measurement:        ||x_{m,j}|| / ||x|| >= 1 / sqrt(p + 77 m g^2)
 * three state-distance inequalities, checked by the appendixB suite.
@@ -37,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .encoder import STEP_BOUND_SLACK, EncodedSystem, TaylorParams, _check_layout, encode
+from .encoder import STEP_BOUND_SLACK, EncodedSystem, TaylorParams, encode
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -45,7 +48,7 @@ from .errors import (
     IntegrityError,
     ParameterError,
 )
-from .numerics import Instance, reference_trajectory
+from .numerics import DENSE_CUTOFF, Instance, reference_trajectory
 from .solver import BlockSolution, block_solve, forward_substitute
 from .taylor import (
     BOUNDARY_CASES,
@@ -323,26 +326,31 @@ def _system_label(system: EncodedSystem) -> str:
 
 
 def matrix_norm_bounds(system: EncodedSystem) -> BoundReport:
-    """Check ||C|| <= 2 sqrt(k) and report Lemma 3's three component norms.
+    """Check ||C|| <= 2 sqrt(k) by Lemma 3's proof, and report its three
+    component norms and both sides of ||C||.
 
-    ||C|| is the system's own ``norm``, exact to rounding. The components are
-    proved, not measured: :func:`~odeql.encoder._check_layout` proves the
-    block layout of C in O(nnz) or raises IntegrityError, and that layout
-    fixes ||C1|| = 1, ||C2|| = sqrt(k+1) and ||C3|| = max(h ||A||, 1), with
-    the ||A|| that the system's step gate measured.
+    The verdict reads the system's ``norm_upper``: the block layout, which
+    :func:`~odeql.encoder._check_layout` proves in O(nnz) or raises
+    IntegrityError on, fixes ||C1|| = 1, ||C2|| = sqrt(k+1) and
+    ||C3|| = max(h ||A||, 1), with the ||A|| that the system's step gate
+    measured, and ||C|| is at most their sum. ``certified`` says whether
+    that ||A|| came from a dense SVD (N < DENSE_CUTOFF), exact to rounding,
+    rather than from Lanczos, which may sit below ||A||. The Lanczos
+    ``norm`` is reported as the lower side.
     """
     params = system.params
     if params.k < MIN_TAIL_ORDER:
         raise HypothesisError(f"norm bound requires k >= {MIN_TAIL_ORDER}, got k={params.k}")
-    _check_layout(system.matrix, system.A, params)
     bound = 2.0 * math.sqrt(params.k)
     return BoundReport(
         bound_name="matrix-norm",
         instances_checked=1,
-        worst_ratio=float(system.norm / bound),
+        worst_ratio=float(system.norm_upper / bound),
         argmax_instance=_system_label(system),
         details={
             "norm": system.norm,
+            "norm_upper": system.norm_upper,
+            "certified": system.N < DENSE_CUTOFF,
             "bound": bound,
             "component_identity": 1.0,
             "component_collector": math.sqrt(params.k + 1.0),
@@ -374,20 +382,24 @@ def inverse_norm_bound(problem: Problem) -> BoundReport:
 
 
 def condition_number_bound(problem: Problem) -> BoundReport:
-    """Check kappa_C = ||C|| ||C^{-1}|| <= 6 kappa_V k (m+p), the product of
-    the system's two cached norms, under the hypotheses of Lemma 2."""
+    """Check kappa_C = ||C|| ||C^{-1}|| <= 6 kappa_V k (m+p) as the product
+    of the system's ``norm_upper`` (Lemma 3's proof) and its Lanczos
+    ``inverse_norm``, under the hypotheses of Lemma 2. No norm of C itself
+    is measured. ``certified`` is False: ||C^{-1}|| is still an estimate,
+    which may sit below the true norm."""
     params, kappa_V = problem.params, problem.inst.kappa_V
     _require_hypotheses(params, problem.inst.eigenvalues)
     system = problem.system
-    kappa_C = system.norm * system.inverse_norm
+    kappa_C_upper = system.norm_upper * system.inverse_norm
     bound = 6.0 * kappa_V * params.k * (params.m + params.p)
     return BoundReport(
         bound_name="condition-number",
         instances_checked=1,
-        worst_ratio=float(kappa_C / bound),
+        worst_ratio=float(kappa_C_upper / bound),
         argmax_instance=f"{_system_label(system)}, kappa_V={kappa_V:.4g}",
-        details={"kappa_C": kappa_C, "bound": bound, "norm": system.norm,
-                 "inverse_norm": system.inverse_norm},
+        details={"kappa_C_upper": kappa_C_upper, "bound": bound,
+                 "norm_upper": system.norm_upper, "inverse_norm": system.inverse_norm,
+                 "certified": False},
     )
 
 

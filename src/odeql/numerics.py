@@ -100,18 +100,23 @@ def spectral_norm(M, tol: float = 1e-6, max_iter: int = 10_000) -> float:
     )
 
 
-def lanczos_norm(M) -> float:
+def lanczos_norm(M, tol: float = 0.0) -> float:
     """Largest singular value of a sparse matrix or a LinearOperator.
 
-    ARPACK Lanczos (``svds``, k=1) on M^dagger M to machine precision, from
-    a start vector fixed by POWER_SEED, so the value repeats bit for bit and
-    numpy's global RNG is never drawn from. A LinearOperator must supply
-    rmatvec. M must be nonzero with min(M.shape) >= 2. Raises
-    ConvergenceError when ARPACK does not converge.
+    ARPACK Lanczos (``svds``, k=1) on M^dagger M to the relative Ritz
+    tolerance tol in [0, 1), 0 meaning machine precision, from a start
+    vector fixed by POWER_SEED, so the value repeats bit for bit and numpy's
+    global RNG is never drawn from. A Ritz value never exceeds the true
+    norm, at any tol. A LinearOperator must supply rmatvec. M must be
+    nonzero with min(M.shape) >= 2. Raises ConvergenceError when ARPACK
+    does not converge.
     """
+    if not 0.0 <= tol < 1.0:
+        raise ParameterError(f"tol must lie in [0, 1), got {tol}")
     v0 = np.random.default_rng(POWER_SEED).standard_normal(M.shape[1])
     try:
-        return float(sp.linalg.svds(M, k=1, v0=v0, return_singular_vectors=False)[0])
+        return float(sp.linalg.svds(M, k=1, tol=tol, v0=v0,
+                                    return_singular_vectors=False)[0])
     except sp.linalg.ArpackNoConvergence as exc:
         raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
 

@@ -194,8 +194,10 @@ class TestMatrixNormBounds:
             matrix_norm_bounds(replace(system, matrix=tampered))
 
     def test_layout_proof_runs_only_in_matrix_norm_bounds(self, monkeypatch):
+        # the proof backs EncodedSystem.norm_upper, which only the Lemma 3 and
+        # Theorem 1 checkers read: solving and run() never pay for it
         def refuse(*args):
-            raise AssertionError("the layout proof ran outside matrix_norm_bounds")
+            raise AssertionError("the layout proof ran outside the norm checks")
 
         monkeypatch.setattr(encoder, "_check_layout", refuse)
         inst, params, system = small_system(seed=2, N=3)
@@ -204,6 +206,15 @@ class TestMatrixNormBounds:
             x, forward_substitute(inst.A, params, inst.x_in, inst.b).vector(),
             rtol=0, atol=1e-12)
         assert run(inst, RunConfig(T=1.0, epsilon=1e-3, seed=9)).success_prob > 0
+
+    def test_certified_only_with_a_dense_norm_of_A(self):
+        member = standard_family(0)[-1]
+        assert matrix_norm_bounds(member.system).details["certified"] is True
+        # at N >= DENSE_CUTOFF the step gate's ||A|| is a Lanczos estimate
+        inst = generate(GenSpec(N=256, sparsity=4, kappa_V=None, b_mode="random", seed=3))
+        params = TaylorParams(m=1, k=5, p=1, h=0.999 / inst.norm_A)
+        report = matrix_norm_bounds(encode(inst.A, inst.x_in, inst.b, params))
+        assert report.passed and report.details["certified"] is False
 
     def test_small_k_not_claimed(self):
         inst, params, system = small_system(k=5)
@@ -327,24 +338,32 @@ class TestLanczosNorms:
         again = encode(inst.A, inst.x_in, inst.b, params)
         assert (matrix_norm_bounds(again).details, inverse_norm(again)) == first
 
-    def test_system_measures_each_norm_once(self, monkeypatch):
+    def test_system_runs_lanczos_once_per_norm_and_never_for_the_bound(self, monkeypatch):
         inst, params, system = small_system(seed=2, N=3)
         calls = []
 
-        def counted(M):
-            calls.append(M)
-            return numerics.lanczos_norm(M)
+        def counted(M, tol=0.0):
+            calls.append((M, tol))
+            return numerics.lanczos_norm(M, tol=tol)
 
         monkeypatch.setattr(encoder, "lanczos_norm", counted)
         singular = svdvals(system.matrix.toarray())
+        assert system.norm_upper >= singular[0] and calls == []
         assert system.norm == pytest.approx(singular[0], rel=1e-12, abs=0)
         assert system.inverse_norm == pytest.approx(1.0 / singular[-1],
                                                     rel=1e-12, abs=0)
         assert system.norm == system.norm
         assert inverse_norm(system) == system.inverse_norm
-        assert matrix_norm_bounds(system).details["norm"] == system.norm
-        assert len(calls) == 2
-        assert calls[0] is system.matrix and not sp.issparse(calls[1])
+        details = matrix_norm_bounds(system).details
+        assert (details["norm"], details["norm_upper"]) == (system.norm, system.norm_upper)
+        (C, tol), (inverse, inverse_tol) = calls
+        assert C is system.matrix and tol == encoder.NORM_TOL
+        assert not sp.issparse(inverse) and inverse_tol == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 10])
+    def test_family_norms_lie_under_the_proved_bound(self, seed):
+        for member in standard_family(seed):
+            assert member.system.norm <= member.system.norm_upper
 
 
 class TestConditionNumber:
@@ -361,7 +380,7 @@ class TestConditionNumber:
         assert inst.A.nnz == 0
         report = condition_number_bound(problem(inst, TaylorParams(m=2, k=5, p=2, h=1.0)))
         assert report.passed
-        assert math.isfinite(report.details["kappa_C"])
+        assert math.isfinite(report.details["kappa_C_upper"])
 
 
 class TestSolutionError:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from odeql import encoder
 from odeql.encoder import (
     BlockIndex,
     TaylorParams,
@@ -16,6 +17,7 @@ from odeql.encoder import (
 )
 from odeql.errors import (
     DimensionError,
+    IntegrityError,
     ParameterError,
 )
 from odeql.analysis import matrix_norm_bounds
@@ -218,6 +220,37 @@ def test_assembly_writes_C_once():
     assert (C.data.dtype, C.indices.dtype, C.indptr.dtype) == (
         np.complex128, np.int32, np.int32)
     assert peak <= 1.25 * (C.data.nbytes + C.indices.nbytes + C.indptr.nbytes)
+
+
+def test_triangular_proof_allocates_a_chunks_worth():
+    # the check reads the rows in chunks, so no temporary is full length
+    N = 8192
+    A = sp.diags(np.full(N, -0.5 + 0j), format="csr")
+    system = encode(A, np.ones(N), np.ones(N), TaylorParams(m=2, k=5, p=2, h=1.0))
+    assert system.dim >= 10**5
+    tracemalloc.start()
+    try:
+        encoder._check_triangular(system.matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("row", [0, 4, 9])
+def test_triangular_proof_reads_every_chunk(monkeypatch, row):
+    # chunks of 3 rows over 10: the last chunk is a single row
+    monkeypatch.setattr(encoder, "TRIANGULAR_CHUNK", 3)
+    C = sp.identity(10, dtype=complex, format="csr") - sp.eye(10, k=-1, format="csr")
+    encoder._check_triangular(C)
+    data, indices, indptr = C.data.copy(), C.indices.copy(), C.indptr.copy()
+    data[indptr[row + 1] - 1] = 2.0
+    with pytest.raises(IntegrityError, match="last entry of every row"):
+        encoder._check_triangular(sp.csr_matrix((data, indices, indptr), shape=C.shape))
+    empty = C.tolil()
+    empty[row, :] = 0
+    with pytest.raises(IntegrityError, match="empty row"):
+        encoder._check_triangular(empty.tocsr())
 
 
 def test_duplicate_entries_in_A_are_summed():

@@ -118,6 +118,18 @@ class TestLanczosNorm:
                             rmatvec=lambda y: M.conj().T @ y)
         assert lanczos_norm(op) == pytest.approx(2.0, rel=1e-13)
 
+    @pytest.mark.parametrize("tol", [-1e-4, 1.0, math.nan])
+    def test_tolerance_outside_zero_one_rejected(self, tol):
+        with pytest.raises(ParameterError, match=r"tol must lie in \[0, 1\)"):
+            lanczos_norm(sp.identity(4, format="csr"), tol=tol)
+
+    def test_a_loose_tolerance_stays_below_the_norm(self):
+        # a Ritz value never exceeds the norm, at any tolerance
+        M = sp.random(60, 60, density=0.2, random_state=3, format="csr")
+        exact = np.linalg.norm(M.toarray(), 2)
+        for tol in (0.0, 1e-4, 0.5):
+            assert lanczos_norm(M, tol=tol) <= exact * (1 + 1e-15)
+
 
 class TestNorm2:
     @pytest.mark.parametrize("N", [8, DENSE_CUTOFF + 44])

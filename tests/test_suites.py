@@ -25,14 +25,14 @@ def _count_work(monkeypatch):
             return inner(*args)
         return wrapper
 
-    def counted_lanczos(M):
+    def counted_lanczos(M, tol=0.0):
         if not sp.issparse(M):
             calls["inverse_norm"].append(M)
         elif np.all(M.diagonal() == 1.0):
             calls["norm_C"].append(M)
         else:
             calls["component"].append(M)
-        return lanczos(M)
+        return lanczos(M, tol=tol)
 
     monkeypatch.setattr(analysis, "encode", counted("encode", encode))
     monkeypatch.setattr(analysis, "forward_substitute", counted("solve", solve))
@@ -131,7 +131,8 @@ def test_all_builds_one_family_and_shares_it(monkeypatch, builds):
 def test_all_encodes_solves_and_measures_each_member_once(monkeypatch, norm2_calls):
     calls = _count_work(monkeypatch)
     assert suites.run_suite("all", trials=1, seed=0)["passed"]
-    # 52 members: one encode, one solve, one ||C|| and one ||C^-1|| each
+    # 52 members: one encode, one solve, one ||C|| (lemma3's lower side) and
+    # one ||C^-1|| each
     assert calls["encode"] == calls["solve"] == 52
     assert len(calls["norm_C"]) == len(calls["inverse_norm"]) == 52
     # lemma3 proves the components from the layout and measures nothing
@@ -152,14 +153,26 @@ def test_lemma3_reads_the_gate_norm(monkeypatch, norm2_calls):
                for member in family)
 
 
-def test_lone_thm1_measures_only_the_two_norms(monkeypatch, builds):
+def test_lone_thm1_runs_arpack_only_on_the_inverse(monkeypatch, builds):
     calls = _count_work(monkeypatch)
     assert suites.run_suite("thm1")["passed"]
     systems = [member.system for member in builds[0]]
-    assert len(calls["norm_C"]) == len(calls["inverse_norm"]) == len(systems)
-    assert all(C is system.matrix for C, system in zip(calls["norm_C"], systems))
-    assert calls["component"] == []
+    # ||C|| is Lemma 3's proved bound: ARPACK runs once per member, on C^-1
+    assert len(calls["inverse_norm"]) == len(systems)
+    assert calls["norm_C"] == calls["component"] == []
+    assert all("norm_upper" in vars(system) for system in systems)
     assert calls["encode"] == len(systems) and calls["solve"] == 0
+
+
+def test_lemma3_verdict_ignores_the_lanczos_norm(monkeypatch):
+    honest = suites.run_suite("lemma3")
+    lanczos = encoder.lanczos_norm
+    monkeypatch.setattr(encoder, "lanczos_norm", lambda M, tol=0.0: 0.5 * lanczos(M, tol=tol))
+    halved = suites.run_suite("lemma3")
+    # the verdict and ratio come from Lemma 3's proof; only the lower side moved
+    (before,), (after,) = honest["reports"], halved["reports"]
+    assert (after["verdict"], after["worst_ratio"]) == (before["verdict"], before["worst_ratio"])
+    assert after["details"]["norm"] == 0.5 * before["details"]["norm"]
 
 
 def test_unknown_suite_rejected():
