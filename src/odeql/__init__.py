@@ -20,7 +20,7 @@ from .analysis import (
     matrix_norm_bounds,
     verify_remainder_bounds,
 )
-from .encoder import TaylorParams, encode
+from .encoder import encode
 from .errors import (
     ConvergenceError,
     DegenerateInputError,
@@ -34,6 +34,6 @@ from .instances import GenSpec, generate
 from .numerics import reference_trajectory
 from .pipeline import RunConfig, run, sweep_grid
 from .solver import forward_substitute, residual
-from .taylor import truncated_exp
+from .taylor import TaylorParams, truncated_exp
 
 __version__ = "0.1.0"

@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .encoder import STEP_BOUND_SLACK, EncodedSystem, TaylorParams, encode
+from .encoder import STEP_BOUND_SLACK, EncodedSystem, encode
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -49,11 +49,13 @@ from .errors import (
     ParameterError,
 )
 from .numerics import DENSE_CUTOFF, Instance, reference_trajectory
-from .solver import BlockSolution, block_solve, forward_substitute
+from .solver import BlockSolution, forward_substitute
 from .taylor import (
     BOUNDARY_CASES,
     MIN_TAIL_ORDER,
     TAIL_MAGNITUDE_BOUND,
+    TaylorParams,
+    block_solve,
     half_disk_samples,
     magnitude_ratio,
     remainder_ratios,
@@ -329,7 +331,8 @@ def matrix_norm_bounds(system: EncodedSystem) -> BoundReport:
     """Check ||C|| <= 2 sqrt(k) by Lemma 3's proof, and report its three
     component norms and both sides of ||C||.
 
-    The verdict reads the system's ``norm_upper``: the block layout, which
+    The verdict reads the system's ``norm_upper``, the sum of its reported
+    ``norm_parts``: the block layout, which
     :func:`~odeql.encoder._check_layout` proves in O(nnz) or raises
     IntegrityError on, fixes ||C1|| = 1, ||C2|| = sqrt(k+1) and
     ||C3|| = max(h ||A||, 1), with the ||A|| that the system's step gate
@@ -342,6 +345,7 @@ def matrix_norm_bounds(system: EncodedSystem) -> BoundReport:
     if params.k < MIN_TAIL_ORDER:
         raise HypothesisError(f"norm bound requires k >= {MIN_TAIL_ORDER}, got k={params.k}")
     bound = 2.0 * math.sqrt(params.k)
+    identity, collector, subdiagonal = system.norm_parts
     return BoundReport(
         bound_name="matrix-norm",
         instances_checked=1,
@@ -352,9 +356,9 @@ def matrix_norm_bounds(system: EncodedSystem) -> BoundReport:
             "norm_upper": system.norm_upper,
             "certified": system.N < DENSE_CUTOFF,
             "bound": bound,
-            "component_identity": 1.0,
-            "component_collector": math.sqrt(params.k + 1.0),
-            "component_subdiagonal": max(params.h * system.norm_A, 1.0),
+            "component_identity": identity,
+            "component_collector": collector,
+            "component_subdiagonal": subdiagonal,
         },
     )
 

@@ -19,11 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio, pipeline, suites
-from .encoder import TaylorParams, encode
+from .encoder import encode
 from .errors import DegenerateInputError, OdeqlError
 from .instances import GenSpec, generate
 from .numerics import make_instance
 from .solver import forward_substitute, residual
+from .taylor import TaylorParams
 
 # kappa_V from which a matrix read from files counts as numerically defective.
 DEFECTIVE_KAPPA_V = np.finfo(float).eps ** -0.5

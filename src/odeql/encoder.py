@@ -2,7 +2,8 @@
 
 The evolution ``x((i+1)h) ~ T_k(Ah) x(ih) + S_k(Ah) h b`` over m steps,
 followed by p copy steps, is encoded in a unit-lower-triangular complex
-system of d+1 = m(k+1)+p+1 block rows of size N each:
+system of d+1 = m(k+1)+p+1 block rows of size N each, in the layout of
+:class:`~odeql.taylor.TaylorParams`:
 
 * every diagonal block is the identity;
 * block row ``i(k+1)+j`` (0 <= i < m, 1 <= j <= k) carries ``-(Ah)/j`` just
@@ -40,7 +41,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionError, IntegrityError, ParameterError
-from .numerics import as_state, lanczos_norm, norm2
+from .numerics import as_csr, as_state, lanczos_norm, norm2
+from .taylor import TaylorParams
 
 # Relative rounding bar on the |A|h <= 1 gate: norm2 is exact to rounding, so
 # the bar only admits an h = 1/|A| that picked up rounding on its way.
@@ -55,70 +57,6 @@ NORM_TOL = 1e-4
 # Rows per chunk of _check_triangular: each chunk's temporaries stay well
 # under 1 MiB whatever the size of C.
 TRIANGULAR_CHUNK = 1 << 14
-
-
-@dataclass(frozen=True)
-class BlockIndex:
-    """Position of one size-N block: step i, within-step index j, flat row l."""
-
-    i: int
-    j: int
-    flat: int
-
-
-@dataclass(frozen=True)
-class TaylorParams:
-    """The parameter tuple (m, k, p, h) governing the block layout.
-
-    m: number of evolution steps; k: Taylor truncation order; p: number of
-    trailing copy (padding) blocks; h: evolution time per step. The total
-    number of blocks is d + 1 with d = m(k+1) + p.
-    """
-
-    m: int
-    k: int
-    p: int
-    h: float
-
-    def __post_init__(self):
-        for name in ("m", "k", "p"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise ParameterError(f"{name} must be a positive integer, got {value!r}")
-        if isinstance(self.h, bool) or not (
-                isinstance(self.h, (int, float)) and math.isfinite(self.h) and self.h > 0):
-            raise ParameterError(f"h must be a positive finite real, got {self.h!r}")
-
-    @property
-    def d(self) -> int:
-        return self.m * (self.k + 1) + self.p
-
-    @property
-    def T(self) -> float:
-        """Total simulated time m*h."""
-        return self.m * self.h
-
-    def flat(self, i: int, j: int) -> int:
-        """Flat block index l = i(k+1)+j of block (i, j)."""
-        if not 0 <= i <= self.m:
-            raise DimensionError(f"step index {i} outside 0..{self.m}")
-        j_max = self.k if i < self.m else self.p
-        if not 0 <= j <= j_max:
-            raise DimensionError(f"within-step index {j} outside 0..{j_max} at i={i}")
-        return i * (self.k + 1) + j
-
-    def block(self, flat: int) -> BlockIndex:
-        """Inverse of :meth:`flat`."""
-        if not 0 <= flat <= self.d:
-            raise DimensionError(f"flat index {flat} outside 0..{self.d}")
-        body = self.m * (self.k + 1)
-        if flat < body:
-            return BlockIndex(i=flat // (self.k + 1), j=flat % (self.k + 1), flat=flat)
-        return BlockIndex(i=self.m, j=flat - body, flat=flat)
-
-    def success_set(self) -> range:
-        """Flat indices of the final-state blocks {m(k+1), ..., m(k+1)+p}."""
-        return range(self.m * (self.k + 1), self.d + 1)
 
 
 def _check_triangular(C: sp.csr_matrix) -> None:
@@ -193,9 +131,9 @@ def unit_lower_factor(C: sp.csr_matrix):
 class EncodedSystem:
     """Assembled system: matrix, right-hand side, layout, the CSR generator
     A that the structured solves apply, whose size is the block size N, and
-    norm_A, the ||A||_2 that the step gate checked. ``norm_upper`` (proved),
-    ``norm`` and ``inverse_norm`` (measured) are computed once each, on
-    first use."""
+    norm_A, the ||A||_2 that the step gate checked. ``norm_parts`` and
+    ``norm_upper`` (proved), ``norm`` and ``inverse_norm`` (measured) are
+    computed once each, on first use."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
@@ -219,13 +157,16 @@ class EncodedSystem:
         return (d + 1) * self.N + m * k * self.A.nnz + m * (k + 1) * self.N + p * self.N
 
     @cached_property
-    def norm_upper(self) -> float:
-        """Lemma 3's upper side of ||C||, from its proof: :func:`_check_layout`
-        proves C = C1 + C2 + C3 with ||C1|| = 1, ||C2|| = sqrt(k+1) and
-        ||C3|| = max(h ||A||, 1), so the triangle inequality bounds ||C|| by
-        their sum, as exactly as norm_A bounds ||A||. No norm of C is measured."""
+    def norm_parts(self) -> tuple[float, float, float]:
+        """(||C1||, ||C2||, ||C3||) = (1, sqrt(k+1), max(h ||A||, 1)), from Lemma 3's
+        proof: :func:`_check_layout` proves C = C1 + C2 + C3. No norm of C is measured."""
         _check_layout(self.matrix, self.A, self.params)
-        return 1.0 + math.sqrt(self.params.k + 1.0) + max(self.params.h * self.norm_A, 1.0)
+        return 1.0, math.sqrt(self.params.k + 1.0), max(self.params.h * self.norm_A, 1.0)
+
+    @cached_property
+    def norm_upper(self) -> float:
+        """Lemma 3's upper side of ||C||, the sum of :attr:`norm_parts`."""
+        return sum(self.norm_parts)
 
     @cached_property
     def norm(self) -> float:
@@ -244,28 +185,6 @@ class EncodedSystem:
             rmatvec=lambda y: lu.solve(y, trans="H")))
 
 
-def _require_step_bound(norm: float, h: float) -> None:
-    """The one |A|h <= 1 gate, in build_matrix, the one constructor of C."""
-    if norm * h > 1.0 + STEP_BOUND_SLACK:
-        raise ParameterError(
-            f"|A| h = {norm * h:.6g} exceeds 1; shrink the step to h <= {1.0 / norm:.6g}"
-        )
-
-
-def _as_csr(A) -> sp.csr_matrix:
-    if sp.issparse(A):
-        A = A.tocsr()
-    else:
-        A = sp.csr_matrix(np.asarray(A, dtype=complex))
-    if A.shape[0] != A.shape[1]:
-        raise DimensionError(f"A must be square, got shape {A.shape}")
-    if not np.all(np.isfinite(A.data)):
-        raise ParameterError("A contains non-finite entries")
-    A = A.astype(complex)
-    A.sum_duplicates()
-    return A
-
-
 def build_matrix(A, params: TaylorParams, norm_A: float) -> sp.csr_matrix:
     """Assemble the (d+1)N x (d+1)N encoded block matrix for step generator Ah.
 
@@ -275,10 +194,12 @@ def build_matrix(A, params: TaylorParams, norm_A: float) -> sp.csr_matrix:
     otherwise. The result is unit lower triangular with sorted column indices
     and is returned in CSR form, its three arrays read-only.
     """
-    A = _as_csr(A)
-    _require_step_bound(norm_A, params.h)
-    N = A.shape[0]
+    A = as_csr(A)
     m, k, p, h = params.m, params.k, params.p, params.h
+    if norm_A * h > 1.0 + STEP_BOUND_SLACK:  # the one |A|h <= 1 gate, C's one constructor
+        raise ParameterError(f"|A| h = {norm_A * h:.6g} exceeds 1; "
+                             f"shrink the step to h <= {1.0 / norm_A:.6g}")
+    N = A.shape[0]
     dim, step_rows = (params.d + 1) * N, (k + 1) * N
     step_nnz = k * (A.nnz + N) + (k + 2) * N
     nnz = N + m * step_nnz + 2 * p * N
@@ -341,7 +262,7 @@ def build_rhs(x_in, b, params: TaylorParams) -> np.ndarray:
 def encode(A, x_in, b, params: TaylorParams) -> EncodedSystem:
     """Build matrix and right-hand side together as one EncodedSystem; the
     rhs is read-only, like the matrix's arrays."""
-    A = _as_csr(A)
+    A = as_csr(A)
     rhs = build_rhs(x_in, b, params)
     rhs.flags.writeable = False
     if rhs.size != (params.d + 1) * A.shape[0]:  # before the gate and the assembly

@@ -23,6 +23,7 @@ import scipy.sparse as sp
 
 from .errors import ParameterError
 from .numerics import Instance, make_instance, spectral_norm
+from .taylor import half_disk_samples
 
 EIG_PROFILES = ("uniform-half-disk", "boundary", "pure-imaginary", "scalar")
 
@@ -74,6 +75,10 @@ class GenSpec:
             if isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ParameterError(f"{name} must be a number, got a bool")
         check_seed(self.seed)
+        if not isinstance(self.N, (int, np.integer)):
+            raise ParameterError(f"N must be an integer, got {self.N!r}")
+        if self.sparsity is not None and not isinstance(self.sparsity, (int, np.integer)):
+            raise ParameterError(f"sparsity must be an integer, got {self.sparsity!r}")
         if self.N < 1:
             raise ParameterError(f"N must be >= 1, got {self.N}")
         if self.eig_profile not in EIG_PROFILES:
@@ -122,9 +127,7 @@ def _sample_eigenvalues(spec: GenSpec, rng) -> np.ndarray:
             raise ParameterError(f"eigenvalue must satisfy Re <= 0, got {lam}")
         return np.full(n, lam, dtype=complex)
     if spec.eig_profile == "uniform-half-disk":
-        r = np.sqrt(rng.uniform(0.0, 1.0, size=n))
-        theta = rng.uniform(0.5 * math.pi, 1.5 * math.pi, size=n)
-        return r * np.exp(1j * theta)
+        return half_disk_samples(n, rng)
     if spec.eig_profile == "boundary":
         theta = rng.uniform(0.5 * math.pi, 1.5 * math.pi, size=n)
         return np.exp(1j * theta)

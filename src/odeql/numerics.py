@@ -2,12 +2,13 @@
 
 Everything here is pure and operates on immutable inputs: plain complex128
 numpy vectors for states and scipy CSR matrices (or dense arrays) for
-operators. :func:`reference_trajectory` is the one integrator of
-``dx/dt = A x + b``: it carries b as the encoded system does, h b in the
-block after the state, so it never inverts A and is exact also for singular
-A. It sums each substep's Taylor series in the encoder's own kernel,
-:func:`~odeql.solver.block_solve`, with a substep count and an order fixed
-in advance by :func:`_oracle_layout`, so no term is tested for a stop.
+operators, validated by :func:`as_state` and :func:`as_csr`.
+:func:`reference_trajectory` is the one integrator of ``dx/dt = A x + b``:
+it carries b as the encoded system does, h b in the block after the state,
+so it never inverts A and is exact also for singular A. It sums each
+substep's Taylor series in the encoder's own kernel and layout, from
+:mod:`odeql.taylor`, with a substep count and an order fixed in advance by
+:func:`_oracle_layout`, so no term is tested for a stop.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConvergenceError, DimensionError, ParameterError
+from .taylor import TaylorParams, block_solve
 
 # Fixed start-vector seed so norm estimates are reproducible run to run.
 POWER_SEED = 0xC0FFEE
@@ -49,6 +51,18 @@ def as_state(v, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ParameterError(f"{name} contains non-finite entries")
     return arr
+
+
+def as_csr(A) -> sp.csr_matrix:
+    """Validate and convert a square matrix to canonical complex128 CSR."""
+    A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(np.asarray(A, dtype=complex))
+    if A.shape[0] != A.shape[1]:
+        raise DimensionError(f"A must be square, got shape {A.shape}")
+    if not np.all(np.isfinite(A.data)):
+        raise ParameterError("A contains non-finite entries")
+    A = A.astype(complex)
+    A.sum_duplicates()
+    return A
 
 
 def spectral_norm(M, tol: float = 1e-6, max_iter: int = 10_000) -> float:
@@ -213,12 +227,7 @@ def make_instance(V, eigenvalues, b, x_in, V_inv=None, A=None, kappa_V=None,
     if V.shape != (n, n) or eigenvalues.size != n or b.size != n:
         raise DimensionError("V, eigenvalues, b and x_in must share one dimension")
     V_inv = np.linalg.inv(V) if V_inv is None else _dense(V_inv)
-    if A is None:
-        A = sp.csr_matrix((V * eigenvalues) @ V_inv)
-    elif not sp.issparse(A):
-        A = sp.csr_matrix(np.asarray(A, dtype=complex))
-    else:
-        A = A.tocsr()
+    A = as_csr((V * eigenvalues) @ V_inv if A is None else A)
     norm_V, norm_V_inv = norm2(V), norm2(V_inv)
     if kappa_V is None:
         # |V||V^-1| >= |V V^-1| = 1; rounding can land a hair below
@@ -247,8 +256,6 @@ def _oracle_layout(inst: Instance, h: float):
     so no product needs a stop test. Returns s and the one-substep layout
     TaylorParams(m=1, k=k, p=1, h=h/s).
     """
-    from .encoder import TaylorParams  # encoder imports this module
-
     x = h * math.hypot(inst.norm_A, np.linalg.norm(inst.b))
     s = max(1, math.ceil(x / 2))
     rho, k = x / s, 1
@@ -260,7 +267,7 @@ def _oracle_layout(inst: Instance, h: float):
 def reference_trajectory(inst: Instance, T: float, m: int) -> np.ndarray:
     """Oracle states x(ih), i = 0..m, h = T/m, as rows; row 0 is x_in itself.
 
-    Each substep is one solve of :func:`~odeql.solver.block_solve`, the
+    Each substep is one solve of :func:`~odeql.taylor.block_solve`, the
     encoder's own Taylor kernel, on the one-substep layout of
     :func:`_oracle_layout`: the state in block 0 and h_s b in block 1, as
     :func:`~odeql.encoder.build_rhs` places them, and the state one substep
@@ -270,8 +277,6 @@ def reference_trajectory(inst: Instance, T: float, m: int) -> np.ndarray:
     affine map w -> P w + c; otherwise the kernel steps the state itself, in
     O(k N) memory. Either runs s substeps per interval. The last row is x(T).
     """
-    from .solver import block_solve  # solver imports this module
-
     if m < 1:
         raise ParameterError(f"m must be >= 1, got {m}")
     if not (math.isfinite(T) and T >= 0):

@@ -34,13 +34,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import DecayProfile, Problem, decay_profile
-from .encoder import BlockIndex, TaylorParams
 from .errors import DegenerateInputError, ParameterError
 from .instances import check_seed, generate
 from .numerics import Instance
 # Uncalled; bench/tests/test_tracing.py pins this binding until the benchmark revision.
 from .numerics import reference_solution
-from .taylor import MIN_TAIL_ORDER
+from .taylor import MIN_TAIL_ORDER, BlockIndex, TaylorParams
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,10 @@
 """Structure-aware solution of the encoded system.
 
 The primary path, :func:`forward_substitute`, never assembles the big matrix:
-it walks the blocks in flat order and replays the defining recurrences
-
-    x_{0,0} = x_in
-    x_{i,1} = Ah x_{i,0} + h b
-    x_{i,j} = (Ah/j) x_{i,j-1}              2 <= j <= k
-    x_{i+1,0} = sum_{j=0}^{k} x_{i,j}
-    x_{m,j} = x_{m,j-1}                     1 <= j <= p
-
-at a cost of m*k products with A plus vector additions.
-:func:`block_solve` is the one kernel for these recurrences, and the one
-Taylor loop of the package: it solves C (forward only) for any stack of
-right-hand sides, and backs forward substitution, the scalar inverse
-columns and the reference oracle of :mod:`odeql.numerics`, which runs it
-with an a-priori substep count and order. The solvers check shapes,
-finiteness and structure, never a hypothesis of the paper.
+it runs the package's one Taylor kernel, :func:`~odeql.taylor.block_solve`,
+on x_in in block 0 and h b in block i(k+1)+1 of every step, at a cost of m*k
+products with A plus vector additions. The solvers check shapes, finiteness
+and structure, never a hypothesis of the paper.
 
 :func:`generic_solve`, the independent cross-check, solves the assembled
 matrix only once the encoder has proved it canonical CSR and unit lower
@@ -34,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .encoder import EncodedSystem, TaylorParams, _as_csr, _check_triangular, build_rhs
+from .encoder import EncodedSystem, _check_triangular, build_rhs
 from .errors import DegenerateInputError, DimensionError
-from .numerics import DENSE_CUTOFF, as_state
+from .numerics import DENSE_CUTOFF, as_csr, as_state
+from .taylor import TaylorParams, block_solve
 
 # Rows per panel of generic_solve. Each panel pays a fixed cost (two slices,
 # the checks of spsolve_triangular) that small panels do not amortise, and
@@ -76,27 +66,6 @@ class BlockSolution:
         return self.block(self.params.m, 0)
 
 
-def block_solve(A, params: TaylorParams, rhs: np.ndarray) -> np.ndarray:
-    """Solve C x = rhs in place by forward substitution, block by block.
-
-    ``rhs`` has shape (d+1, N) or (d+1, N, B): row l is block l of B
-    right-hand sides. It is overwritten with the solution and returned. The
-    recurrences in the module docstring run with a general right-hand side;
-    only ``A @`` is applied, m*k times, so A may be CSR or dense. No argument
-    is checked; callers validate.
-    """
-    x = rhs
-    m, k, h = params.m, params.k, params.h
-    for i in range(m):
-        base = i * (k + 1)
-        for j in range(1, k + 1):
-            x[base + j] += (h / j) * (A @ x[base + j - 1])
-        x[base + k + 1] += x[base:base + k + 1].sum(axis=0)
-    for l in range(m * (k + 1) + 1, params.d + 1):
-        x[l] += x[l - 1]
-    return x
-
-
 def forward_substitute(A, params: TaylorParams, x_in, b) -> BlockSolution:
     """Solve the encoded system block-by-block without assembling it.
 
@@ -105,7 +74,7 @@ def forward_substitute(A, params: TaylorParams, x_in, b) -> BlockSolution:
     :func:`~odeql.encoder.encode`. Below DENSE_CUTOFF the kernel applies A as a
     dense ndarray, from there as CSR.
     """
-    A = _as_csr(A)
+    A = as_csr(A)
     N = A.shape[0]
     rhs = build_rhs(x_in, b, params)
     if rhs.size != (params.d + 1) * N:

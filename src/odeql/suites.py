@@ -20,10 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import analysis, pipeline
-from .encoder import TaylorParams
 from .errors import ParameterError
 from .instances import GenSpec, check_seed, generate
-from .taylor import BOUNDARY_CASES, half_disk_samples
+from .taylor import BOUNDARY_CASES, TaylorParams, half_disk_samples
 
 SUITE_NAMES = ("taylor", "lemma1", "lemma2", "lemma3", "thm1", "thm2", "thm3",
                "appendixB", "all")

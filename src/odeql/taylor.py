@@ -1,4 +1,5 @@
-"""Truncated Taylor polynomials of the exponential and their remainders.
+"""Truncated Taylor polynomials of the exponential, their remainders, and the
+block layout and kernel that step them.
 
 Three polynomial families drive the block encoding:
 
@@ -22,15 +23,25 @@ them from the tail, e^z - T_k(z) = z^{k+1}/(k+1)! T_{k+1,inf}(z), and
 
 Evaluation is by Horner's scheme from the highest term down, which is stable
 in the only regime the encoder exercises (|z| <= 1, all terms decaying).
+
+The series stepped m times is laid out in blocks by :class:`TaylorParams`;
+:func:`block_solve`, the package's one Taylor loop, solves the encoded system
+C x = r forward for any stack of right-hand sides r, block by block:
+
+    x_{0,0} = r_{0,0}
+    x_{i,j} = r_{i,j} + (Ah/j) x_{i,j-1}            0 <= i < m, 1 <= j <= k
+    x_{i,0} = r_{i,0} + sum_{j=0}^{k} x_{i-1,j}     1 <= i <= m
+    x_{m,j} = r_{m,j} + x_{m,j-1}                   1 <= j <= p
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DimensionError, ParameterError
 
 # Magnitude bound for the normalized tail polynomials, valid for k >= 5.
 TAIL_MAGNITUDE_BOUND = math.sqrt(1.04)
@@ -77,8 +88,8 @@ def tail_poly(z, b: int, k: int):
     return acc
 
 
-def half_disk_samples(n: int, seed: int) -> np.ndarray:
-    """Draw n points uniformly in area from { |z| <= 1, Re(z) <= 0 }."""
+def half_disk_samples(n: int, seed) -> np.ndarray:
+    """Draw n points uniformly in area from { |z| <= 1, Re(z) <= 0 }; seed may be a Generator."""
     rng = np.random.default_rng(seed)
     r = np.sqrt(rng.uniform(0.0, 1.0, size=n))
     theta = rng.uniform(0.5 * math.pi, 1.5 * math.pi, size=n)
@@ -114,3 +125,90 @@ def magnitude_ratio(z, k: int):
     excess = (scale * np.expm1(2.0 * z.real) - 2.0 * (np.conj(np.exp(z)) * rho).real
               + np.abs(rho) ** 2 / scale)
     return excess / (np.abs(truncated_exp(z, k)) + 1.0)
+
+
+@dataclass(frozen=True)
+class BlockIndex:
+    """Position of one size-N block: step i, within-step index j, flat row l."""
+
+    i: int
+    j: int
+    flat: int
+
+
+@dataclass(frozen=True)
+class TaylorParams:
+    """The parameter tuple (m, k, p, h) governing the block layout.
+
+    m: number of evolution steps; k: Taylor truncation order; p: number of
+    trailing copy (padding) blocks; h: evolution time per step. The total
+    number of blocks is d + 1 with d = m(k+1) + p.
+    """
+
+    m: int
+    k: int
+    p: int
+    h: float
+
+    def __post_init__(self):
+        for name in ("m", "k", "p"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+        if isinstance(self.h, bool) or not (
+                isinstance(self.h, (int, float, np.integer, np.floating))
+                and math.isfinite(self.h) and self.h > 0):
+            raise ParameterError(f"h must be a positive finite real, got {self.h!r}")
+        # held as a Python float, so an np.float32 h cannot round h/j to single
+        object.__setattr__(self, "h", float(self.h))
+
+    @property
+    def d(self) -> int:
+        return self.m * (self.k + 1) + self.p
+
+    @property
+    def T(self) -> float:
+        """Total simulated time m*h."""
+        return self.m * self.h
+
+    def flat(self, i: int, j: int) -> int:
+        """Flat block index l = i(k+1)+j of block (i, j)."""
+        if not 0 <= i <= self.m:
+            raise DimensionError(f"step index {i} outside 0..{self.m}")
+        j_max = self.k if i < self.m else self.p
+        if not 0 <= j <= j_max:
+            raise DimensionError(f"within-step index {j} outside 0..{j_max} at i={i}")
+        return i * (self.k + 1) + j
+
+    def block(self, flat: int) -> BlockIndex:
+        """Inverse of :meth:`flat`."""
+        if not 0 <= flat <= self.d:
+            raise DimensionError(f"flat index {flat} outside 0..{self.d}")
+        body = self.m * (self.k + 1)
+        if flat < body:
+            return BlockIndex(i=flat // (self.k + 1), j=flat % (self.k + 1), flat=flat)
+        return BlockIndex(i=self.m, j=flat - body, flat=flat)
+
+    def success_set(self) -> range:
+        """Flat indices of the final-state blocks {m(k+1), ..., m(k+1)+p}."""
+        return range(self.m * (self.k + 1), self.d + 1)
+
+
+def block_solve(A, params: TaylorParams, rhs: np.ndarray) -> np.ndarray:
+    """Solve C x = rhs in place by forward substitution, block by block.
+
+    ``rhs`` has shape (d+1, N) or (d+1, N, B): row l is block l of B
+    right-hand sides. It is overwritten with the solution and returned, by
+    the recurrences in the module docstring. Only ``A @`` is applied, m*k
+    times, so A may be CSR or dense. No argument is checked; callers validate.
+    """
+    x = rhs
+    m, k, h = params.m, params.k, params.h
+    for i in range(m):
+        base = i * (k + 1)
+        for j in range(1, k + 1):
+            x[base + j] += (h / j) * (A @ x[base + j - 1])
+        x[base + k + 1] += x[base:base + k + 1].sum(axis=0)
+    for l in range(m * (k + 1) + 1, params.d + 1):
+        x[l] += x[l - 1]
+    return x

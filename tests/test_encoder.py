@@ -9,7 +9,6 @@ import scipy.sparse as sp
 
 from odeql import encoder
 from odeql.encoder import (
-    BlockIndex,
     TaylorParams,
     build_matrix,
     build_rhs,
@@ -24,6 +23,7 @@ from odeql.analysis import matrix_norm_bounds
 from odeql.instances import GenSpec, generate, random_unitary
 from odeql.numerics import norm2
 from odeql.solver import forward_substitute, generic_solve
+from odeql.taylor import BlockIndex
 
 from oracles import simulate_state_prep
 
@@ -80,6 +80,19 @@ class TestTaylorParams:
             TaylorParams(m=1, k=3, p=1, h=-1.0)
         with pytest.raises(DimensionError):
             TaylorParams(m=1, k=3, p=1, h=1.0).flat(0, 4)
+
+    @pytest.mark.parametrize("h", [np.float32(0.5), np.float16(0.5), np.float64(0.5),
+                                   np.int64(1), np.uint8(1), 0.5, 1])
+    def test_h_accepts_any_real_scalar_and_holds_a_float(self, h):
+        params = TaylorParams(m=1, k=5, p=1, h=h)
+        # a float32 h kept as such would round h/j to single precision
+        assert type(params.h) is float and params.h == float(h)
+
+    @pytest.mark.parametrize("h", [True, np.bool_(True), np.float32("nan"), np.inf,
+                                   np.float64(0.0), -1, "0.5", 0.5j])
+    def test_h_refuses_a_bool_or_non_positive_or_non_real(self, h):
+        with pytest.raises(ParameterError, match="^h must be a positive finite real"):
+            TaylorParams(m=1, k=5, p=1, h=h)
 
 
 class TestBuildMatrix:

@@ -7,10 +7,15 @@ No module imports a private part of numpy or scipy, and none reads the
 environment: every input is a flag or an argument, spelt one way. No module
 imports scipy's solver stack (ARPACK, SuperLU, scipy.io) when it is itself
 imported: a call site reaches it as ``sp.linalg`` or ``scipy.io``, which
-scipy loads on first use, so the dense path never pays for it.
+scipy loads on first use, so the dense path never pays for it. Every
+import of one module of the package by another sits at the module's head,
+never in a function body, and the package's internal imports form no cycle:
+each module depends only on those below it, with ``errors`` and then
+``taylor`` at the bottom.
 """
 
 import ast
+import graphlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "odeql"
@@ -85,6 +90,41 @@ def solver_stack_imports(source: str) -> set:
             if path == stack or path.startswith(stack + ".")}
 
 
+def _package_imports(tree: ast.AST) -> set:
+    """Modules of the package that the import statements under tree name,
+    as ``from .x import ...`` or ``from . import x``."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def internal_imports(source: str) -> set:
+    """The package modules a module imports, wherever the statement sits."""
+    return _package_imports(ast.parse(source))
+
+
+def function_level_imports(source: str) -> set:
+    """The package modules a module imports inside a function body, where
+    the dependency is hidden from its head (and is most often a cycle)."""
+    return {module for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for module in _package_imports(node)}
+
+
+def import_cycle(graph: dict) -> list:
+    """One cycle of the module -> imported modules graph, as [a, ..., a], or []."""
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        return exc.args[1]
+    return []
+
+
 def _modules():
     return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))
             if path.name != "__init__.py"}
@@ -124,6 +164,38 @@ def test_the_detector_finds_a_solver_stack_import():
                                 "except ImportError:\n    pass\n") == {"scipy.io"}
     assert solver_stack_imports("import scipy.sparse as sp\nimport scipy\n"
                                 "def f(M):\n    return sp.linalg.svds(M, k=1)\n") == set()
+
+
+def test_the_detector_finds_a_function_level_import():
+    source = ("from . import fileio\nfrom .errors import ParameterError\n"
+              "import numpy as np\n"
+              "def f():\n    from .encoder import TaylorParams\n    return TaylorParams\n"
+              "class C:\n    async def g(self):\n        from . import solver, suites\n"
+              "    def h(self):\n        import math\n        from numpy import pi\n")
+    assert function_level_imports(source) == {"encoder", "solver", "suites"}
+    assert internal_imports(source) == {"fileio", "errors", "encoder", "solver", "suites"}
+
+
+def test_the_detector_finds_an_import_cycle():
+    sources = {"numerics": "from .errors import E\ndef f():\n    from .encoder import T\n",
+               "encoder": "from .numerics import norm2\nfrom .taylor import T\n",
+               "taylor": "from .errors import E\n", "errors": ""}
+    graph = {module: internal_imports(source) for module, source in sources.items()}
+    cycle = import_cycle(graph)
+    assert cycle[0] == cycle[-1] and set(cycle) == {"numerics", "encoder"}
+    del graph["numerics"]
+    assert import_cycle(graph) == []
+
+
+def test_no_module_imports_the_package_inside_a_function():
+    found = {(module, imported) for module, source in _modules().items()
+             for imported in function_level_imports(source)}
+    assert found == set()
+
+
+def test_the_internal_import_graph_is_acyclic():
+    graph = {module: internal_imports(source) for module, source in _modules().items()}
+    assert import_cycle(graph) == []
 
 
 def test_no_module_imports_the_solver_stack():

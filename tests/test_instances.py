@@ -1,6 +1,7 @@
 """Tests for the seeded instance factory."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,20 @@ class TestSparseMode:
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("N", 2.5), ("N", np.float64(4.0)), ("N", "3"), ("N", None), ("sparsity", 2.5)])
+    def test_non_integer_size_refused_where_it_enters(self, field, value):
+        # each used to build a GenSpec and die later in numpy, naming no input
+        fields = {"N": 8, "kappa_V": None if field == "sparsity" else 1.0, field: value}
+        message = f"^{field} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ParameterError, match=message):
+            generate(GenSpec(**fields))
+
+    def test_numpy_integer_sizes_accepted(self):
+        dense = generate(GenSpec(N=np.int64(3), seed=np.uint8(2)))
+        sparse = generate(GenSpec(N=np.int32(6), sparsity=np.int64(2), kappa_V=None))
+        assert dense.N == 3 and sparse.N == 6
+
     def test_bad_profile(self):
         with pytest.raises(ParameterError):
             GenSpec(N=4, eig_profile="spiral")

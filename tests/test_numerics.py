@@ -15,7 +15,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator
 
-from odeql import numerics, solver
+from odeql import numerics
 from odeql.errors import DimensionError, ParameterError
 from odeql.instances import GenSpec, generate, random_unitary
 from odeql.numerics import (
@@ -416,7 +416,7 @@ class TestOracleAccuracy:
                                 unit_norm=True))
         s, _ = numerics._oracle_layout(inst, 4.0 / m)
         assert s == 1
-        calls = _counting(monkeypatch, "block_solve", solver)
+        calls = _counting(monkeypatch, "block_solve", numerics)
         assert self._worst_relative_error(inst, T=4.0, m=m) <= 1e-14
         assert len(calls) == (1 if m == 5 else m * s)
 
@@ -470,7 +470,7 @@ class TestInstanceValidation:
         with pytest.raises(ParameterError, match=r"\|A V - V diag"):
             make_instance(V, [-1.0, -0.5], np.zeros(2), np.ones(2),
                           A=A + 1e-6 * np.eye(2))
-        with pytest.raises(ParameterError, match=r"\|A V - V diag"):
+        with pytest.raises(ParameterError, match="A contains non-finite entries"):
             make_instance(V, [-1.0, -0.5], np.zeros(2), np.ones(2),
                           A=np.where(A == 0, np.nan, A))
         with pytest.raises(ParameterError, match="non-finite"):
