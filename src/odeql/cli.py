@@ -22,7 +22,7 @@ from . import fileio, pipeline, suites
 from .encoder import encode
 from .errors import DegenerateInputError, OdeqlError
 from .instances import GenSpec, generate
-from .numerics import make_instance
+from .numerics import as_dense, make_instance
 from .solver import forward_substitute, residual
 from .taylor import TaylorParams
 
@@ -122,8 +122,7 @@ def _instance_from_matrix(A, x_in, b):
     A defective A is rejected: rounding splits its Jordan pairs by ~sqrt(eps),
     so eig returns kappa_V >= 1/sqrt(eps) and every kappa_V bound is vacuous.
     """
-    dense = A.toarray() if hasattr(A, "toarray") else np.asarray(A)
-    eigvals, V = np.linalg.eig(dense)
+    eigvals, V = np.linalg.eig(as_dense(A))
     inst = make_instance(V, eigvals, b, x_in, A=A, label="from-files")
     if not inst.kappa_V < DEFECTIVE_KAPPA_V:
         raise DegenerateInputError(

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from .errors import DimensionError, IntegrityError, ParameterError
 from .numerics import as_csr, as_state, lanczos_norm, norm2
@@ -59,7 +59,7 @@ NORM_TOL = 1e-4
 TRIANGULAR_CHUNK = 1 << 14
 
 
-def _check_triangular(C: sp.csr_matrix) -> None:
+def _check_triangular(C: scipy.sparse.csr_matrix) -> None:
     """Prove C is canonical CSR and unit lower triangular.
 
     Canonical (sorted column indices, no duplicates) puts each row's largest
@@ -80,7 +80,8 @@ def _check_triangular(C: sp.csr_matrix) -> None:
                                  "equal to 1 (nothing above the diagonal)")
 
 
-def _check_layout(C: sp.csr_matrix, A: sp.csr_matrix, params: TaylorParams) -> None:
+def _check_layout(C: scipy.sparse.csr_matrix, A: scipy.sparse.csr_matrix,
+                  params: TaylorParams) -> None:
     """Prove in O(nnz) that C encodes canonical CSR A under params: below the
     diagonal, collector rows hold -1 once in each block of their step and every
     other entry sits one block left, as A.data * (-h/j) in Taylor row j or a
@@ -112,7 +113,7 @@ def _check_layout(C: sp.csr_matrix, A: sp.csr_matrix, params: TaylorParams) -> N
         raise IntegrityError("C breaks the encoded layout: " + "; ".join(broken))
 
 
-def unit_lower_factor(C: sp.csr_matrix):
+def unit_lower_factor(C: scipy.sparse.csr_matrix):
     """SuperLU factor of C, once C is proved canonical unit lower triangular.
 
     In the natural column order with diagonal pivots, the factor is L = C and
@@ -124,7 +125,7 @@ def unit_lower_factor(C: sp.csr_matrix):
     0.14-0.17 s and under 2 MiB (2-vCPU VM, one BLAS thread).
     """
     _check_triangular(C)
-    return sp.linalg.splu(C.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    return scipy.sparse.linalg.splu(C.tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
 
 @dataclass(frozen=True)
@@ -135,10 +136,10 @@ class EncodedSystem:
     ``norm_upper`` (proved), ``norm`` and ``inverse_norm`` (measured) are
     computed once each, on first use."""
 
-    matrix: sp.csr_matrix
+    matrix: scipy.sparse.csr_matrix
     rhs: np.ndarray
     params: TaylorParams
-    A: sp.csr_matrix
+    A: scipy.sparse.csr_matrix
     norm_A: float
 
     @property
@@ -180,12 +181,12 @@ class EncodedSystem:
         adjoint by triangular solves with one :func:`unit_lower_factor` of C;
         C is never inverted or densified."""
         lu = unit_lower_factor(self.matrix)
-        return lanczos_norm(sp.linalg.LinearOperator(
+        return lanczos_norm(scipy.sparse.linalg.LinearOperator(
             (self.dim, self.dim), dtype=complex, matvec=lu.solve,
             rmatvec=lambda y: lu.solve(y, trans="H")))
 
 
-def build_matrix(A, params: TaylorParams, norm_A: float) -> sp.csr_matrix:
+def build_matrix(A, params: TaylorParams, norm_A: float) -> scipy.sparse.csr_matrix:
     """Assemble the (d+1)N x (d+1)N encoded block matrix for step generator Ah.
 
     norm_A is ||A||_2 as :func:`norm2` measures it; :func:`encode` measures
@@ -242,7 +243,7 @@ def build_matrix(A, params: TaylorParams, norm_A: float) -> sp.csr_matrix:
     data[copies:].reshape(p * N, 2)[:] = [-1.0, 1.0]
     for array in (indptr, indices, data):
         array.flags.writeable = False
-    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(dim, dim))
 
 
 def build_rhs(x_in, b, params: TaylorParams) -> np.ndarray:

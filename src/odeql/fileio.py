@@ -14,15 +14,14 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-import scipy.sparse as sp
 
 from .errors import DimensionError, ParameterError
-from .numerics import Instance, as_state, make_instance
+from .numerics import Instance, as_csr, as_state, issparse, make_instance
 
 
 def save_matrix(path, M) -> None:
     """Write a sparse (coordinate) or dense (array) Matrix Market file."""
-    if sp.issparse(M):
+    if issparse(M):
         scipy.io.mmwrite(str(path), M.tocoo())
     else:
         scipy.io.mmwrite(str(path), np.asarray(M, dtype=complex))
@@ -31,7 +30,7 @@ def save_matrix(path, M) -> None:
 def load_matrix(path):
     """Read a Matrix Market file; sparse input comes back as CSR."""
     M = scipy.io.mmread(str(path))
-    if sp.issparse(M):
+    if issparse(M):
         M = M.tocsr()
         M.sort_indices()
         return M.astype(complex)
@@ -80,7 +79,7 @@ def save_instance(directory, inst: Instance, extra_meta: dict | None = None) -> 
     """Write an instance as a directory of Matrix Market / vector files."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    save_matrix(directory / "A.mtx", inst.A)
+    save_matrix(directory / "A.mtx", as_csr(inst.A))  # coordinate, whatever A's form
     save_matrix(directory / "V.mtx", inst.V)
     save_matrix(directory / "V_inv.mtx", inst.V_inv)
     save_vector(directory / "eigenvalues.txt", inst.eigenvalues)

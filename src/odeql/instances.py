@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from .errors import ParameterError
 from .numerics import Instance, make_instance, spectral_norm
@@ -145,7 +145,7 @@ def _singular_values(n: int, kappa: float, rng) -> np.ndarray:
     return np.concatenate([[kappa], np.sort(inner)[::-1], [1.0]])
 
 
-def _sparse_pattern(n: int, s: int, rng) -> sp.csr_matrix:
+def _sparse_pattern(n: int, s: int, rng) -> scipy.sparse.csr_matrix:
     """Union of s permutations (one of them the identity, so the later
     eigenvalue shift hits existing entries): at most s per row and column."""
     rows = [np.arange(n)]
@@ -156,7 +156,7 @@ def _sparse_pattern(n: int, s: int, rng) -> sp.csr_matrix:
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = rng.normal(size=rows.size) + 1j * rng.normal(size=rows.size)
-    M = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    M = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     M.sum_duplicates()
     return M
 
@@ -177,7 +177,7 @@ def generate(spec: GenSpec) -> Instance:
         A0 = _sparse_pattern(spec.N, spec.sparsity, rng)
         eigvals, V = np.linalg.eig(A0.toarray())  # the shift and scale below keep V
         shift = float(eigvals.real.max()) + SHIFT_MARGIN
-        A = A0 - shift * sp.eye(spec.N, format="csr")
+        A = A0 - shift * scipy.sparse.eye(spec.N, format="csr")
         eigvals -= shift
         A.data, eigvals = _unit_rescale(A, A.data, eigvals)
         x_in, b = _states(spec, rng)

@@ -1,8 +1,9 @@
 """Complex linear-algebra primitives and the high-accuracy ODE reference oracle.
 
 Everything here is pure and operates on immutable inputs: plain complex128
-numpy vectors for states and scipy CSR matrices (or dense arrays) for
-operators, validated by :func:`as_state` and :func:`as_csr`.
+numpy vectors for states and dense arrays or scipy CSR matrices for
+operators, validated by :func:`as_state` and :func:`as_matrix`; scipy.sparse
+loads only when a sparse matrix or a Lanczos norm asks for it.
 :func:`reference_trajectory` is the one integrator of ``dx/dt = A x + b``:
 it carries b as the encoded system does, h b in the block after the state,
 so it never inverts A and is exact also for singular A. It sums each
@@ -14,11 +15,12 @@ substep's Taylor series in the encoder's own kernel and layout, from
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from .errors import ConvergenceError, DimensionError, ParameterError
 from .taylor import TaylorParams, block_solve
@@ -28,8 +30,9 @@ POWER_SEED = 0xC0FFEE
 
 # Size from which A is handled as sparse rather than dense. norm2 takes Lanczos
 # over a dense SVD (3.4-4.1 vs 6.8 ms at N=256, ~70 vs ~500 ms at N=1024, BLAS
-# at one thread, agreeing to 2e-15); below it the oracle and forward_substitute
-# apply A as an ndarray (2.2 vs 9.9 us a product through CSR at order 65).
+# at one thread, agreeing to 2e-15); below it a dense A stays an ndarray, and
+# the oracle and forward_substitute expand a CSR A (2.2 vs 9.9 us a product
+# through CSR at order 65).
 DENSE_CUTOFF = 256
 
 # The dense oracle builds a substep's affine map w -> P w + c (k products of an
@@ -53,16 +56,37 @@ def as_state(v, name: str = "vector") -> np.ndarray:
     return arr
 
 
-def as_csr(A) -> sp.csr_matrix:
-    """Validate and convert a square matrix to canonical complex128 CSR."""
-    A = A.tocsr() if sp.issparse(A) else sp.csr_matrix(np.asarray(A, dtype=complex))
-    if A.shape[0] != A.shape[1]:
+def issparse(M) -> bool:
+    """Whether M is a scipy sparse matrix, told without loading scipy.sparse:
+    no sparse matrix exists before it is loaded."""
+    return "scipy.sparse" in sys.modules and sys.modules["scipy.sparse"].issparse(M)
+
+
+def as_dense(M) -> np.ndarray:
+    """M as a dense complex array; a sparse M (a coordinate-format file) is expanded."""
+    return np.asarray(M.toarray() if issparse(M) else M, dtype=complex)
+
+
+def as_matrix(A):
+    """Validate a square matrix with finite entries, at complex128: a dense A
+    below DENSE_CUTOFF as an ndarray, any other A as canonical CSR (a copy)."""
+    sparse = issparse(A)
+    A = A.tocsr() if sparse else np.asarray(A, dtype=complex)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"A must be square, got shape {A.shape}")
-    if not np.all(np.isfinite(A.data)):
+    if not np.all(np.isfinite(A.data if sparse else A)):
         raise ParameterError("A contains non-finite entries")
-    A = A.astype(complex)
+    if not sparse and A.shape[0] < DENSE_CUTOFF:
+        return A
+    A = scipy.sparse.csr_matrix(A, dtype=complex, copy=True)
     A.sum_duplicates()
     return A
+
+
+def as_csr(A) -> scipy.sparse.csr_matrix:
+    """Validate and convert a square matrix to canonical complex128 CSR."""
+    A = as_matrix(A)
+    return A if issparse(A) else scipy.sparse.csr_matrix(A)
 
 
 def spectral_norm(M, tol: float = 1e-6, max_iter: int = 10_000) -> float:
@@ -75,17 +99,13 @@ def spectral_norm(M, tol: float = 1e-6, max_iter: int = 10_000) -> float:
     """
     if not 0.0 < tol <= 1e-2:
         raise ParameterError(f"tol must lie in (0, 1e-2], got {tol}")
-    if sp.issparse(M):
-        data = M.data
-    else:
-        M = np.asarray(M)
-        data = M
-    if not np.all(np.isfinite(data)):
+    M = M if issparse(M) else np.asarray(M)
+    if not np.all(np.isfinite(M.data if issparse(M) else M)):
         raise ParameterError("matrix contains non-finite entries")
     n = M.shape[1]
     if min(M.shape) == 0:
         return 0.0
-    MH = M.conj().T.tocsr() if sp.issparse(M) else np.conj(M.T)
+    MH = M.conj().T.tocsr() if issparse(M) else np.conj(M.T)
     rng = np.random.default_rng(POWER_SEED)
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
     x /= np.linalg.norm(x)
@@ -129,9 +149,9 @@ def lanczos_norm(M, tol: float = 0.0) -> float:
         raise ParameterError(f"tol must lie in [0, 1), got {tol}")
     v0 = np.random.default_rng(POWER_SEED).standard_normal(M.shape[1])
     try:
-        return float(sp.linalg.svds(M, k=1, tol=tol, v0=v0,
-                                    return_singular_vectors=False)[0])
-    except sp.linalg.ArpackNoConvergence as exc:
+        return float(scipy.sparse.linalg.svds(M, k=1, tol=tol, v0=v0,
+                                              return_singular_vectors=False)[0])
+    except scipy.sparse.linalg.ArpackNoConvergence as exc:
         raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
 
 
@@ -139,13 +159,14 @@ def norm2(M) -> float:
     """||M||_2 of a dense or sparse M: dense SVD below DENSE_CUTOFF, else Lanczos.
 
     Non-finite entries raise ParameterError; an all-zero M is 0.0, without ARPACK."""
-    data = M.data if sp.issparse(M) else M
+    M = M if issparse(M) else np.asarray(M)
+    data = M.data if issparse(M) else M
     if not np.all(np.isfinite(data)):
         raise ParameterError("matrix contains non-finite entries")
     if not np.any(data):
         return 0.0
     if min(M.shape) < DENSE_CUTOFF:
-        return float(np.linalg.norm(M.toarray() if sp.issparse(M) else M, 2))
+        return float(np.linalg.norm(M.toarray() if issparse(M) else M, 2))
     return lanczos_norm(M)
 
 
@@ -156,7 +177,9 @@ class Instance:
     Carries its eigendecomposition (prescribed in dense ``generate`` mode,
     from an eigensolver in sparse mode and for file input), b, x_in and
     kappa_V = |V| |V^{-1}|; ||A|| is measured once, on first use of
-    ``norm_A``. Immutable; validated on creation via :func:`make_instance`.
+    ``norm_A``. A is an ndarray if it came dense and N < DENSE_CUTOFF, else
+    CSR (sparse mode, a coordinate file); :func:`as_dense` reads either.
+    Immutable; validated on creation via :func:`make_instance`.
     """
 
     V: np.ndarray
@@ -165,7 +188,7 @@ class Instance:
     b: np.ndarray
     x_in: np.ndarray
     kappa_V: float
-    A: sp.csr_matrix
+    A: np.ndarray | scipy.sparse.csr_matrix
     label: str = ""
 
     @property
@@ -205,29 +228,24 @@ class Instance:
             )
 
 
-def _dense(M) -> np.ndarray:
-    """M as a dense complex array; sparse M (a coordinate-format file) is expanded."""
-    return np.asarray(M.toarray() if sp.issparse(M) else M, dtype=complex)
-
-
 def make_instance(V, eigenvalues, b, x_in, V_inv=None, A=None, kappa_V=None,
                   label: str = "") -> Instance:
     """Assemble and validate an Instance, deriving the optional pieces.
 
     V and V_inv may be dense or sparse and are stored dense. V_inv defaults to
-    the numerical inverse, A to V diag(eigenvalues) V^{-1} (stored sparse),
-    and kappa_V to max(1, |V| |V^{-1}|), each norm measured once by
-    :func:`norm2` and passed on to :meth:`Instance.validate`.
+    the numerical inverse, A to V diag(eigenvalues) V^{-1}, stored in the
+    form :func:`as_matrix` gives, and kappa_V to max(1, |V| |V^{-1}|), each
+    norm measured once by :func:`norm2` and passed on to :meth:`Instance.validate`.
     """
-    V = _dense(V)
+    V = as_dense(V)
     eigenvalues = as_state(np.ravel(eigenvalues), "eigenvalues")
     b = as_state(b, "b")
     x_in = as_state(x_in, "x_in")
     n = x_in.size
     if V.shape != (n, n) or eigenvalues.size != n or b.size != n:
         raise DimensionError("V, eigenvalues, b and x_in must share one dimension")
-    V_inv = np.linalg.inv(V) if V_inv is None else _dense(V_inv)
-    A = as_csr((V * eigenvalues) @ V_inv if A is None else A)
+    V_inv = np.linalg.inv(V) if V_inv is None else as_dense(V_inv)
+    A = as_matrix((V * eigenvalues) @ V_inv if A is None else A)
     norm_V, norm_V_inv = norm2(V), norm2(V_inv)
     if kappa_V is None:
         # |V||V^-1| >= |V V^-1| = 1; rounding can land a hair below
@@ -290,7 +308,7 @@ def reference_trajectory(inst: Instance, T: float, m: int) -> np.ndarray:
     states[:] = x_in
     if T / m == 0.0:
         return states
-    op = _dense(inst.A) if n < DENSE_CUTOFF else inst.A
+    op = as_dense(inst.A) if n < DENSE_CUTOFF else inst.A
     s, one = _oracle_layout(inst, T / m)
     source = one.h * b
 

@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from .encoder import EncodedSystem, _check_triangular, build_rhs
 from .errors import DegenerateInputError, DimensionError
-from .numerics import DENSE_CUTOFF, as_csr, as_state
+from .numerics import DENSE_CUTOFF, as_dense, as_matrix, as_state
 from .taylor import TaylorParams, block_solve
 
 # Rows per panel of generic_solve. Each panel pays a fixed cost (two slices,
@@ -74,12 +74,12 @@ def forward_substitute(A, params: TaylorParams, x_in, b) -> BlockSolution:
     :func:`~odeql.encoder.encode`. Below DENSE_CUTOFF the kernel applies A as a
     dense ndarray, from there as CSR.
     """
-    A = as_csr(A)
+    A = as_matrix(A)
     N = A.shape[0]
     rhs = build_rhs(x_in, b, params)
     if rhs.size != (params.d + 1) * N:
         raise DimensionError("x_in and b must match the dimension of A")
-    data = block_solve(A.toarray() if N < DENSE_CUTOFF else A, params,
+    data = block_solve(as_dense(A) if N < DENSE_CUTOFF else A, params,
                        rhs.reshape(params.d + 1, N))
     data.flags.writeable = False
     return BlockSolution(params=params, data=data)
@@ -102,7 +102,7 @@ def generic_solve(system: EncodedSystem) -> np.ndarray:
         r1 = min(r0 + PANEL_ROWS, n)
         # the first panel subtracts an empty product: a copy of rhs[:r1]
         panel_rhs = rhs[r0:r1] - C[r0:r1, :r0] @ x[:r0]
-        x[r0:r1] = sp.linalg.spsolve_triangular(
+        x[r0:r1] = scipy.sparse.linalg.spsolve_triangular(
             C[r0:r1, r0:r1], panel_rhs, lower=True, overwrite_A=True,
             overwrite_b=True, unit_diagonal=True)
     return x

@@ -150,7 +150,7 @@ class TestMatrixNormBounds:
         assert report.details["bound"] == pytest.approx(2.0 * math.sqrt(5))
         assert report.details["component_collector"] == math.sqrt(6.0)
         assert report.details["component_subdiagonal"] == pytest.approx(
-            max(params.h * np.linalg.norm(inst.A.toarray(), 2), 1.0), rel=1e-12)
+            max(params.h * np.linalg.norm(numerics.as_dense(inst.A), 2), 1.0), rel=1e-12)
         C1, C2, C3 = component_split(system)
         assert (C1 + C2 + C3 != system.matrix).nnz == 0
         # C2 lives in the collector block rows (i+1)(k+1) and fills them.
@@ -286,7 +286,7 @@ def test_inverse_norm_and_condition_bounds_at_large_kappa(N, kappa, m):
     # on the family's layout rule: T a hair under m/||A||, epsilon = 1e-3.
     inst = generate(GenSpec(N=N, kappa_V=kappa, b_mode="random", seed=0,
                             unit_norm=True))
-    normA = float(np.linalg.norm(inst.A.toarray(), 2))
+    normA = float(np.linalg.norm(numerics.as_dense(inst.A), 2))
     decay = grid(inst, 0.999 * m / normA)
     assert decay.m == m
     params = choose_parameters(inst, decay, 1e-3).params
@@ -377,7 +377,7 @@ class TestConditionNumber:
 
     def test_zero_generator(self):
         inst = make_instance(np.eye(1), [0.0], np.array([0.5]), np.ones(1))
-        assert inst.A.nnz == 0
+        assert not np.any(numerics.as_dense(inst.A))
         report = condition_number_bound(problem(inst, TaylorParams(m=2, k=5, p=2, h=1.0)))
         assert report.passed
         assert math.isfinite(report.details["kappa_C_upper"])

@@ -10,6 +10,7 @@ from odeql.cli import _parse_gen_inline, main
 from odeql.encoder import TaylorParams, build_matrix
 from odeql.fileio import load_instance, load_matrix, load_vector, save_vector
 from odeql.instances import GenSpec, generate
+from odeql.numerics import as_dense
 
 
 @pytest.fixture
@@ -468,7 +469,7 @@ def test_gen_sparse_mode(tmp_path):
     code = main(["gen", "--gen", "N=8,s=2,seed=3", "--out", str(out)])
     assert code == 0
     inst = load_instance(out)
-    dense = inst.A.toarray()
+    dense = as_dense(inst.A)
     assert (dense != 0).sum(axis=1).max() <= 2
 
 

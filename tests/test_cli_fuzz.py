@@ -24,6 +24,7 @@ from odeql import suites
 from odeql.cli import main
 from odeql.fileio import save_instance, save_matrix, save_vector
 from odeql.instances import GenSpec, generate
+from odeql.numerics import as_dense
 
 HOSTILE = ["0", "-1", "nan", "inf", "-inf", "seven", ""]
 
@@ -60,7 +61,7 @@ def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     inst = generate(GenSpec(N=3, kappa_V=2.0, b_mode="random", seed=5, unit_norm=True))
     save_instance(root / "inst", inst)
-    A = inst.A.toarray()
+    A = as_dense(inst.A)
     paths = {"inst": root / "inst"}
 
     def matrix(name, M):

@@ -17,6 +17,7 @@ from odeql.fileio import (
     save_vector,
 )
 from odeql.instances import GenSpec, generate
+from odeql.numerics import as_csr, as_dense
 
 
 def test_sparse_matrix_round_trip_bit_exact(tmp_path):
@@ -66,9 +67,34 @@ def test_instance_round_trip(tmp_path):
     np.testing.assert_array_equal(back.eigenvalues, inst.eigenvalues)
     np.testing.assert_array_equal(back.x_in, inst.x_in)
     np.testing.assert_array_equal(back.b, inst.b)
-    np.testing.assert_array_equal(back.A.toarray(), inst.A.toarray())
+    np.testing.assert_array_equal(as_dense(back.A), as_dense(inst.A))
     assert back.kappa_V == inst.kappa_V
     assert back.label == inst.label
+
+
+def test_A_file_is_coordinate_whatever_the_form_of_A(tmp_path):
+    # an ndarray A is written as its CSR would be, so gen's files keep their bytes
+    inst = generate(GenSpec(N=5, kappa_V=4.0, b_mode="random", seed=11))
+    assert isinstance(inst.A, np.ndarray)
+    save_instance(tmp_path / "inst", inst)
+    save_matrix(tmp_path / "csr.mtx", as_csr(inst.A))
+    written = (tmp_path / "inst" / "A.mtx").read_bytes()
+    assert written.startswith(b"%%MatrixMarket matrix coordinate complex")
+    assert written == (tmp_path / "csr.mtx").read_bytes()
+    back = load_instance(tmp_path / "inst")
+    np.testing.assert_array_equal(as_dense(back.A), inst.A)
+
+
+def test_a_file_keeps_the_form_it_is_read_in(tmp_path):
+    # a coordinate A.mtx loads as CSR, an array A.mtx as an ndarray, same values
+    inst = generate(GenSpec(N=4, kappa_V=2.0, seed=3))
+    save_instance(tmp_path / "inst", inst)
+    coordinate = load_instance(tmp_path / "inst")
+    save_matrix(tmp_path / "inst" / "A.mtx", inst.A)
+    array = load_instance(tmp_path / "inst")
+    assert sp.issparse(coordinate.A) and coordinate.A.format == "csr"
+    assert isinstance(array.A, np.ndarray)
+    np.testing.assert_array_equal(as_dense(coordinate.A), array.A)
 
 
 def test_instance_with_coordinate_similarity_round_trip(tmp_path):
@@ -104,6 +130,6 @@ def test_instance_round_trip_fuzz(N, kappa, sparse, sparsity, b_mode, seed):
         back = load_instance(Path(tmp) / "inst")
     for name in ("V", "V_inv", "eigenvalues", "x_in", "b"):
         np.testing.assert_array_equal(getattr(back, name), getattr(inst, name))
-    for name in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(back.A, name), getattr(inst.A, name))
+    for name in ("indptr", "indices", "data"):  # A.mtx holds A in coordinate form
+        np.testing.assert_array_equal(getattr(back.A, name), getattr(as_csr(inst.A), name))
     assert back.kappa_V == inst.kappa_V

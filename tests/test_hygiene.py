@@ -5,11 +5,12 @@ package ``__init__`` is exempt, since its imports are the namespace. Each
 exception is listed with its reason, and the list fails when it goes stale.
 No module imports a private part of numpy or scipy, and none reads the
 environment: every input is a flag or an argument, spelt one way. No module
-imports scipy's solver stack (ARPACK, SuperLU, scipy.io) when it is itself
-imported: a call site reaches it as ``sp.linalg`` or ``scipy.io``, which
-scipy loads on first use, so the dense path never pays for it. Every
-import of one module of the package by another sits at the module's head,
-never in a function body, and the package's internal imports form no cycle:
+imports scipy.sparse or scipy's solver stack (ARPACK, SuperLU, scipy.io)
+when it is itself imported: a call site reaches them as ``scipy.sparse``,
+``scipy.sparse.linalg`` or ``scipy.io``, which scipy loads on first use, so
+the dense path never pays for them. Every import of one module of the
+package by another sits at the module's head, never in a function body,
+and the package's internal imports form no cycle:
 each module depends only on those below it, with ``errors`` and then
 ``taylor`` at the bottom.
 """
@@ -68,8 +69,8 @@ def environment_reads(source: str) -> set:
     return found
 
 
-# scipy modules that only a Krylov, sparse-LU or file call needs
-SOLVER_STACK = ("scipy.sparse.linalg", "scipy.linalg", "scipy.io")
+# scipy modules that only a sparse, Krylov, sparse-LU or file call needs
+SOLVER_STACK = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg", "scipy.io")
 
 
 def solver_stack_imports(source: str) -> set:
@@ -159,11 +160,16 @@ def test_the_detector_finds_a_solver_stack_import():
               "from scipy.sparse.linalg import svds\nfrom scipy import io as sio\n"
               "def f():\n    from scipy.linalg import expm\n    return expm\n"
               "class C:\n    import scipy.linalg.blas\n")
-    assert solver_stack_imports(source) == {"scipy.sparse.linalg", "scipy.io", "scipy.linalg"}
+    assert solver_stack_imports(source) == {"scipy.sparse", "scipy.sparse.linalg", "scipy.io",
+                                            "scipy.linalg"}
     assert solver_stack_imports("try:\n    from scipy.io import mmread\n"
                                 "except ImportError:\n    pass\n") == {"scipy.io"}
     assert solver_stack_imports("import scipy.sparse as sp\nimport scipy\n"
-                                "def f(M):\n    return sp.linalg.svds(M, k=1)\n") == set()
+                                "def f(M):\n    return sp.linalg.svds(M, k=1)\n") == {
+                                    "scipy.sparse"}
+    assert solver_stack_imports("from scipy import sparse\n") == {"scipy.sparse"}
+    assert solver_stack_imports("import scipy\ndef f(M):\n"
+                                "    return scipy.sparse.linalg.svds(M, k=1)\n") == set()
 
 
 def test_the_detector_finds_a_function_level_import():

@@ -1,9 +1,11 @@
-"""What a fresh interpreter loads: the dense path leaves scipy's solver stack
-(ARPACK and SuperLU in ``scipy.sparse.linalg``, ``scipy.linalg`` beneath it,
-and ``scipy.io``) unloaded, and the first Lanczos norm loads it on demand.
+"""What a fresh interpreter loads: the dense path leaves scipy.sparse and
+scipy's solver stack (ARPACK and SuperLU in ``scipy.sparse.linalg``,
+``scipy.linalg`` beneath it, and ``scipy.io``) unloaded. The first sparse
+call (an encode, a sparse-mode generate) loads scipy.sparse on demand, and
+the first Lanczos norm the solver stack.
 
 Each case runs in its own ``python -c`` process, since this test process has
-long since imported all three.
+long since imported all four.
 """
 
 import json
@@ -12,12 +14,15 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
+from odeql.encoder import TaylorParams, encode
+from odeql.instances import GenSpec, generate
 from odeql.numerics import lanczos_norm
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-SOLVER_STACK = ("scipy.sparse.linalg", "scipy.linalg", "scipy.io")
+DEFERRED = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg", "scipy.io")
 # 300 x 300 CSR, past DENSE_CUTOFF, so norm2 would take Lanczos too
 MATRIX = ('sp.diags([np.linspace(0.1, 1.0, 300), 0.5j * np.ones(299)], [0, 1], '
           'format="csr", dtype=complex)')
@@ -25,8 +30,16 @@ PRELUDE = f"""
 import contextlib, io, json, sys
 sys.path.insert(0, {str(SRC)!r})
 def loaded():
-    return [name for name in {SOLVER_STACK!r} if name in sys.modules]
+    return [name for name in {DEFERRED!r} if name in sys.modules]
 """
+# each sets `value`, an array; its first call in a process loads scipy.sparse
+FIRST_SPARSE_CALLS = {
+    "encode": "inst = generate(GenSpec(N=8, kappa_V=3.0, b_mode='random', seed=1, "
+              "unit_norm=True))\nvalue = encode(inst.A, inst.x_in, inst.b, "
+              "TaylorParams(m=2, k=5, p=2, h=0.5)).matrix.data",
+    "sparse generate": "value = generate(GenSpec(N=16, kappa_V=None, sparsity=3, "
+                       "seed=2)).A.data",
+}
 
 
 def _fresh(body: str):
@@ -58,6 +71,25 @@ print(json.dumps(seen))
                                               "cli run")}
 
 
+@pytest.mark.parametrize("call", FIRST_SPARSE_CALLS)
+def test_the_first_sparse_call_loads_scipy_sparse_on_demand(call):
+    # the positive control of the dense path's guard: scipy.sparse resolves
+    # when nothing has imported it, and the value is this process's, bit for bit
+    before, value, after = _fresh(f"""
+from odeql.encoder import TaylorParams, encode
+from odeql.instances import GenSpec, generate
+before = loaded()
+{FIRST_SPARSE_CALLS[call]}
+print(json.dumps([before, value.tobytes().hex(), loaded()]))
+""")
+    scope = {"TaylorParams": TaylorParams, "encode": encode, "GenSpec": GenSpec,
+             "generate": generate}
+    exec(FIRST_SPARSE_CALLS[call], scope)
+    assert before == []
+    assert after == ["scipy.sparse"]
+    assert value == scope["value"].tobytes().hex()
+
+
 def test_the_first_lanczos_norm_loads_arpack_on_demand():
     # the positive control: sp.linalg resolves when nothing has imported it,
     # and the value is the one this process computes, bit for bit
@@ -69,6 +101,6 @@ before = loaded()
 value = lanczos_norm({MATRIX})
 print(json.dumps([before, value.hex(), loaded()]))
 """)
-    assert before == []
+    assert before == ["scipy.sparse"]
     assert "scipy.sparse.linalg" in after
     assert value == lanczos_norm(eval(MATRIX, {"np": np, "sp": sp})).hex()

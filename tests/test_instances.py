@@ -10,7 +10,23 @@ import scipy.sparse as sp
 from odeql import instances
 from odeql.errors import ParameterError
 from odeql.instances import KAPPA_V_MAX, GenSpec, generate, random_unitary
-from odeql.numerics import spectral_norm
+from odeql.numerics import DENSE_CUTOFF, as_dense, spectral_norm
+
+
+class TestFormOfA:
+    """Dense mode keeps A as an ndarray below DENSE_CUTOFF; every other A is CSR."""
+
+    def test_dense_mode_below_the_cutoff_is_an_ndarray(self):
+        inst = generate(GenSpec(N=8, kappa_V=3.0, seed=1))
+        assert isinstance(inst.A, np.ndarray) and inst.A.dtype == complex
+
+    def test_dense_mode_at_the_cutoff_is_csr(self):
+        inst = generate(GenSpec(N=DENSE_CUTOFF, kappa_V=3.0, seed=1))
+        assert sp.issparse(inst.A) and inst.A.format == "csr"
+
+    def test_sparse_mode_is_csr_at_any_size(self):
+        inst = generate(GenSpec(N=16, kappa_V=None, sparsity=3, seed=1))
+        assert sp.issparse(inst.A) and inst.A.format == "csr" and inst.A.nnz <= 48
 
 
 class TestDenseMode:
@@ -19,7 +35,7 @@ class TestDenseMode:
                                 eig_value=-1.0, seed=0))
         assert inst.kappa_V == 1.0
         assert inst.eigenvalues[0] == -1.0
-        np.testing.assert_allclose(inst.A.toarray(), [[-1.0]], atol=1e-15)
+        np.testing.assert_allclose(as_dense(inst.A), [[-1.0]], atol=1e-15)
 
     def test_exact_kappa_by_construction(self):
         inst = generate(GenSpec(N=8, kappa_V=10.0, seed=3))
@@ -44,17 +60,17 @@ class TestDenseMode:
                                 seed=4))
         np.testing.assert_allclose(inst.eigenvalues.real, 0.0, atol=1e-15)
         # kappa_V = 1 makes A normal, so the flow preserves norms for b = 0
-        norm = spectral_norm(inst.A.toarray())
+        norm = spectral_norm(as_dense(inst.A))
         assert norm <= 1.0 + 1e-9
 
     def test_unit_norm_rescaling(self):
         inst = generate(GenSpec(N=6, kappa_V=10.0, seed=5, unit_norm=True))
-        assert spectral_norm(inst.A.toarray(), tol=1e-8) <= 1.0 + 1e-9
+        assert spectral_norm(as_dense(inst.A), tol=1e-8) <= 1.0 + 1e-9
 
     def test_deterministic(self):
         a = generate(GenSpec(N=4, kappa_V=2.0, b_mode="random", seed=9))
         b = generate(GenSpec(N=4, kappa_V=2.0, b_mode="random", seed=9))
-        np.testing.assert_array_equal(a.A.toarray(), b.A.toarray())
+        np.testing.assert_array_equal(as_dense(a.A), as_dense(b.A))
         np.testing.assert_array_equal(a.x_in, b.x_in)
         np.testing.assert_array_equal(a.b, b.b)
 
@@ -77,7 +93,7 @@ class TestSparseMode:
     def test_pattern_and_spectrum(self):
         spec = GenSpec(N=10, kappa_V=None, sparsity=3, seed=6)
         inst = generate(spec)
-        dense = inst.A.toarray()
+        dense = as_dense(inst.A)
         row_nnz = (dense != 0).sum(axis=1)
         col_nnz = (dense != 0).sum(axis=0)
         assert row_nnz.max() <= 3

@@ -27,6 +27,8 @@ from odeql.numerics import (
     reference_trajectory,
     spectral_norm,
 )
+from odeql.solver import forward_substitute
+from odeql.taylor import TaylorParams
 
 
 def rk4_oracle(A, b, x0, t, rel_tol=1e-12):
@@ -164,7 +166,7 @@ class TestNorm2:
     def test_instance_measures_norm_A_once(self, monkeypatch):
         inst = generate(GenSpec(N=6, kappa_V=3.0, unit_norm=True, seed=2))
         calls = _counting(monkeypatch, "norm2")
-        assert inst.norm_A == np.linalg.norm(inst.A.toarray(), 2)
+        assert inst.norm_A == np.linalg.norm(numerics.as_dense(inst.A), 2)
         assert inst.norm_A == inst.norm_A
         assert calls == [(6, 6)]
 
@@ -179,7 +181,7 @@ def _augmented_dense(inst):
     """The dense augmented operator [[A, b], [0, 0]] of an Instance."""
     n = inst.N
     M = np.zeros((n + 1, n + 1), dtype=complex)
-    M[:n, :n] = inst.A.toarray()
+    M[:n, :n] = numerics.as_dense(inst.A)
     M[:n, n] = inst.b
     return M
 
@@ -233,8 +235,8 @@ class TestExpAction:
         inst = make_instance(np.eye(3), [-1.0, -2.0, -0.5], np.zeros(3), np.ones(3))
         out = reference_solution(inst, 1.0)
         np.testing.assert_allclose(out, np.exp([-1.0, -2.0, -0.5]), rtol=1e-12)
-        dense = reference_solution(replace(inst, A=inst.A.toarray()), 1.0)
-        np.testing.assert_allclose(dense, out, rtol=1e-15)
+        csr = reference_solution(replace(inst, A=numerics.as_csr(inst.A)), 1.0)
+        np.testing.assert_allclose(csr, out, rtol=1e-15)
 
 
 class TestEvolve:
@@ -281,7 +283,7 @@ class TestReferenceSolution:
         inst = self._instance(b_mode="zero")
         t = 1.3
         via_ref = reference_solution(inst, t)
-        via_expm = sla.expm(inst.A.toarray() * t) @ inst.x_in
+        via_expm = sla.expm(numerics.as_dense(inst.A) * t) @ inst.x_in
         assert np.linalg.norm(via_ref - via_expm) <= 1e-12 * np.linalg.norm(via_ref)
 
     def test_ode_residual_finite_difference(self):
@@ -345,8 +347,8 @@ class TestReferenceTrajectory:
         # fresh one-interval oracle call per interval, to the last bit
         inst = generate(GenSpec(N=5, kappa_V=3.0, b_mode=b_mode, seed=21,
                                 unit_norm=True))
-        if layout == "dense":
-            inst = replace(inst, A=inst.A.toarray())
+        inst = replace(inst, A=(numerics.as_csr if layout == "csr" else
+                                numerics.as_dense)(inst.A))
         T, m = 3.7, 6
         states = reference_trajectory(inst, T, m)
         expected = [inst.x_in]
@@ -433,7 +435,7 @@ class TestOracleLayout:
     def test_substeps_and_order(self, b_mode):
         inst = generate(GenSpec(N=6, kappa_V=3.0, b_mode=b_mode, seed=8))
         scale = math.hypot(inst.norm_A, np.linalg.norm(inst.b))
-        op = _augmented_dense(inst) if b_mode == "random" else inst.A.toarray()
+        op = _augmented_dense(inst) if b_mode == "random" else numerics.as_dense(inst.A)
         assert scale >= numerics.norm2(op)
         doubled = replace(inst)
         doubled.__dict__["norm_A"] = 2.0 * inst.norm_A  # a norm estimate that errs high
@@ -486,7 +488,7 @@ class TestInstanceValidation:
 
     def test_make_instance_builds_A(self):
         inst = make_instance(np.eye(2), [-1.0, -0.5], np.zeros(2), np.ones(2))
-        np.testing.assert_allclose(inst.A.toarray(), np.diag([-1.0, -0.5]),
+        np.testing.assert_allclose(numerics.as_dense(inst.A), np.diag([-1.0, -0.5]),
                                    atol=1e-15)
         assert inst.kappa_V == pytest.approx(1.0)
         assert isinstance(inst, Instance)
@@ -533,3 +535,58 @@ class TestConditionMeasurement:
         assert numerics.norm2(np.eye(2)) * numerics.norm2(V_inv) < 1.0
         inst = make_instance(np.eye(2), [-1.0, -0.5], np.zeros(2), np.ones(2), V_inv=V_inv)
         assert inst.kappa_V == 1.0
+
+
+def _array_likes(M):
+    """M as an ndarray, a nested list and a nested tuple."""
+    rows = M.tolist()
+    return {"ndarray": M, "list": rows, "tuple": tuple(map(tuple, rows))}
+
+
+class TestMatrixForms:
+    """A dense A is kept dense below DENSE_CUTOFF, whatever array-like it comes as."""
+
+    def _problem(self):
+        V = random_unitary(3, np.random.default_rng(4)) * [1.0, 2.0, 0.5]
+        lam = np.array([-1.0, -0.25 + 0.5j, -0.5j])
+        return V, lam, (V * lam) @ np.linalg.inv(V)
+
+    def test_array_likes_agree_bitwise(self):
+        V, lam, A = self._problem()
+        params = TaylorParams(m=2, k=6, p=1, h=0.4)
+        x_in, b = np.ones(3), np.array([0.5, 0.0, -1.0j])
+        seen = {}
+        for name, form in _array_likes(A).items():
+            csr = numerics.as_csr(form)
+            seen[name] = (
+                b"".join(a.tobytes() for a in (csr.data, csr.indices, csr.indptr)),
+                numerics.norm2(form), spectral_norm(form),
+                forward_substitute(form, params, x_in, b).data.tobytes(),
+                make_instance(V, lam, b, x_in, A=form).A.tobytes())
+        assert seen["list"] == seen["ndarray"] and seen["tuple"] == seen["ndarray"]
+
+    @pytest.mark.parametrize("form", ["ndarray", "list"])
+    def test_hostile_dense_A_gets_one_error(self, form):
+        V, lam, A = self._problem()
+        nan, wide = A.copy(), np.ones((2, 3))
+        nan[0, 1] = np.nan
+        params = TaylorParams(m=1, k=5, p=1, h=0.1)
+        calls = (numerics.as_csr, numerics.as_matrix,
+                 lambda M: forward_substitute(M, params, np.ones(3), np.zeros(3)),
+                 lambda M: make_instance(V, lam, np.zeros(3), np.ones(3), A=M))
+        for call in calls:
+            with pytest.raises(ParameterError, match="^A contains non-finite entries$"):
+                call(_array_likes(nan)[form])
+            with pytest.raises(DimensionError, match=r"^A must be square, got shape \(2, 3\)$"):
+                call(_array_likes(wide)[form])
+        with pytest.raises(ParameterError, match="non-finite"):
+            numerics.norm2(_array_likes(nan)[form])
+
+    def test_the_form_follows_the_input_and_the_cutoff(self):
+        # dense stays dense below the cutoff; sparse, or from the cutoff, is CSR
+        for N in (DENSE_CUTOFF - 1, DENSE_CUTOFF):
+            for A in (np.eye(N), sp.eye(N, format="coo")):
+                M = numerics.as_matrix(A)
+                assert isinstance(M, np.ndarray) == (N < DENSE_CUTOFF and not sp.issparse(A))
+                assert isinstance(M, np.ndarray) or M.format == "csr"
+                np.testing.assert_array_equal(numerics.as_dense(M), np.eye(N))

@@ -149,7 +149,7 @@ def test_lemma3_reads_the_gate_norm(monkeypatch, norm2_calls):
     assert suites.run_suite("lemma3")["passed"]
     # one ||A|| per member, in its encode's step gate
     assert norm2_calls == [member.inst.A.shape for member in family]
-    assert all(member.system.norm_A == np.linalg.norm(member.inst.A.toarray(), 2)
+    assert all(member.system.norm_A == np.linalg.norm(numerics.as_dense(member.inst.A), 2)
                for member in family)
 
 
