@@ -8,12 +8,11 @@ and structure, never a hypothesis of the paper.
 
 :func:`generic_solve`, the independent cross-check, solves the assembled
 matrix only once the encoder has proved it canonical CSR and unit lower
-triangular, by block forward substitution over row panels of at most
-PANEL_ROWS rows: one sparse product subtracts the solved part, and SuperLU's
-triangular solve, with the diagonal declared unit, solves the panel's
-diagonal block. The panels use only the proved triangular form, nothing of
-the Taylor layout, so scipy's copies and SuperLU's workspace are those of a
-panel, never of the whole matrix.
+triangular, by forward substitution over dependency panels: a panel is a run
+of rows that read no column of the panel itself, so one sparse product with
+the solved part gives all of its rows at once. The panels use only the
+proved triangular form, nothing of the Taylor layout; on an encoded C whose
+A has no empty row they are its d+1 block rows.
 """
 
 from __future__ import annotations
@@ -23,19 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .encoder import EncodedSystem, _check_triangular, build_rhs
+from .encoder import TRIANGULAR_CHUNK, EncodedSystem, _check_triangular, build_rhs
 from .errors import DegenerateInputError, DimensionError
 from .numerics import DENSE_CUTOFF, as_dense, as_matrix, as_state
 from .taylor import TaylorParams, block_solve
-
-# Rows per panel of generic_solve. Each panel pays a fixed cost (two slices,
-# the checks of spsolve_triangular) that small panels do not amortise, and
-# SuperLU's workspace grows with the panel. At dimension 943k, against the
-# whole-matrix solve (2-vCPU VM, one BLAS thread), 2^12 rows ran 1.01-1.07x
-# its time, 2^13 0.96x, 2^14 0.84-1.02x and 2^15 0.89-0.94x; 2^16 and 2^17
-# were no faster (0.88-0.94x) for a process peak 9 and 26 MiB above 2^15's.
-# 2^15 is the smallest size that never ran slower than the whole-matrix solve.
-PANEL_ROWS = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -85,26 +75,46 @@ def forward_substitute(A, params: TaylorParams, x_in, b) -> BlockSolution:
     return BlockSolution(params=params, data=data)
 
 
+def _panels(C: scipy.sparse.csr_matrix):
+    """Yield the dependency panels [s, e) of a proved unit lower-triangular C,
+    in order: e is the first row after s that reads a column >= s.
+
+    The rows are read TRIANGULAR_CHUNK at a time, like the triangularity
+    proof. reach[r - lo] is the largest column below the diagonal in rows
+    lo..r; every row before e reads only columns < s, so e is the first r
+    with reach[r - lo] >= s, or the panel runs on into the next chunk.
+    """
+    n, s = C.shape[0], 0
+    for lo in range(0, n, TRIANGULAR_CHUNK):
+        stop = C.indptr[lo + 1:lo + TRIANGULAR_CHUNK + 1]
+        # a row's second-to-last entry is its largest column below the
+        # diagonal; a row holding only its diagonal gets -1 (there stop - 2
+        # points into the row before, or wraps round for row 0)
+        below = np.where(stop - C.indptr[lo:lo + stop.size] > 1, C.indices[stop - 2], -1)
+        reach = np.maximum.accumulate(below)
+        while (e := lo + int(reach.searchsorted(s))) < lo + stop.size:
+            yield s, e
+            s = e
+    yield s, n
+
+
 def generic_solve(system: EncodedSystem) -> np.ndarray:
-    """Cross-validation path: generic sparse forward substitution (SuperLU)
-    on the assembled matrix, once its canonical, unit lower-triangular form
-    is proved, one row panel [r0, r1) at a time. The panel's right-hand side
-    is rhs[r0:r1] - C[r0:r1, :r0] @ x[:r0], a fresh array; its diagonal block
-    C[r0:r1, r0:r1] is a fresh copy too, so SuperLU may overwrite both.
-    SuperLU is told the diagonal is unit, so it skips rescaling by a diagonal
-    of ones. ``system.matrix`` and ``system.rhs`` are never changed. A system
-    of at most PANEL_ROWS rows is one panel, the whole-matrix solve."""
+    """Cross-validation path: generic sparse forward substitution on the
+    assembled matrix, once its canonical, unit lower-triangular form is
+    proved, one dependency panel [s, e) at a time. With x zero from s on,
+    x[s:e] = rhs[s:e] - C[s:e] @ x, the diagonal meeting only zeros, sums
+    each row in forward substitution's order. C[s:e] is a CSR matrix on the
+    panel's slices of C (scipy copies a panel's values and indices, never
+    more). ``system.matrix`` and ``system.rhs`` are never changed."""
     C, rhs = system.matrix, system.rhs
     _check_triangular(C)
     n = C.shape[0]
-    x = np.empty(n, dtype=complex)
-    for r0 in range(0, n, PANEL_ROWS):
-        r1 = min(r0 + PANEL_ROWS, n)
-        # the first panel subtracts an empty product: a copy of rhs[:r1]
-        panel_rhs = rhs[r0:r1] - C[r0:r1, :r0] @ x[:r0]
-        x[r0:r1] = scipy.sparse.linalg.spsolve_triangular(
-            C[r0:r1, r0:r1], panel_rhs, lower=True, overwrite_A=True,
-            overwrite_b=True, unit_diagonal=True)
+    x = np.zeros(n, dtype=complex)
+    for s, e in _panels(C):
+        a, b = C.indptr[s], C.indptr[e]
+        rows = scipy.sparse.csr_matrix((C.data[a:b], C.indices[a:b], C.indptr[s:e + 1] - a),
+                                       shape=(e - s, n))
+        x[s:e] = rhs[s:e] - rows @ x
     return x
 
 

@@ -1,8 +1,8 @@
 """What a fresh interpreter loads: the dense path leaves scipy.sparse and
 scipy's solver stack (ARPACK and SuperLU in ``scipy.sparse.linalg``,
 ``scipy.linalg`` beneath it, and ``scipy.io``) unloaded. The first sparse
-call (an encode, a sparse-mode generate) loads scipy.sparse on demand, and
-the first Lanczos norm the solver stack.
+call (an encode, a sparse-mode generate) loads scipy.sparse on demand, a
+generic solve nothing more, and the first Lanczos norm the solver stack.
 
 Each case runs in its own ``python -c`` process, since this test process has
 long since imported all four.
@@ -69,6 +69,23 @@ print(json.dumps(seen))
 """)
     assert stages == {stage: [] for stage in ("import", "import odeql", "run", "lemma1",
                                               "cli run")}
+
+
+def test_the_generic_solve_loads_no_solver_stack():
+    # the cross-check is sparse products on C: encode loads scipy.sparse, and
+    # generic_solve adds neither ARPACK nor SuperLU at N < DENSE_CUTOFF
+    stages = _fresh("""
+from odeql.encoder import TaylorParams, encode
+from odeql.instances import GenSpec, generate
+from odeql.solver import generic_solve
+inst = generate(GenSpec(N=8, kappa_V=3.0, b_mode="random", seed=1, unit_norm=True))
+system = encode(inst.A, inst.x_in, inst.b, TaylorParams(m=2, k=5, p=2, h=0.5))
+seen = {"encode": loaded()}
+generic_solve(system)
+seen["generic_solve"] = loaded()
+print(json.dumps(seen))
+""")
+    assert stages == {"encode": ["scipy.sparse"], "generic_solve": ["scipy.sparse"]}
 
 
 @pytest.mark.parametrize("call", FIRST_SPARSE_CALLS)

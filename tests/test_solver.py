@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve_triangular
 
 from odeql.analysis import inverse_norm
-from odeql.encoder import TaylorParams, encode
+from odeql.encoder import TRIANGULAR_CHUNK, TaylorParams, encode
 from odeql.errors import IntegrityError, ParameterError
 from odeql import solver
 from odeql.instances import GenSpec, generate
@@ -267,37 +268,39 @@ class TestResidual:
                 <= norm_bound * delta / np.linalg.norm(system.rhs) + 1e-15)
 
 
-@pytest.mark.parametrize("panel", [pytest.param(None, id="one_panel"),
-                                   pytest.param(7, id="panels_of_7")])
+@pytest.mark.parametrize("layout", ["dense", "empty_row", "stored_zero", "N=1"])
 @given(m=st.integers(1, 4), k=st.integers(1, 8), p=st.integers(1, 4),
        N=st.integers(1, 4), seed=st.integers(0, 2**16))
 @settings(max_examples=60, deadline=None)
-def test_any_layout_cross_validates(panel, m, k, p, N, seed):
-    # random small layouts, including k below the bound regime: the encoding,
-    # the structure-aware solve and the generic solve must always agree, in
-    # one panel and in panels of 7 rows, no multiple of N, the last one short
+def test_any_layout_cross_validates(layout, m, k, p, N, seed):
+    # random small layouts, including k below the bound regime, an A with an
+    # empty row (its Taylor rows hold only their diagonal), an A storing an
+    # explicit zero and N = 1: the encoding, the structure-aware solve and the
+    # generic solve must always agree, and SuperLU, an outside oracle, too
     rng = np.random.default_rng(seed)
+    N = 1 if layout == "N=1" else N
     dense = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    if layout == "empty_row":
+        dense[seed % N] = 0.0
     norm = np.linalg.norm(dense, 2)
     if norm > 0:
         dense /= 1.25 * norm
     A = sp.csr_matrix(dense)
+    if layout == "stored_zero":
+        A.data[seed % A.nnz] = 0.0
     params = TaylorParams(m=m, k=k, p=p, h=1.0)
     x_in = rng.normal(size=N) + 1j * rng.normal(size=N)
     b = rng.normal(size=N) + 1j * rng.normal(size=N)
     system = encode(A, x_in, b, params)
     assert system.matrix.nnz == system.expected_nnz
+    assert system.A.nnz == A.nnz  # a stored zero stays in C's pattern
     direct = forward_substitute(A, params, x_in, b).vector()
     C = system.matrix
     before = (C.data.copy(), C.indices.copy(), C.indptr.copy(), system.rhs.copy())
-    with pytest.MonkeyPatch.context() as patch:
-        if panel is not None:
-            patch.setattr(solver, "PANEL_ROWS", panel)
-        generic = generic_solve(system)
-    if panel is None:
-        # the one-panel solve is bitwise SuperLU's rescale-by-diagonal solve
-        assert np.array_equal(generic, spsolve_triangular(C, system.rhs, lower=True))
+    generic = generic_solve(system)
     scale = np.linalg.norm(generic)
+    superlu = spsolve_triangular(C, system.rhs, lower=True)
+    assert np.linalg.norm(superlu - generic) <= 1e-14 * scale
     assert np.linalg.norm(direct - generic) <= 1e-12 * scale
     assert residual(system, direct) <= 1e-12
     # C and rhs are frozen: the solves leave them untouched, and a write into
@@ -318,21 +321,93 @@ def test_any_layout_cross_validates(panel, m, k, p, N, seed):
                                    rtol=0, atol=1e-14 * np.abs(single).max())
 
 
-def test_generic_solve_memory_is_a_panels_worth(monkeypatch):
-    # sixteen panels of a mid-size system: scipy's copies are a panel's, so
-    # the traced peak stays well under the one copy of C's values that a
-    # whole-matrix solve makes
+def unit_lower(n, below):
+    """Canonical unit lower-triangular CSR with the given (row, col) -> value
+    entries below the diagonal."""
+    dense = np.eye(n, dtype=complex)
+    for (r, c), v in below.items():
+        dense[r, c] = v
+    return sp.csr_matrix(dense)
+
+
+def random_unit_lower(n, seed):
+    rng = np.random.default_rng(seed)
+    vals = (rng.random((n, n)) < 0.15) * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return sp.csr_matrix(np.eye(n) + np.tril(vals, -1) / 2)
+
+
+CROSSING = 3 * TRIANGULAR_CHUNK + 5
+HAND_BUILT = {
+    "random": (random_unit_lower(40, 0), None),
+    "bidiagonal_chain": (unit_lower(12, {(r, r - 1): 0.5 - 0.5j for r in range(1, 12)}),
+                         [(r, r + 1) for r in range(12)]),
+    "identity": (unit_lower(9, {}), [(0, 9)]),
+    # row r reads row r - 700: panels of 700 rows, which straddle the
+    # boundaries of the triangularity proof's chunks
+    "chunk_crossing": ((sp.eye(CROSSING, format="csr", dtype=complex)
+                        + sp.eye(CROSSING, k=-700, format="csr", dtype=complex) * (0.5 + 1j)),
+                       [(s, min(s + 700, CROSSING)) for s in range(0, CROSSING, 700)]),
+    # rows 0-2, 5 and 7 hold only their diagonal; 3 reads 1, 4 reads 0, 6 reads 4
+    "diagonal_only_rows": (unit_lower(8, {(3, 1): 2.0, (4, 0): -1j, (6, 4): 0.25}),
+                           [(0, 3), (3, 6), (6, 8)]),
+}
+
+
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_generic_solve_reads_only_the_triangular_form(name):
+    # matrices the encoder never made: generic_solve reads their canonical
+    # unit lower-triangular CSR, nothing of the Taylor layout
+    C, panels = HAND_BUILT[name]
+    n = C.shape[0]
+    rng = np.random.default_rng(n)
+    rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
+    system = SimpleNamespace(matrix=C, rhs=rhs)
+    x = generic_solve(system)
+    expected = spsolve_triangular(C, rhs, lower=True)
+    assert np.linalg.norm(x - expected) <= 1e-14 * np.linalg.norm(expected)
+    if panels is not None:
+        assert list(solver._panels(C)) == panels
+
+
+@pytest.mark.parametrize("breaker, message", [
+    ("unsorted", "not canonical CSR"),
+    ("diagonal_two", "equal to 1"),
+    ("above_diagonal", "nothing above the diagonal"),
+    ("empty_row", "empty row"),
+])
+def test_generic_solve_refuses_a_hand_built_matrix(breaker, message):
+    C = unit_lower(4, {(2, 0): 1.0, (3, 1): -1.0})
+    data, indices, indptr = C.data.copy(), C.indices.copy(), C.indptr.copy()
+    if breaker == "unsorted":
+        # row 2 stores (2, 2) before (2, 0)
+        indices[[2, 3]], data[[2, 3]] = indices[[3, 2]], data[[3, 2]]
+    elif breaker == "diagonal_two":
+        data[-1] = 2.0
+    elif breaker == "above_diagonal":
+        indices[0] = 1  # row 0 holds (0, 1), not its diagonal
+    else:
+        # row 1 loses its diagonal
+        data, indices = np.delete(data, 1), np.delete(indices, 1)
+        indptr[2:] -= 1
+    broken = sp.csr_matrix((data, indices, indptr), shape=C.shape)
+    with pytest.raises(IntegrityError, match=message):
+        generic_solve(SimpleNamespace(matrix=broken, rhs=np.ones(4, dtype=complex)))
+
+
+def test_generic_solve_memory_is_a_panels_worth():
+    # the traced peak of one call is the solution, at most one index array
+    # of C's dimension, and a MiB of panel and chunk temporaries
     inst = generate(GenSpec(N=256, sparsity=4, kappa_V=None, b_mode="random", seed=3))
     params = TaylorParams(m=8, k=10, p=8, h=0.999 / norm2(inst.A))
     system = encode(inst.A, inst.x_in, inst.b, params)
-    monkeypatch.setattr(solver, "PANEL_ROWS", -(-system.dim // 16))
     tracemalloc.start()
     try:
         x = generic_solve(system)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < system.matrix.data.nbytes / 2
+    index_bytes = system.dim * system.matrix.indices.itemsize
+    assert peak <= x.nbytes + index_bytes + 2 ** 20
     assert residual(system, x) <= 1e-12
 
 
