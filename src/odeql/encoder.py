@@ -54,13 +54,15 @@ STEP_BOUND_SLACK = 1e-12
 # third; 1e-5 saved a quarter, 1e-3 departed by 7.9e-12.
 NORM_TOL = 1e-4
 
-# Rows per chunk of _check_triangular: each chunk's temporaries stay well
-# under 1 MiB whatever the size of C.
+# Rows per chunk of the triangularity proof, _triangular_chunks: each chunk's
+# temporaries stay well under 1 MiB whatever the size of C.
 TRIANGULAR_CHUNK = 1 << 14
 
 
-def _check_triangular(C: scipy.sparse.csr_matrix) -> None:
-    """Prove C is canonical CSR and unit lower triangular.
+def _triangular_chunks(C: scipy.sparse.csr_matrix):
+    """Prove C canonical CSR and unit lower triangular TRIANGULAR_CHUNK rows at
+    a time, yielding each proved chunk's first row lo and its row pointers, a
+    view of C.indptr; the first faulty chunk raises.
 
     Canonical (sorted column indices, no duplicates) puts each row's largest
     column in its last entry, so "the last entry is the diagonal and equals 1"
@@ -69,15 +71,22 @@ def _check_triangular(C: scipy.sparse.csr_matrix) -> None:
     if not C.has_canonical_format:
         raise IntegrityError("matrix is not canonical CSR "
                              "(unsorted or duplicate column indices)")
-    n = C.shape[0]
-    chunks = [(lo, min(lo + TRIANGULAR_CHUNK, n)) for lo in range(0, n, TRIANGULAR_CHUNK)]
-    if any(np.any(C.indptr[lo + 1:hi + 1] == C.indptr[lo:hi]) for lo, hi in chunks):
-        raise IntegrityError("matrix has an empty row (missing diagonal)")
-    for lo, hi in chunks:
-        last = C.indptr[lo + 1:hi + 1] - 1
-        if np.any(C.indices[last] != np.arange(lo, hi)) or np.any(C.data[last] != 1.0):
+    for lo in range(0, C.shape[0], TRIANGULAR_CHUNK):
+        ptr = C.indptr[lo:lo + TRIANGULAR_CHUNK + 1]
+        if np.any(ptr[1:] == ptr[:-1]):
+            raise IntegrityError("matrix has an empty row (missing diagonal)")
+        last = ptr[1:] - 1
+        if np.any(C.indices[last] != np.arange(lo, lo + last.size)) or np.any(C.data[last] != 1.0):
             raise IntegrityError("the last entry of every row must be its diagonal, "
                                  "equal to 1 (nothing above the diagonal)")
+        yield lo, ptr
+
+
+def _check_triangular(C: scipy.sparse.csr_matrix) -> None:
+    """Prove C is canonical CSR and unit lower triangular, by running
+    :func:`_triangular_chunks` through."""
+    for _ in _triangular_chunks(C):
+        pass
 
 
 def _check_layout(C: scipy.sparse.csr_matrix, A: scipy.sparse.csr_matrix,
@@ -121,8 +130,8 @@ def unit_lower_factor(C: scipy.sparse.csr_matrix):
     ``solve(y, trans="H")`` applies C^{-dagger}; C itself is left untouched.
     It pays only for many solves on a small system: at dimension 943k,
     ``splu`` and one solve took 1.2-1.4 s and raised peak RSS by 736 MiB,
-    one ``solver.generic_solve``, which works one dependency panel at a
-    time, 0.066-0.081 s and 13 MiB, less than the solution it returns
+    one ``solver.generic_solve``, which works a chunk of rows at a time,
+    0.071-0.077 s, its traced peak 0.8 MiB above the solution it returns
     (2-vCPU VM, one BLAS thread).
     """
     _check_triangular(C)

@@ -7,12 +7,13 @@ products with A plus vector additions. The solvers check shapes, finiteness
 and structure, never a hypothesis of the paper.
 
 :func:`generic_solve`, the independent cross-check, solves the assembled
-matrix only once the encoder has proved it canonical CSR and unit lower
-triangular, by forward substitution over dependency panels: a panel is a run
-of rows that read no column of the panel itself, so one sparse product with
-the solved part gives all of its rows at once. The panels use only the
-proved triangular form, nothing of the Taylor layout; on an encoded C whose
-A has no empty row they are its d+1 block rows.
+matrix by forward substitution over dependency panels, proving it canonical
+CSR and unit lower triangular on the way with the encoder's proof, one chunk
+of rows at a time. A panel is a run of rows that read no column of the panel
+itself, so its rows in one chunk are one numpy product with the solved part,
+and a panel that straddles a chunk boundary is cut there. The panels use
+only the proved triangular form, nothing of the Taylor layout; on an encoded
+C whose A has no empty row they are its d+1 block rows.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
-from .encoder import TRIANGULAR_CHUNK, EncodedSystem, _check_triangular, build_rhs
+from .encoder import EncodedSystem, _triangular_chunks, build_rhs
 from .errors import DegenerateInputError, DimensionError
 from .numerics import DENSE_CUTOFF, as_dense, as_matrix, as_state
 from .taylor import TaylorParams, block_solve
@@ -75,46 +75,32 @@ def forward_substitute(A, params: TaylorParams, x_in, b) -> BlockSolution:
     return BlockSolution(params=params, data=data)
 
 
-def _panels(C: scipy.sparse.csr_matrix):
-    """Yield the dependency panels [s, e) of a proved unit lower-triangular C,
-    in order: e is the first row after s that reads a column >= s.
-
-    The rows are read TRIANGULAR_CHUNK at a time, like the triangularity
-    proof. reach[r - lo] is the largest column below the diagonal in rows
-    lo..r; every row before e reads only columns < s, so e is the first r
-    with reach[r - lo] >= s, or the panel runs on into the next chunk.
-    """
-    n, s = C.shape[0], 0
-    for lo in range(0, n, TRIANGULAR_CHUNK):
-        stop = C.indptr[lo + 1:lo + TRIANGULAR_CHUNK + 1]
-        # a row's second-to-last entry is its largest column below the
-        # diagonal; a row holding only its diagonal gets -1 (there stop - 2
-        # points into the row before, or wraps round for row 0)
-        below = np.where(stop - C.indptr[lo:lo + stop.size] > 1, C.indices[stop - 2], -1)
-        reach = np.maximum.accumulate(below)
-        while (e := lo + int(reach.searchsorted(s))) < lo + stop.size:
-            yield s, e
-            s = e
-    yield s, n
-
-
 def generic_solve(system: EncodedSystem) -> np.ndarray:
-    """Cross-validation path: generic sparse forward substitution on the
-    assembled matrix, once its canonical, unit lower-triangular form is
-    proved, one dependency panel [s, e) at a time. With x zero from s on,
-    x[s:e] = rhs[s:e] - C[s:e] @ x, the diagonal meeting only zeros, sums
-    each row in forward substitution's order. C[s:e] is a CSR matrix on the
-    panel's slices of C (scipy copies a panel's values and indices, never
-    more). ``system.matrix`` and ``system.rhs`` are never changed."""
+    """Cross-validation path: forward substitution over the dependency panels
+    of the assembled matrix, each chunk of rows solved as soon as the
+    encoder's proof has passed it, so a faulty chunk raises after the chunks
+    before it are solved. A panel [s, e) is solved one chunk's piece [a, b)
+    at a time: with x zero from s on, x[a:b] = rhs[a:b] - C[a:b] @ x is one
+    take, one multiply and one ``np.add.reduceat``, which may sum a row in
+    any order. ``system.matrix`` and ``system.rhs`` are never changed."""
     C, rhs = system.matrix, system.rhs
-    _check_triangular(C)
-    n = C.shape[0]
-    x = np.zeros(n, dtype=complex)
-    for s, e in _panels(C):
-        a, b = C.indptr[s], C.indptr[e]
-        rows = scipy.sparse.csr_matrix((C.data[a:b], C.indices[a:b], C.indptr[s:e + 1] - a),
-                                       shape=(e - s, n))
-        x[s:e] = rhs[s:e] - rows @ x
+    x, s = np.zeros(C.shape[0], dtype=complex), 0
+    for lo, ptr in _triangular_chunks(C):
+        # a row's second-to-last entry is its largest column below the
+        # diagonal; a row holding only its diagonal gets -1 (there ptr - 2
+        # points into the row before, or wraps round for row 0)
+        below = np.where(np.diff(ptr) > 1, C.indices[ptr[1:] - 2], -1)
+        # reach is nondecreasing: the panel that starts at s ends at the
+        # first row whose reach is >= s, or runs on into the next chunk
+        reach, cuts = np.maximum.accumulate(below), [lo]
+        while (e := lo + int(reach.searchsorted(s))) < lo + reach.size:
+            cuts.append(s := e)
+        cuts.append(lo + reach.size)
+        for a, b in zip(cuts, cuts[1:]):  # a piece is empty if row lo starts a panel
+            p = ptr[a - lo:b - lo + 1]
+            terms = x.take(C.indices[p[0]:p[-1]])
+            terms *= C.data[p[0]:p[-1]]
+            x[a:b] = rhs[a:b] - np.add.reduceat(terms, p[:-1] - p[0])
     return x
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -252,18 +253,22 @@ def test_triangular_proof_allocates_a_chunks_worth():
 
 @pytest.mark.parametrize("row", [0, 4, 9])
 def test_triangular_proof_reads_every_chunk(monkeypatch, row):
-    # chunks of 3 rows over 10: the last chunk is a single row
+    # chunks of 3 rows over 10: the last chunk is a single row; the generic
+    # solve proves each chunk inside its solve loop, with the same messages
     monkeypatch.setattr(encoder, "TRIANGULAR_CHUNK", 3)
     C = sp.identity(10, dtype=complex, format="csr") - sp.eye(10, k=-1, format="csr")
     encoder._check_triangular(C)
     data, indices, indptr = C.data.copy(), C.indices.copy(), C.indptr.copy()
     data[indptr[row + 1] - 1] = 2.0
-    with pytest.raises(IntegrityError, match="last entry of every row"):
-        encoder._check_triangular(sp.csr_matrix((data, indices, indptr), shape=C.shape))
     empty = C.tolil()
     empty[row, :] = 0
-    with pytest.raises(IntegrityError, match="empty row"):
-        encoder._check_triangular(empty.tocsr())
+    for broken, message in ((sp.csr_matrix((data, indices, indptr), shape=C.shape),
+                             "last entry of every row"),
+                            (empty.tocsr(), "empty row")):
+        with pytest.raises(IntegrityError, match=message):
+            encoder._check_triangular(broken)
+        with pytest.raises(IntegrityError, match=message):
+            generic_solve(SimpleNamespace(matrix=broken, rhs=np.ones(10, dtype=complex)))
 
 
 def test_duplicate_entries_in_A_are_summed():

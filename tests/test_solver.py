@@ -15,7 +15,7 @@ from scipy.sparse.linalg import spsolve_triangular
 from odeql.analysis import inverse_norm
 from odeql.encoder import TRIANGULAR_CHUNK, TaylorParams, encode
 from odeql.errors import IntegrityError, ParameterError
-from odeql import solver
+from odeql import encoder, solver
 from odeql.instances import GenSpec, generate
 from odeql.numerics import DENSE_CUTOFF, norm2
 from odeql.solver import (
@@ -268,20 +268,33 @@ class TestResidual:
                 <= norm_bound * delta / np.linalg.norm(system.rhs) + 1e-15)
 
 
-@pytest.mark.parametrize("layout", ["dense", "empty_row", "stored_zero", "N=1"])
-@given(m=st.integers(1, 4), k=st.integers(1, 8), p=st.integers(1, 4),
-       N=st.integers(1, 4), seed=st.integers(0, 2**16))
-@settings(max_examples=60, deadline=None)
-def test_any_layout_cross_validates(layout, m, k, p, N, seed):
+@pytest.mark.parametrize("layout", ["dense", "empty_row", "stored_zero", "N=1", "narrow"])
+def test_any_layout_cross_validates(layout):
     # random small layouts, including k below the bound regime, an A with an
     # empty row (its Taylor rows hold only their diagonal), an A storing an
-    # explicit zero and N = 1: the encoding, the structure-aware solve and the
-    # generic solve must always agree, and SuperLU, an outside oracle, too
+    # explicit zero, N = 1, and N = 1 at m = p = 200, k = 20, whose 4401 rows
+    # are 4401 one-row panels (a few seeds: its layout is fixed): the
+    # encoding, the structure-aware solve and the generic solve must always
+    # agree, and SuperLU, an outside oracle, too
+    @given(m=st.integers(1, 4), k=st.integers(1, 8), p=st.integers(1, 4),
+           N=st.integers(1, 4), seed=st.integers(0, 2**16))
+    @settings(max_examples=3 if layout == "narrow" else 60, deadline=None)
+    def check(m, k, p, N, seed):
+        cross_validate(layout, m, k, p, N, seed)
+
+    check()
+
+
+def cross_validate(layout, m, k, p, N, seed):
     rng = np.random.default_rng(seed)
-    N = 1 if layout == "N=1" else N
+    if layout == "narrow":
+        m, k, p = 200, 20, 200
+    N = 1 if layout in ("N=1", "narrow") else N
     dense = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
     if layout == "empty_row":
         dense[seed % N] = 0.0
+    if layout == "narrow":
+        dense.real = -abs(dense.real)  # Re(lambda) <= 0: 200 steps do not grow
     norm = np.linalg.norm(dense, 2)
     if norm > 0:
         dense /= 1.25 * norm
@@ -338,35 +351,45 @@ def random_unit_lower(n, seed):
 
 CROSSING = 3 * TRIANGULAR_CHUNK + 5
 HAND_BUILT = {
-    "random": (random_unit_lower(40, 0), None),
-    "bidiagonal_chain": (unit_lower(12, {(r, r - 1): 0.5 - 0.5j for r in range(1, 12)}),
-                         [(r, r + 1) for r in range(12)]),
-    "identity": (unit_lower(9, {}), [(0, 9)]),
+    "random": random_unit_lower(40, 0),
+    # every panel is one row
+    "bidiagonal_chain": unit_lower(12, {(r, r - 1): 0.5 - 0.5j for r in range(1, 12)}),
+    "identity": unit_lower(9, {}),
     # row r reads row r - 700: panels of 700 rows, which straddle the
     # boundaries of the triangularity proof's chunks
-    "chunk_crossing": ((sp.eye(CROSSING, format="csr", dtype=complex)
-                        + sp.eye(CROSSING, k=-700, format="csr", dtype=complex) * (0.5 + 1j)),
-                       [(s, min(s + 700, CROSSING)) for s in range(0, CROSSING, 700)]),
+    "chunk_crossing": (sp.eye(CROSSING, format="csr", dtype=complex)
+                       + sp.eye(CROSSING, k=-700, format="csr", dtype=complex) * (0.5 + 1j)),
     # rows 0-2, 5 and 7 hold only their diagonal; 3 reads 1, 4 reads 0, 6 reads 4
-    "diagonal_only_rows": (unit_lower(8, {(3, 1): 2.0, (4, 0): -1j, (6, 4): 0.25}),
-                           [(0, 3), (3, 6), (6, 8)]),
+    "diagonal_only_rows": unit_lower(8, {(3, 1): 2.0, (4, 0): -1j, (6, 4): 0.25}),
 }
+
+
+def assert_solves(C):
+    """generic_solve on C matches SuperLU, an outside oracle, within 1e-14."""
+    n = C.shape[0]
+    rng = np.random.default_rng(n)
+    rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
+    x = generic_solve(SimpleNamespace(matrix=C, rhs=rhs))
+    expected = spsolve_triangular(C, rhs, lower=True)
+    assert np.linalg.norm(x - expected) <= 1e-14 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("name", HAND_BUILT)
 def test_generic_solve_reads_only_the_triangular_form(name):
     # matrices the encoder never made: generic_solve reads their canonical
     # unit lower-triangular CSR, nothing of the Taylor layout
-    C, panels = HAND_BUILT[name]
-    n = C.shape[0]
-    rng = np.random.default_rng(n)
-    rhs = rng.normal(size=n) + 1j * rng.normal(size=n)
-    system = SimpleNamespace(matrix=C, rhs=rhs)
-    x = generic_solve(system)
-    expected = spsolve_triangular(C, rhs, lower=True)
-    assert np.linalg.norm(x - expected) <= 1e-14 * np.linalg.norm(expected)
-    if panels is not None:
-        assert list(solver._panels(C)) == panels
+    assert_solves(HAND_BUILT[name])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_generic_solve_cuts_panels_at_any_chunk(monkeypatch, chunk):
+    # chunks of 1-7 rows cut the panels at every row, so pieces of one panel
+    # are solved in turn and some chunks' first row starts a new panel
+    monkeypatch.setattr(encoder, "TRIANGULAR_CHUNK", chunk)
+    for C in HAND_BUILT.values():
+        assert_solves(C)
+    inst, params = random_problem(5, N=3, m=2, k=4, p=2)
+    assert_solves(encode(inst.A, inst.x_in, inst.b, params).matrix)
 
 
 @pytest.mark.parametrize("breaker, message", [
@@ -409,6 +432,28 @@ def test_generic_solve_memory_is_a_panels_worth():
     index_bytes = system.dim * system.matrix.indices.itemsize
     assert peak <= x.nbytes + index_bytes + 2 ** 20
     assert residual(system, x) <= 1e-12
+
+
+@pytest.mark.parametrize("reads", ["nothing", "row 0"])
+def test_generic_solve_memory_is_flat_in_a_panel_over_many_chunks(reads):
+    # the identity is one panel, and so are rows 1.. when each reads row 0: a
+    # panel over 6 chunks is solved a chunk at a time, so the temporaries
+    # above the solution stay those of one chunk
+    n = 6 * TRIANGULAR_CHUNK + 5
+    C = sp.eye(n, format="csr", dtype=complex)
+    if reads == "row 0":
+        C = C + sp.csr_matrix((np.full(n - 1, 0.5j), (np.arange(1, n), np.zeros(n - 1, int))),
+                              shape=(n, n))
+    rhs = np.ones(n, dtype=complex)
+    tracemalloc.start()
+    try:
+        x = generic_solve(SimpleNamespace(matrix=C, rhs=rhs))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - x.nbytes <= 2 * 2 ** 20
+    np.testing.assert_array_equal(x[0], 1.0)
+    np.testing.assert_array_equal(x[1:], 1.0 - (0.5j if reads == "row 0" else 0.0))
 
 
 @pytest.mark.parametrize("N", [DENSE_CUTOFF - 1, DENSE_CUTOFF])
